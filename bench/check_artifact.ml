@@ -30,10 +30,12 @@ let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("check_artifact: " ^ s);
 
 (* Counters whose value depends on scheduling, buffering or completion
    order rather than on the computation alone.  They are registered
-   [Obs.volatile] at their definition sites (parallel.ml, pool.ml); an
-   artifact carrying one in the deterministic "counters" section was
-   built against a miscategorized registration and would flakily break
-   the stripped normal form that --same-stripped gates. *)
+   [Obs.volatile] at their definition sites (pool.ml; pipe_bytes
+   belonged to the retired fork-per-job runner and still appears in
+   committed artifacts such as BENCH_4.json); an artifact carrying one
+   in the deterministic "counters" section was built against a
+   miscategorized registration and would flakily break the stripped
+   normal form that --same-stripped gates. *)
 let scheduling_dependent = [ "parallel.pipe_bytes"; "pool.steals" ]
 
 let member_exn key json ~ctx =

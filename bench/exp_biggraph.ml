@@ -8,8 +8,8 @@
    and cross-checks blossom against Hopcroft-Karp where both apply.
    Stage wall-clocks are recorded as timings and accounted through
    [Harness.Obs] spans; every reported measure is a pure function of
-   the seeded instance, so the cross-engine artifact equality gates
-   (B14/B16, bench-smoke) extend over this tier too. *)
+   the seeded instance, so bench-smoke's gate that sequential and
+   --jobs artifacts agree extends over this tier too. *)
 
 open Netgraph
 module E = Harness.Experiment

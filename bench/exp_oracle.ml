@@ -10,7 +10,7 @@
 
    Every check and measure here is deterministic in the instance, so
    the whole family rides the stripped-artifact byte-equality gates
-   (sequential vs --jobs vs --pool) in @bench-smoke. *)
+   (sequential vs --jobs 2 vs --jobs 4) in @bench-smoke. *)
 
 open Netgraph
 open Exp_util

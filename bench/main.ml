@@ -1,7 +1,7 @@
 (* Benchmark harness entry point: a generic driver over the experiment
    registry (tables T1-T12 + ablations A1-A2, figures F1-F6, Bechamel
-   microbenchmarks B0-B16, subgraph S1-S2, biggraph G1-G2, double-oracle
-   D1-D3).
+   microbenchmarks B0-B15 and B17-B18, subgraph S1-S2, biggraph G1-G2,
+   double-oracle D1-D3).
 
      dune exec bench/main.exe                       # everything, full scale
      dune exec bench/main.exe -- tables             # legacy group selectors
@@ -14,19 +14,18 @@
      dune exec bench/main.exe -- --list             # registered experiments
      dune exec bench/main.exe -- --only T4,F2       # just those experiments
      dune exec bench/main.exe -- --json BENCH_2.json  # write the JSON artifact
-     dune exec bench/main.exe -- --jobs 4           # forked worker pool
-     dune exec bench/main.exe -- --jobs 4 --pool    # persistent worker pool
+     dune exec bench/main.exe -- --jobs 4           # 4 pre-forked workers
      dune exec bench/main.exe -- --timeout 60       # per-experiment budget
      dune exec bench/main.exe -- --metrics          # record Obs counters
      dune exec bench/main.exe -- --trace            # + span wall time
 
-   --jobs N runs the selected experiments across N forked workers
-   (results reassemble in registration order; a worker that dies or
-   exceeds --timeout crashes only its own experiment).  The default
-   --jobs 1 is the in-process sequential runner, byte-identical to the
-   historical output.  --pool swaps fork-per-experiment for a persistent
-   pre-forked pool (Harness.Pool): workers live across experiments, a
-   crashed worker is respawned and its experiment retried once.
+   --jobs N runs the selected experiments on a persistent pool of N
+   pre-forked workers (Harness.Pool): results reassemble in
+   registration order, a crashed worker is respawned and its experiment
+   retried once, and a worker that dies again or exceeds --timeout
+   crashes only its own experiment.  The default --jobs 1 is the
+   in-process sequential runner, byte-identical to the historical
+   output (a --timeout or --force-crash runs it on one pool worker).
 
    Exits 0 when every selected experiment passes, 1 if any verdict is
    degraded or crashed (--force-degrade / --force-crash ID[,ID..] force
@@ -38,7 +37,7 @@ let usage () =
   prerr_endline
     "usage: main.exe [tables|figures|micro|subgraph|biggraph|oracle|smoke|all]\n\
     \       [--smoke] [--list]\n\
-    \       [--only ID[,ID..]] [--json FILE] [--jobs N] [--pool]\n\
+    \       [--only ID[,ID..]] [--json FILE] [--jobs N]\n\
     \       [--timeout SECS]\n\
     \       [--metrics] [--trace]\n\
     \       [--force-degrade ID[,ID..]] [--force-crash ID[,ID..]] [--quiet]"
@@ -64,9 +63,6 @@ let () =
         parse rest
     | "--trace" :: rest ->
         opts := { !opts with Runner.trace = true };
-        parse rest
-    | "--pool" :: rest ->
-        opts := { !opts with Runner.pool = true };
         parse rest
     | "--only" :: ids :: rest ->
         opts := { !opts with Runner.only = split_ids ids };

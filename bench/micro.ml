@@ -1,4 +1,4 @@
-(* B0-B18: microbenchmarks and kernel-correctness checks.
+(* B0-B15, B17-B18: microbenchmarks and kernel-correctness checks.
 
    B0 ports the former standalone smoke pass: exact kernel = naive
    equality assertions (payoff tables, incremental deviation chains,
@@ -10,31 +10,27 @@
    monotonic clock).  B7-B12 pair the Payoff_kernel query path against
    the naive support-rescanning oracle (~naive:true) on the acceptance
    instance (grid 10x12, n = 120, k = 5, nu = 6); each naive experiment
-   also reports the speedup against its kernel partner from the same run
-   (so B7 before B8, etc. — registration order guarantees this in a full
-   sweep) and, at full scale, checks speedup >= 2x.  At smoke scale the
-   Bechamel quota is reduced and timing checks are skipped.
+   also reports the speedup against its kernel partner (the partner's
+   estimate from the same process when it ran there, otherwise a fresh
+   in-process timing of the partner's thunk) and, at full scale, checks
+   speedup >= 2x.  At smoke scale the Bechamel quota is reduced and
+   timing checks are skipped.
 
    B13 gates the numeric tower (lib/rational): the small fast path is
    timed against an in-process copy of the seed's fixed-width arithmetic
    (overhead <= 10% at full scale), promotion cost is reported, and the
    B7 sweep is compared against the committed BENCH_2.json baseline.
 
-   B14 gates the fault-isolated parallel runner: a 4-worker sweep of a
-   fixed experiment subset must reassemble the timing-stripped
-   sequential artifact byte for byte — counter metrics included, so the
-   Obs determinism contract is gated here too — with the wall-clock
-   speedup reported as timing cells.
+   B14 gates the parallel runner (the persistent worker pool behind
+   --jobs): a 4-worker sweep of a fixed experiment subset must
+   reassemble the timing-stripped sequential artifact byte for byte —
+   counter metrics included, so the Obs determinism contract is gated
+   here too — with the wall-clock speedup reported as timing cells.
 
    B15 gates the observability layer's disabled cost: the instrumented
    B7 best-response sweep with recording off against an uninstrumented
    in-process copy (<= 1.05x at full scale), counters-on cost reported
    informationally.
-
-   B16 gates the persistent worker pool: dispatching many near-empty
-   jobs through Harness.Pool must beat fork-per-job at full scale, and a
-   pooled sweep of the B14 subset must reassemble the timing-stripped
-   sequential artifact byte for byte.
 
    B17 gates the CSR graph substrate: construction, neighbour traversal
    and Hopcroft-Karp on the flat offset/neighbour arrays against an
@@ -180,13 +176,14 @@ let human_time estimate =
    Keyed by experiment id; replaced on re-run. *)
 let estimates : (string, float) Hashtbl.t = Hashtbl.create 16
 
-let bench ctx ~id ~name thunk =
+let estimate ctx ~name thunk =
   let quota = if E.is_smoke ctx then 0.02 else 0.5 in
-  let estimate, r2 =
-    match analyze ~quota [ Test.make ~name (Staged.stage thunk) ] with
-    | (_, e, r) :: _ -> (e, r)
-    | [] -> (nan, nan)
-  in
+  match analyze ~quota [ Test.make ~name (Staged.stage thunk) ] with
+  | (_, e, r) :: _ -> (e, r)
+  | [] -> (nan, nan)
+
+let bench ctx ~id ~name thunk =
+  let estimate, r2 = estimate ctx ~name thunk in
   Hashtbl.replace estimates id estimate;
   let table =
     Harness.Table.create ~title:name ~columns:[ "time/run"; "r^2" ]
@@ -202,21 +199,28 @@ let bench ctx ~id ~name thunk =
   estimate
 
 (* For the naive half of a kernel/naive pair: report (and at full scale,
-   check) the speedup against the partner's estimate from this sweep. *)
-let speedup ctx ~id ~kernel_id ~label slow =
-  (match Hashtbl.find_opt estimates kernel_id with
-  | Some fast when fast > 0.0 && Float.is_finite slow ->
-      let s = slow /. fast in
-      E.outf ctx "%s speedup (naive/kernel): %.1fx\n" label s;
-      E.measure ctx "speedup_vs_kernel" (E.Float s);
-      if not (E.is_smoke ctx) then
-        ignore
-          (E.check ctx
-             ~label:(id ^ ": kernel at least 2x faster than naive")
-             (s >= 2.0))
-  | _ ->
-      E.outf ctx "%s speedup: n/a (kernel estimate missing — run %s first)\n"
-        label kernel_id);
+   check) the speedup against the partner's estimate.  A worker that
+   never ran the partner times its thunk here instead — through
+   [analyze], so unobserved, and with no check or measure of its own —
+   which keeps the artifact independent of which process ran which
+   experiment. *)
+let speedup ctx ~id ~kernel_id ~kernel ~label slow =
+  let fast =
+    match Hashtbl.find_opt estimates kernel_id with
+    | Some fast -> fast
+    | None -> fst (estimate ctx ~name:kernel_id kernel)
+  in
+  if fast > 0.0 && Float.is_finite slow then begin
+    let s = slow /. fast in
+    E.outf ctx "%s speedup (naive/kernel): %.1fx\n" label s;
+    E.measure ctx "speedup_vs_kernel" (E.Float s);
+    if not (E.is_smoke ctx) then
+      ignore
+        (E.check ctx
+           ~label:(id ^ ": kernel at least 2x faster than naive")
+           (s >= 2.0))
+  end
+  else E.outf ctx "%s speedup: n/a (no finite estimates)\n" label;
   E.out ctx "\n"
 
 (* --- B0: exact kernel = naive assertions (both scales) --- *)
@@ -339,12 +343,22 @@ let br_sweep ?naive prof =
   ignore (Defender.Best_response.vp_best_value ?naive prof);
   ignore (Defender.Best_response.tp_greedy_value ?naive prof)
 
+(* The kernel halves' thunks, shared with their naive partners, which
+   may need to time them (see [speedup]). *)
+let br_kernel i () = br_sweep i.kprof
+
+let char_kernel i () =
+  ignore (Defender.Characterization.check Defender.Verify.Certificate i.kprof)
+
+let fict_kernel i () =
+  ignore (Sim.Fictitious.run (Prng.Rng.create 777) i.kmodel ~rounds:100)
+
 let b7 ctx =
   let i = get ctx in
   ignore
     (bench ctx ~id:"B7"
        ~name:(Printf.sprintf "B7 BR sweep, kernel (%s)" i.ktag)
-       (fun () -> br_sweep i.kprof))
+       (br_kernel i))
 
 let b8 ctx =
   let i = get ctx in
@@ -353,16 +367,15 @@ let b8 ctx =
       ~name:(Printf.sprintf "B8 BR sweep, naive (%s)" i.ktag)
       (fun () -> br_sweep ~naive:true i.kprof)
   in
-  speedup ctx ~id:"B8" ~kernel_id:"B7" ~label:"BR sweep (B8/B7)" slow
+  speedup ctx ~id:"B8" ~kernel_id:"B7" ~kernel:(br_kernel i)
+    ~label:"BR sweep (B8/B7)" slow
 
 let b9 ctx =
   let i = get ctx in
   ignore
     (bench ctx ~id:"B9"
        ~name:(Printf.sprintf "B9 characterization, kernel (%s)" i.ktag)
-       (fun () ->
-         ignore
-           (Defender.Characterization.check Defender.Verify.Certificate i.kprof)))
+       (char_kernel i))
 
 let b10 ctx =
   let i = get ctx in
@@ -374,15 +387,15 @@ let b10 ctx =
           (Defender.Characterization.check ~naive:true
              Defender.Verify.Certificate i.kprof))
   in
-  speedup ctx ~id:"B10" ~kernel_id:"B9" ~label:"characterization (B10/B9)" slow
+  speedup ctx ~id:"B10" ~kernel_id:"B9" ~kernel:(char_kernel i)
+    ~label:"characterization (B10/B9)" slow
 
 let b11 ctx =
   let i = get ctx in
   ignore
     (bench ctx ~id:"B11"
        ~name:(Printf.sprintf "B11 fictitious 100r, kernel (%s)" i.ktag)
-       (fun () ->
-         ignore (Sim.Fictitious.run (Prng.Rng.create 777) i.kmodel ~rounds:100)))
+       (fict_kernel i))
 
 let b12 ctx =
   let i = get ctx in
@@ -394,7 +407,7 @@ let b12 ctx =
           (Sim.Fictitious.run ~naive:true (Prng.Rng.create 777) i.kmodel
              ~rounds:100))
   in
-  speedup ctx ~id:"B12" ~kernel_id:"B11"
+  speedup ctx ~id:"B12" ~kernel_id:"B11" ~kernel:(fict_kernel i)
     ~label:"fictitious 100 rounds (B12/B11)" slow
 
 (* --- B13: numeric-tower fast path vs the seed's fixed-width rationals --- *)
@@ -617,10 +630,9 @@ let b13 ctx =
 
 (* --- B14: the parallel runner reproduces the sequential artifact --- *)
 
-(* A fixed, cheap, cross-independent selection: no B-series ids (their
-   speedup pairs share an in-process estimates table that forked workers
-   cannot see), always at Smoke scale so the gate costs the same from a
-   full sweep as from a smoke one. *)
+(* A fixed, cheap selection with no B-series ids (timing-bound, and B14
+   itself is one), always at Smoke scale so the gate costs the same from
+   a full sweep as from a smoke one. *)
 let b14_ids = [ "T1"; "T2"; "T4"; "F1" ]
 
 let b14 ctx =
@@ -632,8 +644,8 @@ let b14 ctx =
          ambient level: every inner result then carries a metrics
          object, so the byte-equality check below also proves the
          deterministic counters identical between the sequential run
-         and the 4 forked workers — the Obs determinism contract,
-         gated rather than asserted. *)
+         and the 4 pool workers — the Obs determinism contract, gated
+         rather than asserted. *)
       let module Obs = Harness.Obs in
       let ambient = Obs.level () in
       Fun.protect ~finally:(fun () -> Obs.set_level ambient) @@ fun () ->
@@ -814,103 +826,6 @@ let b15 ctx =
     ignore
       (E.check ctx ~label:"B15: observability off costs at most 5%"
          (off_overhead <= 1.05))
-
-(* --- B16: persistent pool dispatch overhead and faithfulness --- *)
-
-(* Two halves.  (1) Dispatch overhead: the same batch of many tiny jobs
-   through fork-per-job (Harness.Parallel) and through the persistent
-   pool (Harness.Pool), 4 workers each.  The job body is near-free, so
-   the wall clock is almost pure orchestration: fork+exit per job on one
-   side, one frame round-trip on a warm worker on the other.  (2)
-   Faithfulness: the B14 gate re-run through the pool dispatch path —
-   a pooled registry sweep must reassemble the exact sequential
-   artifact, deterministic counters included, even though the pool adds
-   retry/respawn/steal machinery between the two. *)
-let b16 ctx =
-  let count = if E.is_smoke ctx then 24 else 96 in
-  let rounds = if E.is_smoke ctx then 1 else 3 in
-  let job i = Harness.Json.Int ((i * i) land 0xffff) in
-  let all_completed outcomes =
-    Array.for_all
-      (function Harness.Parallel.Completed _ -> true | _ -> false)
-      outcomes
-  in
-  let t_fork = ref infinity and t_pool = ref infinity in
-  let ok = ref true in
-  for _ = 1 to rounds do
-    let fork_out, fork_wall =
-      Harness.Timer.time (fun () -> Harness.Parallel.run ~jobs:4 count job)
-    in
-    let pool_out, pool_wall =
-      Harness.Timer.time (fun () -> Harness.Pool.run ~jobs:4 count job)
-    in
-    ok := !ok && all_completed fork_out && all_completed pool_out
-          && fork_out = pool_out;
-    t_fork := Float.min !t_fork fork_wall;
-    t_pool := Float.min !t_pool pool_wall
-  done;
-  let t_fork = !t_fork and t_pool = !t_pool in
-  ignore
-    (E.check ctx
-       ~label:
-         (Printf.sprintf
-            "B16: all %d jobs completed with equal payloads on both engines"
-            count)
-       !ok);
-  let per_job t = t /. float_of_int count *. 1e9 in
-  E.measure ctx "fork_dispatch_ns_per_job" (E.Float (per_job t_fork));
-  E.measure ctx "pool_dispatch_ns_per_job" (E.Float (per_job t_pool));
-  let ratio = if t_fork > 0.0 then t_pool /. t_fork else Float.nan in
-  E.measure ctx "pool_vs_fork_dispatch" (E.Float ratio);
-  E.outf ctx
-    "B16 dispatch of %d near-empty jobs on 4 workers: fork-per-job %s/job, \
-     pool %s/job (pool at %.2fx of fork)\n"
-    count
-    (human_time (per_job t_fork))
-    (human_time (per_job t_pool))
-    ratio;
-  (* The point of the pool is amortizing the fork: gate it.  Smoke stays
-     informational (one round on loaded CI is noise), full scale demands
-     the pool beat fork-per-job outright on min-of-3. *)
-  if not (E.is_smoke ctx) then
-    ignore
-      (E.check ctx
-         ~label:"B16: pool dispatch strictly cheaper than fork-per-job"
-         (Float.is_finite ratio && ratio < 1.0));
-  (* Faithfulness through the registry path (B14's gate, pool engine). *)
-  let module R = Harness.Registry in
-  match R.select ~only:b14_ids with
-  | Error e -> ignore (E.check ctx ~label:("B16: selection failed: " ^ e) false)
-  | Ok exps ->
-      let module Obs = Harness.Obs in
-      let ambient = Obs.level () in
-      Fun.protect ~finally:(fun () -> Obs.set_level ambient) @@ fun () ->
-      Obs.set_level Obs.Counters;
-      let seq_results = R.run ~scale:E.Smoke exps in
-      let pool_results, pool_wall =
-        Harness.Timer.time (fun () ->
-            R.run_parallel ~scale:E.Smoke ~jobs:4 ~dispatch:`Pool exps)
-      in
-      let stripped results =
-        Harness.Json.to_string ~pretty:true
-          (R.strip_timings (R.report_json ~scale:E.Smoke results))
-      in
-      ignore
-        (E.check ctx ~label:"B16: no crashed verdict in the pooled sweep"
-           (List.for_all
-              (fun (r : E.result) -> r.E.verdict <> E.Crashed)
-              pool_results));
-      ignore
-        (E.check ctx
-           ~label:
-             "B16: pooled artifact byte-identical to sequential (timings \
-              stripped)"
-           (stripped pool_results = stripped seq_results));
-      let point w = { E.median = w; min = w; max = w; runs = 1 } in
-      E.record_timing ctx "pool_sweep_jobs4" (point pool_wall);
-      E.outf ctx
-        "B16 %d-experiment smoke sweep on the 4-worker pool: %.3fs\n\n"
-        (List.length exps) pool_wall
 
 (* --- B17: CSR substrate vs the seed adjacency representation --- *)
 
@@ -1344,9 +1259,9 @@ let register () =
     b13;
   r ~id:"B14"
     ~claim:
-      "the fork-based parallel runner (Harness.Parallel) is faithful: a \
-       --jobs 4 sweep reassembles the exact sequential artifact, \
-       deterministic Obs counters included"
+      "the parallel runner (the Harness.Pool engine behind --jobs) is \
+       faithful: a --jobs 4 sweep reassembles the exact sequential \
+       artifact, deterministic Obs counters included"
     ~expected:
       "timing-stripped artifacts (with counter metrics) byte-identical, no \
        crashed verdicts; wall-clock speedup reported"
@@ -1359,16 +1274,6 @@ let register () =
       "off/baseline <= 1.05 at full scale (min-of-3 interleaved, fixed \
        iterations); counters-on cost reported informationally"
     b15;
-  r ~id:"B16"
-    ~claim:
-      "the persistent worker pool (Harness.Pool) amortizes the fork: \
-       dispatching many near-empty jobs costs less than fork-per-job, and a \
-       pooled sweep reassembles the exact sequential artifact"
-    ~expected:
-      "pool/fork dispatch ratio < 1.0 at full scale (min-of-3); \
-       timing-stripped pooled artifact byte-identical to sequential, no \
-       crashed verdicts"
-    b16;
   r ~id:"B17"
     ~claim:
       "the CSR graph substrate is at least as fast per edge as the seed's \

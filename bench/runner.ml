@@ -1,13 +1,13 @@
 (* Driver logic shared by bench/main.exe and the CLI `experiments`
    subcommand: registration, selection (legacy group selectors and
-   --only id lists), execution at either scale — sequentially, across
-   --jobs forked workers, or on a persistent pre-forked worker pool
-   (--pool), with an optional per-experiment --timeout —
-   optional observability recording (--metrics counters, --trace span
-   durations: a metrics object per experiment in the artifact and a
-   summed table after the summary), JSON artifact emission (with a
-   parse round-trip so a malformed artifact can never be written), and
-   the exit-code policy (nonzero on any degraded or crashed verdict). *)
+   --only id lists), execution at either scale — sequentially or across
+   --jobs persistent pre-forked workers, with an optional
+   per-experiment --timeout — optional observability recording
+   (--metrics counters, --trace span durations: a metrics object per
+   experiment in the artifact and a summed table after the summary),
+   JSON artifact emission (with a parse round-trip so a malformed
+   artifact can never be written), and the exit-code policy (nonzero on
+   any degraded or crashed verdict). *)
 
 module E = Harness.Experiment
 module R = Harness.Registry
@@ -66,14 +66,13 @@ type opts = {
   force_degrade : string list;
       (** ids whose verdict is forced to Degraded after the run — a
           testing hook for the nonzero-exit path *)
-  jobs : int;  (** worker processes; 1 = in-process sequential run *)
+  jobs : int;
+      (** worker processes; 1 = in-process sequential run (unless a
+          timeout or forced crash needs a worker to kill) *)
   timeout : float option;  (** per-experiment wall-clock budget, seconds *)
   force_crash : string list;
       (** ids whose worker is killed mid-run — the fault-injection hook
           for the crash-isolation path (implies forked workers) *)
-  pool : bool;
-      (** dispatch through the persistent pre-forked pool
-          ({!Harness.Pool}) instead of fork-per-experiment *)
   metrics : bool;
       (** record Obs counters: a metrics object per experiment in the
           artifact, plus a summed table after the summary *)
@@ -91,7 +90,6 @@ let default_opts =
     jobs = 1;
     timeout = None;
     force_crash = [];
-    pool = false;
     metrics = false;
     trace = false;
   }
@@ -156,21 +154,19 @@ let run opts =
         Fun.protect ~finally:(fun () -> Obs.set_level ambient) @@ fun () ->
         (* In forked mode the parent performs no experiment work, so its
            own delta is exactly the orchestration-side story (pool
-           spawns, timeout kills, pipe bytes) — worth a table row.  In
+           dispatches, respawns, steals) — worth a table row.  In
            the in-process sequential run the same delta would merely
            double-count every experiment, so it is not collected. *)
         let forked =
-          opts.pool || opts.jobs > 1 || opts.timeout <> None
-          || opts.force_crash <> []
+          opts.jobs > 1 || opts.timeout <> None || opts.force_crash <> []
         in
         let driver_snap =
           if forked && Obs.recording () then Some (Obs.snapshot ()) else None
         in
         let echo = if opts.echo then print_string else fun _ -> () in
-        let dispatch = if opts.pool then `Pool else `Fork in
         let results =
           R.run_parallel ~scale:opts.scale ~jobs:opts.jobs ?timeout:opts.timeout
-            ~force_crash:opts.force_crash ~dispatch ~echo experiments
+            ~force_crash:opts.force_crash ~echo experiments
         in
         let driver =
           Option.map (fun snap -> E.metrics_of_obs (Obs.delta snap)) driver_snap

@@ -598,8 +598,12 @@ let experiments_cmd =
       value & opt int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
-            "Run experiments across $(docv) forked worker processes (1 = \
-             in-process sequential run; results keep registration order).")
+            "Run experiments on a persistent pool of $(docv) pre-forked \
+             worker processes; results keep registration order, and a \
+             crashed worker is respawned and its experiment retried once \
+             before being reported crashed.  1 = in-process sequential run \
+             (on one pool worker when $(b,--timeout) or $(b,--force-crash) \
+             is given).")
   in
   let timeout_arg =
     Arg.(
@@ -619,22 +623,11 @@ let experiments_cmd =
             "Kill the worker running each listed experiment (fault-injection \
              test hook for the crash-isolation path).")
   in
-  let pool_arg =
-    Arg.(
-      value & flag
-      & info [ "pool" ]
-          ~doc:
-            "Dispatch through a persistent pre-forked worker pool instead of \
-             forking one worker per experiment: workers live across \
-             experiments, a crashed worker is respawned and its experiment \
-             retried once before being reported crashed.")
-  in
   let split_ids = function
     | None -> []
     | Some ids -> String.split_on_char ',' ids |> List.filter (fun x -> x <> "")
   in
-  let run list only json smoke quiet jobs pool timeout force_crash metrics trace
-      =
+  let run list only json smoke quiet jobs timeout force_crash metrics trace =
     if list then `Ok (print_string (Experiments.Runner.list_text ()))
     else
       let opts =
@@ -646,7 +639,6 @@ let experiments_cmd =
           json_out = json;
           echo = not quiet;
           jobs;
-          pool;
           timeout;
           force_crash = split_ids force_crash;
           metrics;
@@ -666,7 +658,7 @@ let experiments_cmd =
     Term.(
       ret
         (const run $ list_arg $ only_arg $ json_arg $ smoke_arg $ quiet_arg
-       $ jobs_arg $ pool_arg $ timeout_arg $ force_crash_arg $ metrics_arg
+       $ jobs_arg $ timeout_arg $ force_crash_arg $ metrics_arg
        $ trace_arg))
 
 (* serve / query: the batch-query daemon (Harness.Daemon specialized by

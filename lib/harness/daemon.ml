@@ -181,9 +181,9 @@ let serve ~address ~workers ?timeout ?(max_inflight = 64)
     | Some p -> (
         Hashtbl.remove pending ticket;
         match outcome with
-        | Parallel.Crashed { reason; wall = _ } ->
+        | Pool.Crashed { reason; wall = _ } ->
             respond_error p.client ~req_id:p.req_id ("worker crashed: " ^ reason)
-        | Parallel.Completed payload -> (
+        | Pool.Completed payload -> (
             (* The worker speaks the handler convention: an {"ok":…}
                envelope of its own, with "result" or "error".  Only a
                successful result is cacheable — a handler error (bad

@@ -10,7 +10,6 @@ module Experiment = Experiment
 module Json = Json
 module Lru = Lru
 module Obs = Obs
-module Parallel = Parallel
 module Pool = Pool
 module Registry = Registry
 module Stats = Stats

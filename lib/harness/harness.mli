@@ -1,6 +1,6 @@
-(** The [Harness] namespace root: experiment engine, JSON codec, forked
-    worker pool, statistics, tables and timers, plus the zero-dependency
-    observability core re-exported as [Harness.Obs].
+(** The [Harness] namespace root: experiment engine, JSON codec,
+    persistent worker pool, statistics, tables and timers, plus the
+    zero-dependency observability core re-exported as [Harness.Obs].
 
     [Obs] lives in its own library below [exact]/[matching]/[defender]
     in the dependency graph so those libraries can instrument
@@ -12,7 +12,6 @@ module Experiment = Experiment
 module Json = Json
 module Lru = Lru
 module Obs = Obs
-module Parallel = Parallel
 module Pool = Pool
 module Registry = Registry
 module Stats = Stats

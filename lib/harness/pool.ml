@@ -25,6 +25,10 @@ let c_dispatches = Obs.counter "pool.dispatches"
 let c_respawns = Obs.counter "pool.respawns"
 let c_steals = Obs.volatile "pool.steals"
 
+type outcome =
+  | Completed of Json.t
+  | Crashed of { reason : string; wall : float }
+
 type job = {
   pos : int;  (* position in the batch, for result ordering *)
   jid : int;  (* the id handed to [f] (batch) or the caller's ticket *)
@@ -55,7 +59,7 @@ type handler = Indexed of (int -> Json.t) | Service of (Json.t -> Json.t)
 
 type async = {
   backlog : job Queue.t;  (* submitted, not yet dispatched *)
-  done_q : (int * Parallel.outcome) Queue.t;  (* settled, not yet drained *)
+  done_q : (int * outcome) Queue.t;  (* settled, not yet drained *)
   mutable unfinished : int;  (* submitted minus settled *)
 }
 
@@ -72,7 +76,7 @@ type t = {
    the dead worker so batch mode can park the job on its queue for the
    respawned worker — or a thief — to pick up). *)
 type sched = {
-  settle : job -> Parallel.outcome -> unit;
+  settle : job -> outcome -> unit;
   requeue : worker -> job -> unit;
 }
 
@@ -95,8 +99,8 @@ let reason_of_status = function
 
 (* The whole worker: answer frames until EOF.  A raised exception
    (inside the handler or writing to a dead parent — SIGPIPE is ignored
-   so that surfaces as EPIPE) exits 3, the same code Parallel's workers
-   use, so the parent-side crash report reads identically.
+   so that surfaces as EPIPE) exits 3, which the parent reports as
+   "worker exited with code 3".
 
    Signal dispositions: a parent embedding the pool in a daemon installs
    SIGTERM/SIGINT handlers that merely set a drain flag.  Workers forked
@@ -229,19 +233,19 @@ let process_frames sched w =
     | Some (Ok msg) -> (
         match (w.state, Json.member "job" msg, Json.member "payload" msg) with
         | Busy j, Some (Json.Int jid), Some payload when jid = j.jid ->
-            sched.settle j (Parallel.Completed payload);
+            sched.settle j (Completed payload);
             w.state <- Idle
         | _ -> raise (Desync "unexpected frame from worker"))
   done
 
 (* A worker hit EOF (it died) or a dispatch write failed.  Deliver
    whatever it wrote first: a complete buffered response beats any
-   crash or timeout verdict — Parallel.classify's rule, the worker
-   that answered at the deadline completed.  Then decide the pending
-   job: timeout crashes settle with no retry (re-running would double
-   the blown budget), a first crash is requeued for one retry on a
-   fresh worker, a second crash settles with the wait status's
-   reason. *)
+   crash or timeout verdict — a worker that answered and was then
+   killed at its deadline (the kill raced the answer) completed.  Then
+   decide the pending job: timeout crashes settle with no retry
+   (re-running would double the blown budget), a first crash is
+   requeued for one retry on a fresh worker, a second crash settles
+   with the wait status's reason. *)
 let reap_dead t sched chunk w =
   (try
      let eof = ref false in
@@ -263,7 +267,7 @@ let reap_dead t sched chunk w =
   | Some j ->
       if j.timed_out then
         sched.settle j
-          (Parallel.Crashed
+          (Crashed
              {
                reason =
                  Printf.sprintf "timed out after %g s (worker killed)"
@@ -273,16 +277,15 @@ let reap_dead t sched chunk w =
       else if j.attempts <= 1 then sched.requeue w j
       else
         sched.settle j
-          (Parallel.Crashed { reason = reason_of_status status; wall = wall_of j })
+          (Crashed { reason = reason_of_status status; wall = wall_of j })
 
 (* A desynchronized response stream is unrecoverable: settle the job
-   as unparseable (Parallel's wording for a corrupt payload, and like
-   there no retry — the worker "answered", wrongly) and replace the
-   worker. *)
+   as unparseable (no retry — the worker "answered", wrongly) and
+   replace the worker. *)
 let kill_desynced sched w reason =
   (match w.state with
   | Busy j ->
-      sched.settle j (Parallel.Crashed { reason; wall = wall_of j });
+      sched.settle j (Crashed { reason; wall = wall_of j });
       w.state <- Idle
   | Idle | Dead -> ());
   (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());

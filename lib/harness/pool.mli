@@ -1,24 +1,27 @@
-(** Persistent pre-forked worker pool: {!Parallel}'s fault isolation
-    without the per-job fork.
+(** Persistent pre-forked worker pool: the harness's one parallel
+    engine.
 
-    {!Parallel.run} pays a full [fork] (and a cold address space) for
-    every job, which is the right trade for a handful of heavy
-    experiments and the wrong one for sweeps of many small ones — or for
-    a long-lived solve service.  A pool forks its workers {e once}; each
-    lives across jobs with whatever caches it has warmed, receives jobs
-    as length-delimited {!Json} frames on a per-worker request pipe and
-    answers on a response pipe ({!Wire} owns the framing), and is
-    reaped only at {!shutdown}.
+    A pool forks its workers {e once}; each lives across jobs with
+    whatever caches it has warmed, receives jobs as length-delimited
+    {!Json} frames on a per-worker request pipe and answers on a
+    response pipe ({!Wire} owns the framing), and is reaped only at
+    {!shutdown}.  Process isolation, not OCaml domains, on purpose: a
+    worker that overflows its stack, trips the OOM killer or is
+    signalled dies alone, and the parent reaps a wait status instead of
+    sharing its fate.  Results come back as {!Json} (never [Marshal]), so
+    a corrupt or truncated response is a detectable {!Crashed} outcome,
+    not a segfault in the reader.
 
     Two front-ends share one scheduling core:
 
-    - the {b batch} API ({!create} + {!run_batch}): a job is an integer
-      id, the worker computes [f id], and the call blocks until every
-      job settles.  Dispatch is least-loaded with work stealing: the
-      batch is dealt round-robin into per-worker queues, each worker
-      holds one job in flight, and a worker that drains its own queue
-      steals the next job from the longest remaining queue — so one slow
-      job cannot strand the work dealt behind it.
+    - the {b batch} API ({!create} + {!run_batch}, or the one-call
+      {!run}): a job is an integer id, the worker computes [f id], and
+      the call blocks until every job settles.  Dispatch is least-loaded
+      with work stealing: the batch is dealt round-robin into per-worker
+      queues, each worker holds one job in flight, and a worker that
+      drains its own queue steals the next job from the longest
+      remaining queue — so one slow job cannot strand the work dealt
+      behind it.  This is the experiment registry's engine.
     - the {b service} API ({!create_service} + {!submit} + {!step}): a
       job carries a JSON request payload, the worker computes
       [f payload], and the caller owns the select loop — it collects
@@ -29,12 +32,11 @@
     {b Fault tolerance} (both front-ends).  A worker that dies mid-job
     (signal, OOM kill, nonzero exit, corrupt response stream) is
     respawned and the job is retried once on a fresh worker before being
-    reported {!Parallel.Crashed}.  A worker past the per-job [timeout]
-    is SIGKILLed and its job reported as a timeout crash with {e no}
+    reported {!Crashed}.  A worker past the per-job [timeout] is
+    SIGKILLed and its job reported as a timeout crash with {e no}
     retry (re-running it would double the blown budget).  In both cases
-    a complete buffered response beats the crash/timeout verdict — the
-    {!Parallel.classify} rule: a worker that answered and died at the
-    deadline completed.
+    a complete buffered response beats the crash/timeout verdict: a
+    worker that answered and was killed at the deadline completed.
 
     {b Worker signals.}  Workers restore the default (lethal)
     dispositions for SIGTERM and SIGINT on startup.  A parent embedding
@@ -51,6 +53,15 @@
     death — deterministic when the crashes are), and [pool.steals]
     (volatile: how many dispatches crossed queues depends on completion
     timing, so it may legitimately differ between identical runs). *)
+
+(** How one job settled. *)
+type outcome =
+  | Completed of Json.t  (** the worker answered with this payload *)
+  | Crashed of { reason : string; wall : float }
+      (** the worker died on both attempts (signal, nonzero exit),
+          answered with a corrupt response stream, or was killed at the
+          timeout; [wall] is seconds from the last dispatch to
+          settlement *)
 
 type t
 
@@ -93,7 +104,7 @@ val ping : ?timeout_s:float -> t -> bool list
     above.  Ids need not be distinct (each occurrence is its own job).
     @raise Invalid_argument after {!shutdown}, on a service pool, or
     while submitted service jobs are still in flight. *)
-val run_batch : t -> int list -> (int * Parallel.outcome) list
+val run_batch : t -> int list -> (int * outcome) list
 
 (** {2 Asynchronous service interface}
 
@@ -132,7 +143,7 @@ val next_deadline : t -> float option
     jobs that settled as [(ticket, outcome)] in settlement order.
     [readable] entries that are not pool descriptors are ignored.
     @raise Invalid_argument after {!shutdown}. *)
-val step : t -> readable:Unix.file_descr list -> (int * Parallel.outcome) list
+val step : t -> readable:Unix.file_descr list -> (int * outcome) list
 
 (** Graceful drain, idempotent: close every request pipe — a worker
     reads EOF at its next frame boundary and exits 0 — then reap all
@@ -140,10 +151,12 @@ val step : t -> readable:Unix.file_descr list -> (int * Parallel.outcome) list
     service job is in flight) are killed rather than waited for. *)
 val shutdown : t -> unit
 
-(** {!Parallel.run}'s exact signature on a transient pool: fork
-    [min jobs count] workers, run jobs [0 .. count-1] as one batch,
-    drain, and return the outcomes indexed by job.
+(** [run ~jobs ?timeout count f] runs jobs [0 .. count-1] as one batch
+    on a transient pool of [min jobs count] workers, drains it, and
+    returns the outcome of [f i] indexed by [i].  [timeout] is per job,
+    in seconds.  [f] runs in the workers: state it mutates is invisible
+    to the parent.
     @raise Invalid_argument when [jobs < 1], [timeout <= 0] or
     [count < 0]. *)
 val run :
-  jobs:int -> ?timeout:float -> int -> (int -> Json.t) -> Parallel.outcome array
+  jobs:int -> ?timeout:float -> int -> (int -> Json.t) -> outcome array

@@ -162,42 +162,39 @@ let run ?(scale = Experiment.Full) ?(echo = fun _ -> ()) experiments =
     experiments
 
 let run_parallel ?(scale = Experiment.Full) ?(jobs = 1) ?timeout
-    ?(force_crash = []) ?(dispatch = `Fork) ?(echo = fun _ -> ()) experiments =
+    ?(force_crash = []) ?(echo = fun _ -> ()) experiments =
   if jobs < 1 then invalid_arg "Registry.run_parallel: jobs must be positive";
-  if dispatch = `Fork && jobs = 1 && timeout = None && force_crash = [] then
-    (* The degenerate fork pool is the sequential runner itself — same
-       code path, same streaming echo, byte-identical output.  The
-       persistent pool never takes this shortcut: [--pool --jobs 1] must
-       exercise the worker protocol it claims to. *)
+  if jobs = 1 && timeout = None && force_crash = [] then
+    (* Nothing to isolate and nothing to fan out: the sequential runner
+       itself — same code path, same streaming echo, byte-identical
+       output.  A timeout or a forced crash needs a worker to kill, so
+       those run on a 1-worker pool. *)
     run ~scale ~echo experiments
   else begin
     let arr = Array.of_list experiments in
     let worker i =
       let e = arr.(i) in
       if List.mem e.Experiment.id force_crash then
-        (* Fault injection: die the way an OOM-killed worker does,
-           so the isolation path under test is the real one. *)
+        (* Fault injection: die the way an OOM-killed worker does, on
+           the retry too, so the isolation path under test is the real
+           one. *)
         Unix.kill (Unix.getpid ()) Sys.sigkill;
       Experiment.result_to_wire (Experiment.run ~scale e)
     in
-    let outcomes =
-      match dispatch with
-      | `Fork -> Parallel.run ~jobs ?timeout (Array.length arr) worker
-      | `Pool -> Pool.run ~jobs ?timeout (Array.length arr) worker
-    in
+    let outcomes = Pool.run ~jobs ?timeout (Array.length arr) worker in
     let results =
       Array.to_list
         (Array.mapi
            (fun i outcome ->
              let e = arr.(i) in
              match outcome with
-             | Parallel.Completed json -> (
+             | Pool.Completed json -> (
                  match Experiment.result_of_wire json with
                  | Ok r -> r
                  | Error msg ->
                      Experiment.crashed e
                        ~reason:("malformed worker result: " ^ msg) ~wall:0.0)
-             | Parallel.Crashed { reason; wall } ->
+             | Pool.Crashed { reason; wall } ->
                  Experiment.crashed e ~reason ~wall)
            outcomes)
     in

@@ -47,7 +47,7 @@ val metrics_table : ?driver:Experiment.metrics -> Experiment.result list -> stri
     deterministic and volatile counter over all results (volatile names
     are marked), and one summing span call counts (with total seconds
     when any run traced).  [driver] adds the orchestration-side delta —
-    parallel-pool counters the parent process records outside any
+    worker-pool counters the parent process records outside any
     experiment.  Empty string when nothing was recorded. *)
 
 val run :
@@ -64,27 +64,21 @@ val run_parallel :
   ?jobs:int ->
   ?timeout:float ->
   ?force_crash:string list ->
-  ?dispatch:[ `Fork | `Pool ] ->
   ?echo:(string -> unit) ->
   Experiment.t list ->
   Experiment.result list
-(** Run the experiments across [jobs] (default 1) concurrent worker
-    processes, reassembling results in registration order regardless of
-    completion order.  [dispatch] selects the worker engine: [`Fork]
-    (default) forks one worker per experiment via {!Parallel}; [`Pool]
-    runs the sweep on a transient persistent pool via {!Pool.run} —
-    workers live across experiments (with {!Pool}'s retry-once crash
-    handling and work stealing), which drops the per-job fork cost on
-    sweeps of many small experiments.  Either way a worker that dies
-    (signal, OOM kill, stack overflow) or exceeds [timeout] seconds
-    yields an {!Experiment.crashed} result for that experiment only; the
-    sweep still completes.  [force_crash] ids have their worker killed
-    deliberately (fault-injection hook; under [`Pool] the retried worker
-    dies again, so the verdict is the same).  With [`Fork], [jobs = 1],
-    no [timeout] and no [force_crash], this {e is} {!run} — no fork,
-    byte-identical streaming output.  [`Pool] never takes that shortcut:
-    it always exercises the worker protocol, and [echo] receives the
-    renderings in registration order after the sweep finishes.
+(** Run the experiments on a transient {!Pool} of [jobs] (default 1)
+    workers, reassembling results in registration order regardless of
+    completion order.  Workers live across experiments; a worker that
+    dies (signal, OOM kill, stack overflow) is respawned and its
+    experiment retried once, and one that dies again or exceeds
+    [timeout] seconds yields an {!Experiment.crashed} result for that
+    experiment only — the sweep still completes.  [force_crash] ids
+    have their worker killed deliberately on every attempt
+    (fault-injection hook).  [echo] receives the renderings in
+    registration order after the sweep finishes.  With [jobs = 1], no
+    [timeout] and no [force_crash], this {e is} {!run} — no fork,
+    streaming echo, byte-identical output.
     @raise Invalid_argument when [jobs < 1] or [timeout <= 0]. *)
 
 val report_json :

@@ -1,5 +1,5 @@
-(* Shared process/pipe machinery for Parallel (fork-per-job) and Pool
-   (persistent workers).  See wire.mli for the frame grammar. *)
+(* Shared process/pipe machinery for Pool (persistent workers) and
+   Daemon (socket clients).  See wire.mli for the frame grammar. *)
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 

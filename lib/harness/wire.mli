@@ -1,14 +1,12 @@
-(** Process and pipe machinery shared by the forked runners: robust
-    syscall wrappers and the length-delimited {!Json} frame protocol.
+(** Process and pipe machinery shared by the worker pool and the
+    daemon: robust syscall wrappers and the length-delimited {!Json}
+    frame protocol.
 
-    {!Parallel} (fork-per-job) and {!Pool} (persistent pre-forked
-    workers) both move results between processes over pipes; this module
-    owns the parts they share, so the retry/guard fixes live in exactly
-    one place.  Two transport shapes are supported: the one-shot "write
-    a single document, close, EOF is the delimiter" style of
-    {!Parallel}, and framed streams for {!Pool}, where one pipe carries
-    many documents in each direction and each must be delimited
-    explicitly.
+    {!Pool} moves jobs and results between processes over pipes, and
+    {!Daemon} speaks to its clients over sockets; both carry many
+    documents in each direction on one descriptor, so each document is
+    delimited explicitly as a frame.  The retry/guard fixes for
+    interrupted and short I/O live here, in exactly one place.
 
     A frame is an ASCII decimal byte length, a single ['\n'], then
     exactly that many bytes of compact {!Json}.  The length is written

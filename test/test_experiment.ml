@@ -336,7 +336,7 @@ let test_registry_run_and_summary () =
           Alcotest.(check string) "schema tag" "defender-bench/v1" s
       | _ -> Alcotest.fail "no schema tag")
 
-(* --- Parallel runner --- *)
+(* --- Parallel runner (the worker pool behind --jobs) --- *)
 
 let find_result id results =
   match List.find_opt (fun (r : E.result) -> r.E.id = id) results with
@@ -346,7 +346,7 @@ let find_result id results =
 let test_parallel_matches_sequential () =
   with_clean_registry (fun () ->
       (* deterministic experiments only: text, checks and exact measures
-         must agree between the in-process and forked runs *)
+         must agree between the in-process and pooled runs *)
       for i = 1 to 5 do
         let id = Printf.sprintf "P%d" i in
         R.register
@@ -357,13 +357,13 @@ let test_parallel_matches_sequential () =
                E.measure ctx "q" (E.Rat (Exact.Q.make i (i + 1)))))
       done;
       let seq = R.run ~echo:ignore (R.all ()) in
+      let strip results =
+        J.to_string (R.strip_timings (R.report_json ~scale:E.Full results))
+      in
       let par = R.run_parallel ~jobs:3 ~echo:ignore (R.all ()) in
       Alcotest.(check (list string)) "registration order kept"
         (List.map (fun (r : E.result) -> r.E.id) seq)
         (List.map (fun (r : E.result) -> r.E.id) par);
-      let strip results =
-        J.to_string (R.strip_timings (R.report_json ~scale:E.Full results))
-      in
       Alcotest.(check string) "stripped artifacts byte-identical" (strip seq)
         (strip par);
       Alcotest.(check bool) "no crashes" true
@@ -380,7 +380,7 @@ let test_parallel_crash_isolation () =
         R.run_parallel ~jobs:2 ~force_crash:[ "C2" ] ~echo:ignore (R.all ())
       in
       let c2 = find_result "C2" results in
-      Alcotest.(check bool) "forced experiment crashed" true
+      Alcotest.(check bool) "forced experiment crashed (after its retry)" true
         (c2.E.verdict = E.Crashed);
       Alcotest.(check bool) "reason names the signal" true
         (List.exists (fun l -> contains l "SIGKILL") c2.E.failed_labels);

@@ -1,8 +1,8 @@
-(* Tests for the persistent worker pool (Harness.Pool), the shared pipe
-   machinery (Harness.Wire) and the crash/timeout classification fixes
-   in Harness.Parallel: the deadline-race rule, EINTR-hardened pipe I/O
-   under a signal storm, worker respawn with one retry, graceful drain,
-   and registry sweeps through the pool dispatch engine. *)
+(* Tests for the persistent worker pool (Harness.Pool) and the shared
+   pipe machinery (Harness.Wire): EINTR-hardened pipe I/O under a signal
+   storm, worker respawn with one retry, timeouts and the deadline-race
+   rule, graceful drain, worker signal dispositions, and registry sweeps
+   at worker counts and fault paths beyond those in test_experiment.ml. *)
 
 module J = Harness.Json
 module E = Harness.Experiment
@@ -15,52 +15,6 @@ let contains haystack needle =
     i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1))
   in
   scan 0
-
-(* --- Parallel.classify: the timeout/completion race --- *)
-
-(* The regression the pure function exists for: the worker completed
-   (exited 0, full payload buffered) in the same select round its
-   deadline expired in — the SIGKILL answered ESRCH.  Before the fix the
-   raised [timed_out] flag won and a good result was reported as a
-   timeout crash. *)
-let test_classify_deadline_race () =
-  let outcome =
-    Harness.Parallel.classify ~timed_out:true ~timeout:(Some 0.5)
-      ~status:(Unix.WEXITED 0) ~payload:"{\"x\":1}" ~wall:0.5
-  in
-  (match outcome with
-  | Harness.Parallel.Completed json ->
-      Alcotest.(check bool) "payload kept" true
-        (J.member "x" json = Some (J.Int 1))
-  | Harness.Parallel.Crashed { reason; _ } ->
-      Alcotest.failf "completed worker misreported as crashed: %s" reason);
-  (* A genuinely killed worker still reports the timeout... *)
-  (match
-     Harness.Parallel.classify ~timed_out:true ~timeout:(Some 0.5)
-       ~status:(Unix.WSIGNALED Sys.sigkill) ~payload:"" ~wall:0.6
-   with
-  | Harness.Parallel.Crashed { reason; _ } ->
-      Alcotest.(check bool) "killed worker is a timeout" true
-        (contains reason "timed out after 0.5 s")
-  | Harness.Parallel.Completed _ -> Alcotest.fail "killed worker completed?");
-  (* ...as does one that exited 0 but died mid-write (truncated payload). *)
-  (match
-     Harness.Parallel.classify ~timed_out:true ~timeout:(Some 0.5)
-       ~status:(Unix.WEXITED 0) ~payload:"{\"x\":" ~wall:0.6
-   with
-  | Harness.Parallel.Crashed { reason; _ } ->
-      Alcotest.(check bool) "truncated payload is a timeout" true
-        (contains reason "timed out")
-  | Harness.Parallel.Completed _ -> Alcotest.fail "truncated payload completed?");
-  (* Without the flag, plain crash classification is untouched. *)
-  match
-    Harness.Parallel.classify ~timed_out:false ~timeout:None
-      ~status:(Unix.WEXITED 3) ~payload:"" ~wall:0.1
-  with
-  | Harness.Parallel.Crashed { reason; _ } ->
-      Alcotest.(check bool) "exit code reported" true
-        (contains reason "exited with code 3")
-  | Harness.Parallel.Completed _ -> Alcotest.fail "exit 3 completed?"
 
 (* --- Wire: framing and the streaming decoder --- *)
 
@@ -165,7 +119,7 @@ let check_storm_outcomes outcomes =
   Array.iteri
     (fun i outcome ->
       match outcome with
-      | Harness.Parallel.Completed json ->
+      | P.Completed json ->
           Alcotest.(check bool)
             (Printf.sprintf "job %d payload intact" i)
             true
@@ -174,13 +128,9 @@ let check_storm_outcomes outcomes =
             match J.member "blob" json with
             | Some (J.String s) -> String.length s = 200_000
             | _ -> false)
-      | Harness.Parallel.Crashed { reason; _ } ->
+      | P.Crashed { reason; _ } ->
           Alcotest.failf "job %d crashed under signal storm: %s" i reason)
     outcomes
-
-let test_parallel_eintr_storm () =
-  with_parent_storm (fun () ->
-      check_storm_outcomes (Harness.Parallel.run ~jobs:4 40 storm_job))
 
 let test_pool_eintr_storm () =
   with_parent_storm (fun () ->
@@ -194,7 +144,7 @@ let test_pool_run_basics () =
   Array.iteri
     (fun i outcome ->
       match outcome with
-      | Harness.Parallel.Completed (J.Int v) ->
+      | P.Completed (J.Int v) ->
           Alcotest.(check int) (Printf.sprintf "job %d" i) (i * i) v
       | _ -> Alcotest.failf "job %d did not complete" i)
     out;
@@ -221,7 +171,7 @@ let test_pool_workers_persist () =
         List.map
           (fun (_, outcome) ->
             match outcome with
-            | Harness.Parallel.Completed (J.Int pid) -> pid
+            | P.Completed (J.Int pid) -> pid
             | _ -> Alcotest.fail "job did not complete")
           (P.run_batch p batch))
       [ [ 0; 1; 2 ]; [ 3; 4 ] ]
@@ -260,11 +210,11 @@ let test_pool_respawn_retry_success () =
   Array.iteri
     (fun i outcome ->
       match outcome with
-      | Harness.Parallel.Completed (J.Int v) ->
+      | P.Completed (J.Int v) ->
           Alcotest.(check int) (Printf.sprintf "job %d" i) (i * 10) v
-      | Harness.Parallel.Completed _ ->
+      | P.Completed _ ->
           Alcotest.failf "job %d returned an unexpected payload" i
-      | Harness.Parallel.Crashed { reason; _ } ->
+      | P.Crashed { reason; _ } ->
           Alcotest.failf "job %d crashed despite retry: %s" i reason)
     out;
   Alcotest.(check bool) "first attempt really crashed" true
@@ -285,14 +235,14 @@ let test_pool_persistent_crash () =
         J.Int i)
   in
   (match out.(2) with
-  | Harness.Parallel.Crashed { reason; _ } ->
+  | P.Crashed { reason; _ } ->
       Alcotest.(check string) "reason names the signal"
         "worker killed by SIGKILL" reason
-  | Harness.Parallel.Completed _ -> Alcotest.fail "crasher completed?");
+  | P.Completed _ -> Alcotest.fail "crasher completed?");
   List.iter
     (fun i ->
       match out.(i) with
-      | Harness.Parallel.Completed (J.Int v) ->
+      | P.Completed (J.Int v) ->
           Alcotest.(check int) (Printf.sprintf "sibling %d" i) i v
       | _ -> Alcotest.failf "sibling %d crashed" i)
     [ 0; 1; 3 ]
@@ -311,15 +261,15 @@ let test_pool_timeout () =
         J.Int i)
   in
   (match out.(1) with
-  | Harness.Parallel.Crashed { reason; wall } ->
+  | P.Crashed { reason; wall } ->
       Alcotest.(check bool) "reason says timed out" true
         (contains reason "timed out after 0.2 s");
       Alcotest.(check bool) "wall at least the budget" true (wall >= 0.2)
-  | Harness.Parallel.Completed _ -> Alcotest.fail "sleeper completed?");
+  | P.Completed _ -> Alcotest.fail "sleeper completed?");
   List.iter
     (fun i ->
       match out.(i) with
-      | Harness.Parallel.Completed (J.Int v) ->
+      | P.Completed (J.Int v) ->
           Alcotest.(check int) (Printf.sprintf "fast job %d" i) i v
       | _ -> Alcotest.failf "fast job %d crashed" i)
     [ 0; 2 ];
@@ -353,7 +303,7 @@ let test_pool_work_stealing () =
   List.iter
     (fun (i, outcome) ->
       match outcome with
-      | Harness.Parallel.Completed (J.Int v) ->
+      | P.Completed (J.Int v) ->
           Alcotest.(check int) (Printf.sprintf "job %d" i) i v
       | _ -> Alcotest.failf "job %d crashed" i)
     results;
@@ -392,7 +342,7 @@ let test_pool_alive_ping_shutdown () =
   List.iter
     (fun (i, outcome) ->
       match outcome with
-      | Harness.Parallel.Completed (J.Int v) ->
+      | P.Completed (J.Int v) ->
           Alcotest.(check int) (Printf.sprintf "job %d after respawn" i) i v
       | _ -> Alcotest.failf "job %d crashed after respawn" i)
     b2;
@@ -441,12 +391,12 @@ let test_pool_service_submit_step () =
   List.iter
     (fun t ->
       match List.assoc_opt (100 + t) settled with
-      | Some (Harness.Parallel.Completed json) ->
+      | Some (P.Completed json) ->
           Alcotest.(check bool)
             (Printf.sprintf "ticket %d payload" t)
             true
             (J.member "y" json = Some (J.Int (t * t)))
-      | Some (Harness.Parallel.Crashed { reason; _ }) ->
+      | Some (P.Crashed { reason; _ }) ->
           Alcotest.failf "ticket %d crashed: %s" t reason
       | None -> Alcotest.failf "ticket %d never settled" t)
     [ 0; 1; 2; 3; 4 ];
@@ -479,25 +429,77 @@ let test_pool_service_crash_and_deadline () =
   P.submit p ~arg:(J.Obj [ ("op", J.String "echo") ]) 3;
   let settled = drive p in
   (match List.assoc_opt 1 settled with
-  | Some (Harness.Parallel.Crashed { reason; _ }) ->
+  | Some (P.Crashed { reason; _ }) ->
       Alcotest.(check bool) "crash reported after retry" true
         (contains reason "exited with code 9")
   | _ -> Alcotest.fail "crasher did not crash");
   (match List.assoc_opt 2 settled with
-  | Some (Harness.Parallel.Crashed { reason; _ }) ->
+  | Some (P.Crashed { reason; _ }) ->
       Alcotest.(check bool) "deadline enforced" true
         (contains reason "timed out after 0.3 s")
   | _ -> Alcotest.fail "hanger did not time out");
   (match List.assoc_opt 3 settled with
-  | Some (Harness.Parallel.Completed json) ->
+  | Some (P.Completed json) ->
       Alcotest.(check bool) "sibling fine" true
         (J.member "fine" json = Some (J.Bool true))
   | _ -> Alcotest.fail "sibling lost");
   (* the pool is back at full strength for more submissions *)
   P.submit p ~arg:(J.Obj [ ("op", J.String "echo") ]) 4;
   match drive p with
-  | [ (4, Harness.Parallel.Completed _) ] -> ()
+  | [ (4, P.Completed _) ] -> ()
   | _ -> Alcotest.fail "pool unusable after crashes"
+
+(* The deadline race: a worker that answered in time but whose answer
+   the parent had not yet read when the deadline passed completed — it
+   must not be reported as a timeout.  The answer is left unread in the
+   response pipe until after the deadline, in both orders [step] can
+   meet it: read first (the deadline check then sees an idle worker),
+   and deadline first (the worker is killed, and the answer is
+   recovered from the pipe of the dead worker). *)
+let test_pool_service_deadline_race () =
+  let budget = 0.05 in
+  let p =
+    P.create_service ~workers:1 ~timeout:budget (fun arg ->
+        J.Obj [ ("echo", arg) ])
+  in
+  Fun.protect ~finally:(fun () -> P.shutdown p) @@ fun () ->
+  let answer_unread_past_deadline ticket =
+    P.submit p ~arg:(J.Int ticket) ticket;
+    Alcotest.(check int) "dispatch settles nothing" 0
+      (List.length (P.step p ~readable:[]));
+    (* Wait for the answer without consuming it, then for the deadline. *)
+    (match Unix.select (P.resp_fds p) [] [] 10.0 with
+    | [], _, _ -> Alcotest.fail "worker never answered"
+    | _ -> ());
+    ignore (Unix.select [] [] [] (2.0 *. budget))
+  in
+  let check_completed ticket settled =
+    match settled with
+    | [ (t, P.Completed json) ] when t = ticket ->
+        Alcotest.(check bool)
+          (Printf.sprintf "ticket %d payload" ticket)
+          true
+          (J.member "echo" json = Some (J.Int ticket))
+    | [ (_, P.Crashed { reason; _ }) ] ->
+        Alcotest.failf "answered job %d reported crashed: %s" ticket reason
+    | _ -> Alcotest.failf "ticket %d: unexpected settlements" ticket
+  in
+  answer_unread_past_deadline 1;
+  check_completed 1 (drive p);
+  Alcotest.(check (list bool)) "read-first: worker spared" [ true ] (P.alive p);
+  answer_unread_past_deadline 2;
+  Alcotest.(check int) "deadline-first step settles nothing" 0
+    (List.length (P.step p ~readable:[]));
+  check_completed 2 (drive p);
+  let rec killed tries =
+    match P.alive p with
+    | [ false ] -> true
+    | _ when tries = 0 -> false
+    | _ ->
+        ignore (Unix.select [] [] [] 0.01);
+        killed (tries - 1)
+  in
+  Alcotest.(check bool) "deadline-first: worker was killed" true (killed 500)
 
 (* --- worker signal dispositions and orphan reaping --- *)
 
@@ -589,7 +591,7 @@ let test_pool_orphans_reaped_on_parent_kill () =
       Alcotest.(check bool) "workers exit after parent SIGKILL" true
         (poll_until_gone pids)
 
-(* --- registry sweeps through the pool engine --- *)
+(* --- registry sweeps through the pool --- *)
 
 let descr ~id run =
   {
@@ -620,23 +622,30 @@ let test_registry_pool_matches_sequential () =
       let strip results =
         J.to_string (R.strip_timings (R.report_json ~scale:E.Full results))
       in
+      let matches what pooled =
+        Alcotest.(check (list string))
+          (what ^ ": registration order kept")
+          (List.map (fun (r : E.result) -> r.E.id) seq)
+          (List.map (fun (r : E.result) -> r.E.id) pooled);
+        Alcotest.(check string)
+          (what ^ ": stripped artifact byte-identical")
+          (strip seq) (strip pooled);
+        Alcotest.(check bool) (what ^ ": no crashes") true
+          ((R.summarize pooled).R.crashed = 0)
+      in
       List.iter
         (fun jobs ->
-          let pooled =
-            R.run_parallel ~jobs ~dispatch:`Pool ~echo:ignore (R.all ())
-          in
-          Alcotest.(check (list string))
-            (Printf.sprintf "registration order kept at %d workers" jobs)
-            (List.map (fun (r : E.result) -> r.E.id) seq)
-            (List.map (fun (r : E.result) -> r.E.id) pooled);
-          Alcotest.(check string)
-            (Printf.sprintf "stripped artifact byte-identical at %d workers"
-               jobs)
-            (strip seq) (strip pooled);
-          Alcotest.(check bool) "no crashes" true
-            ((R.summarize pooled).R.crashed = 0))
-        [ 1; 2; 4 ])
+          matches
+            (Printf.sprintf "%d workers" jobs)
+            (R.run_parallel ~jobs ~echo:ignore (R.all ())))
+        [ 2; 4 ];
+      (* a timeout needs a worker to kill: jobs = 1 runs on a 1-worker pool *)
+      matches "1 worker, timeout 60"
+        (R.run_parallel ~jobs:1 ~timeout:60.0 ~echo:ignore (R.all ())))
 
+(* A single-worker pool: the forced crash kills the only worker (twice,
+   with the retry), and the experiments after it still run on the
+   respawned worker. *)
 let test_registry_pool_crash_isolation () =
   with_clean_registry (fun () ->
       List.iter
@@ -645,8 +654,7 @@ let test_registry_pool_crash_isolation () =
             (descr ~id (fun ctx -> ignore (E.check ctx ~label:"fine" true))))
         [ "C1"; "C2"; "C3" ];
       let results =
-        R.run_parallel ~jobs:2 ~dispatch:`Pool ~force_crash:[ "C2" ]
-          ~echo:ignore (R.all ())
+        R.run_parallel ~jobs:1 ~force_crash:[ "C2" ] ~echo:ignore (R.all ())
       in
       let find id =
         match List.find_opt (fun (r : E.result) -> r.E.id = id) results with
@@ -669,10 +677,6 @@ let test_registry_pool_crash_isolation () =
 let () =
   Alcotest.run "pool"
     [
-      ( "classify",
-        [
-          Alcotest.test_case "deadline race" `Quick test_classify_deadline_race;
-        ] );
       ( "wire",
         [
           Alcotest.test_case "decoder split feed" `Quick
@@ -683,8 +687,6 @@ let () =
         ] );
       ( "eintr",
         [
-          Alcotest.test_case "fork runner under signal storm" `Quick
-            test_parallel_eintr_storm;
           Alcotest.test_case "pool under signal storm" `Quick
             test_pool_eintr_storm;
         ] );
@@ -706,6 +708,8 @@ let () =
           Alcotest.test_case "submit/step" `Quick test_pool_service_submit_step;
           Alcotest.test_case "crash and deadline" `Quick
             test_pool_service_crash_and_deadline;
+          Alcotest.test_case "deadline race" `Quick
+            test_pool_service_deadline_race;
         ] );
       ( "signals",
         [
