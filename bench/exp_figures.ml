@@ -9,6 +9,8 @@ open Netgraph
 open Exp_util
 module E = Harness.Experiment
 module Q = Exact.Q
+module Engine = Defender.Tuple_instance.Engine
+module Sim_tuple = Sim.Sim_instance.Tuple
 
 (* log-log exponent, guarded: smoke-scale timings can hit 0.0 ms, which
    Stats.power_law_exponent rejects. *)
@@ -157,7 +159,7 @@ let f3 ctx =
         match Defender.Matching_nash.solve_auto (model ~g ~nu ~k:1) with
         | Error _ -> None
         | Ok edge_prof ->
-            let is_size = List.length (Defender.Profile.vp_support_union edge_prof) in
+            let is_size = List.length (Engine.Profile.vp_support_union edge_prof) in
             let points =
               List.init is_size (fun i ->
                   let k = i + 1 in
@@ -194,15 +196,15 @@ let f3 ctx =
   | (name, _, _) :: _ ->
       let g = List.assoc name topologies in
       let edge_prof = ok (Defender.Matching_nash.solve_auto (model ~g ~nu ~k:1)) in
-      let is_size = List.length (Defender.Profile.vp_support_union edge_prof) in
+      let is_size = List.length (Engine.Profile.vp_support_union edge_prof) in
       let simulated =
         List.init is_size (fun i ->
             let k = i + 1 in
             let lifted = ok (Defender.Reduction.edge_to_tuple ~k edge_prof) in
             let stats =
-              Sim.Engine.play (Prng.Rng.create (k * 17)) lifted ~rounds:sim_rounds
+              Sim_tuple.Engine.play (Prng.Rng.create (k * 17)) lifted ~rounds:sim_rounds
             in
-            (float_of_int k, stats.Sim.Engine.mean_caught))
+            (float_of_int k, stats.Sim_tuple.Engine.mean_caught))
       in
       let fit = Harness.Stats.linear_fit simulated in
       if not (E.is_smoke ctx) then
@@ -266,7 +268,7 @@ let f5 ctx =
   let g = Gen.path 8 in
   let m = model ~g ~nu:4 ~k:2 in
   let prof = ok (Defender.Tuple_nash.a_tuple_auto m) in
-  let towards = List.hd (Defender.Profile.tp_support prof) in
+  let towards = List.hd (Engine.Profile.tp_support prof) in
   let points =
     List.map
       (fun i ->
@@ -299,17 +301,17 @@ let f6 ctx =
   let rounds = if E.is_smoke ctx then 4_000 else 30_000 in
   let tolerance_pct = if E.is_smoke ctx then 15.0 else 1.0 in
   let run name modelv expected =
-    let r = Sim.Fictitious.run (Prng.Rng.create 5) modelv ~rounds in
+    let r = Sim_tuple.Fictitious.run (Prng.Rng.create 5) modelv ~rounds in
     let series =
       List.filter_map
         (fun i ->
-          let idx = (i * r.Sim.Fictitious.rounds / 12) - 1 in
+          let idx = (i * r.Sim_tuple.Fictitious.rounds / 12) - 1 in
           if idx >= 1 then
-            Some (float_of_int (idx + 1), r.Sim.Fictitious.gain_series.(idx))
+            Some (float_of_int (idx + 1), r.Sim_tuple.Fictitious.gain_series.(idx))
           else None)
         (List.init 13 Fun.id)
     in
-    (name, expected, r.Sim.Fictitious.tail_avg_gain, series)
+    (name, expected, r.Sim_tuple.Fictitious.tail_avg_gain, series)
   in
   let p6 = run "P6 nu=4 k=2 (NE value 8/3)"
       (model ~g:(Gen.path 6) ~nu:4 ~k:2)

@@ -17,9 +17,10 @@ open Exp_util
 module E = Harness.Experiment
 module DO = Solver.Instances.Tuple
 module Q = Exact.Q
+module Engine = Defender.Tuple_instance.Engine
 
 let verified mode prof =
-  Defender.Verify.verdict_is_confirmed (Defender.Verify.mixed_ne mode prof)
+  Engine.Verify.verdict_is_confirmed (Engine.Verify.mixed_ne mode prof)
 
 (* D1 — rediscovery: on matching instances, nu * (double-oracle value)
    equals the characterization gain k*nu/|IS| as exact rationals, and
@@ -72,8 +73,8 @@ let d1 ctx =
                (Q.equal gain char_gain));
           let prof = DO.profile m r in
           let ne_ok =
-            verified Defender.Verify.Oracle prof
-            && verified (Defender.Verify.Exhaustive 200_000) prof
+            verified Engine.Verify.Oracle prof
+            && verified (Engine.Verify.Exhaustive 200_000) prof
           in
           ignore
             (E.check ctx
@@ -102,14 +103,14 @@ let d1 ctx =
   let char = ok (Defender.Tuple_nash.a_tuple_auto m) in
   let r =
     DO.solve m
-      ~init_vertices:(Defender.Profile.vp_support char 0)
-      ~init_strategies:(List.map fst (Defender.Profile.tp_strategy char))
+      ~init_vertices:(Engine.Profile.vp_support char 0)
+      ~init_strategies:(List.map fst (Engine.Profile.tp_strategy char))
   in
   ignore
     (E.check ctx ~label:"D1 warm seed C6 k=1: converges in one iteration"
        (r.DO.stats.DO.iterations = 1));
-  let char_text = Defender.Profile_io.to_string char in
-  let do_text = Defender.Profile_io.to_string (DO.profile m r) in
+  let char_text = Engine.Io.to_string char in
+  let do_text = Engine.Io.to_string (DO.profile m r) in
   ignore
     (E.check ctx
        ~label:"D1 warm seed C6 k=1: profile byte-identical to characterization"
@@ -188,8 +189,8 @@ let d2 ctx =
       let r = DO.solve m in
       let prof = DO.profile m r in
       let ne_ok =
-        verified Defender.Verify.Oracle prof
-        && verified (Defender.Verify.Exhaustive 200_000) prof
+        verified Engine.Verify.Oracle prof
+        && verified (Engine.Verify.Exhaustive 200_000) prof
       in
       ignore
         (E.check ctx

@@ -10,7 +10,9 @@ open Netgraph
 open Exp_util
 module E = Harness.Experiment
 module Q = Exact.Q
-module V = Defender.Verify
+module Engine = Defender.Tuple_instance.Engine
+module Sim_tuple = Sim.Sim_instance.Tuple
+module V = Engine.Verify
 
 (* T1 — Theorem 3.1 / Corollary 3.2: pure NE exists iff an edge cover of
    size k exists; polynomial decision vs brute-force oracle. *)
@@ -27,7 +29,7 @@ let t1 ctx =
           if k <= Graph.m g then begin
             let m = model ~g ~nu:2 ~k in
             let thm = Defender.Pure_nash.exists m in
-            let brute = Defender.Pure_nash.exists_brute_force m in
+            let brute = Engine.Pure.exists_brute_force m in
             let agree =
               E.check ctx
                 ~label:(Printf.sprintf "T1 %s k=%d: theorem = brute force" name k)
@@ -140,7 +142,7 @@ let t3 ctx =
             (Array.to_list (Prng.Rng.sample_without_replacement rng ~count:k edge_ids)))
       |> List.sort_uniq Defender.Tuple.compare
     in
-    let prof = Defender.Profile.uniform m ~vp_support:support ~tp_support:tuples in
+    let prof = Engine.Profile.uniform m ~vp_support:support ~tp_support:tuples in
     incr total;
     let direct = V.verdict_is_confirmed (V.mixed_ne (V.Exhaustive 500_000) prof) in
     let characterized = Defender.Characterization.holds (V.Exhaustive 500_000) prof in
@@ -151,7 +153,7 @@ let t3 ctx =
         true
       end
       else if
-        direct && Q.equal (Defender.Profit.expected_tp prof) (Q.of_int nu)
+        direct && Q.equal (Engine.Profit.expected_tp prof) (Q.of_int nu)
       then begin
         incr saturating;
         true
@@ -219,8 +221,8 @@ let t4 ctx =
               if k >= 1 && k <= is_size then begin
                 let m = model ~g ~nu:3 ~k in
                 let prof = ok (Defender.Tuple_nash.a_tuple m p) in
-                let tuples = Defender.Profile.tp_support prof in
-                let edges = Defender.Profile.tp_support_edges prof in
+                let tuples = Engine.Profile.tp_support prof in
+                let edges = Defender.Tuple.edge_union (Engine.Profile.tp_support prof) in
                 let delta = Defender.Tuple_nash.delta ~e_num:is_size ~k in
                 let mult = Defender.Tuple_nash.multiplicity ~e_num:is_size ~k in
                 let claim49 =
@@ -273,7 +275,7 @@ let t5 ctx =
       match Defender.Matching_nash.solve_auto (model ~g ~nu:3 ~k:1) with
       | Error _ -> ()
       | Ok edge_prof ->
-          let is_size = List.length (Defender.Profile.vp_support_union edge_prof) in
+          let is_size = List.length (Engine.Profile.vp_support_union edge_prof) in
           List.iter
             (fun k ->
               if k >= 1 && k <= is_size && k <= Graph.m g then begin
@@ -343,7 +345,7 @@ let t6 ctx =
           | Error _ -> ()
           | Ok edge_prof ->
               let is_size =
-                List.length (Defender.Profile.vp_support_union edge_prof)
+                List.length (Engine.Profile.vp_support_union edge_prof)
               in
               let base = Defender.Gain.defender_gain edge_prof in
               List.iter
@@ -404,22 +406,22 @@ let t7 ctx =
     (fun (name, g, nu, k) ->
       let m = model ~g ~nu ~k in
       let prof = ok (Defender.Tuple_nash.a_tuple_auto m) in
-      let stats = Sim.Engine.play (Prng.Rng.create 9090) prof ~rounds in
+      let stats = Sim_tuple.Engine.play (Prng.Rng.create 9090) prof ~rounds in
       let analytic = Q.to_float (Defender.Gain.defender_gain prof) in
       let within =
         E.check ctx
           ~label:(Printf.sprintf "T7 %s: simulation within 4 sigma" name)
-          (Sim.Engine.agrees_with_analytic stats prof)
+          (Sim_tuple.Engine.agrees_with_analytic stats prof)
       in
-      worst := max !worst (abs_float (analytic -. stats.Sim.Engine.mean_caught));
+      worst := max !worst (abs_float (analytic -. stats.Sim_tuple.Engine.mean_caught));
       Harness.Table.add_row table
         [
           name;
           string_of_int nu;
           string_of_int k;
           Printf.sprintf "%.4f" analytic;
-          Printf.sprintf "%.4f" stats.Sim.Engine.mean_caught;
-          Printf.sprintf "%.4f" (abs_float (analytic -. stats.Sim.Engine.mean_caught));
+          Printf.sprintf "%.4f" stats.Sim_tuple.Engine.mean_caught;
+          Printf.sprintf "%.4f" (abs_float (analytic -. stats.Sim_tuple.Engine.mean_caught));
           yesno within;
         ])
     cases;
@@ -446,7 +448,7 @@ let a1 ctx =
   let k = 3 in
   let m = model ~g ~nu ~k in
   let prof = ok (Defender.Tuple_nash.a_tuple_auto m) in
-  let attacker = Sim.Workload.Attacker_adaptive { epsilon = 0.1 } in
+  let attacker = Sim_tuple.Workload.Attacker_adaptive { epsilon = 0.1 } in
   let table =
     Harness.Table.create
       ~title:(Printf.sprintf "A1 (ablation): defenses vs adaptive attacker on %s" note)
@@ -457,28 +459,28 @@ let a1 ctx =
   List.iteri
     (fun i defender ->
       let o =
-        Sim.Workload.run (Prng.Rng.create 2222) m ~attacker ~defender ~rounds
+        Sim_tuple.Workload.run (Prng.Rng.create 2222) m ~attacker ~defender ~rounds
       in
-      let policy = Sim.Workload.policy_name defender in
+      let policy = Sim_tuple.Workload.policy_name defender in
       (* The NE schedule's floor property: even a learning attacker cannot
          push the fixed NE defense below its analytic gain. *)
       if i = 0 then
         ignore
           (E.check ctx
              ~label:(Printf.sprintf "A1 %s: holds the analytic floor" policy)
-             (o.Sim.Workload.mean_caught >= analytic -. tolerance));
-      E.measure ctx ("mean_caught_" ^ policy) (E.Float o.Sim.Workload.mean_caught);
+             (o.Sim_tuple.Workload.mean_caught >= analytic -. tolerance));
+      E.measure ctx ("mean_caught_" ^ policy) (E.Float o.Sim_tuple.Workload.mean_caught);
       Harness.Table.add_row table
         [
           policy;
-          Printf.sprintf "%.3f" o.Sim.Workload.mean_caught;
-          Printf.sprintf "%+.3f" (o.Sim.Workload.mean_caught -. analytic);
+          Printf.sprintf "%.3f" o.Sim_tuple.Workload.mean_caught;
+          Printf.sprintf "%+.3f" (o.Sim_tuple.Workload.mean_caught -. analytic);
         ])
     [
-      Sim.Workload.Defender_fixed (Defender.Profile.tp_strategy prof);
-      Sim.Workload.Defender_uniform_tuple;
-      Sim.Workload.Defender_greedy { epsilon = 0.1 };
-      Sim.Workload.Defender_round_robin;
+      Sim_tuple.Workload.Defender_fixed (Engine.Profile.tp_strategy prof);
+      Sim_tuple.Workload.Defender_uniform_tuple;
+      Sim_tuple.Workload.Defender_greedy { epsilon = 0.1 };
+      Sim_tuple.Workload.Defender_round_robin;
     ];
   E.out ctx (Harness.Table.to_string table);
   E.outf ctx "A1 NE analytic floor: %.3f\n\n" analytic;
@@ -609,7 +611,7 @@ let t10 ctx =
           let verified =
             E.check ctx
               ~label:(Printf.sprintf "T10 %s: NE verified, damage = k*W/|IS|" name)
-              (Defender.Verify.verdict_is_confirmed (Defender.Weighted.verify_ne w prof)
+              (Engine.Verify.verdict_is_confirmed (Defender.Weighted.verify_ne w prof)
               && Q.equal damage predicted)
           in
           Harness.Table.add_row table
@@ -758,7 +760,7 @@ let a2 ctx =
   let m = model ~g ~nu ~k in
   let prof = ok (Defender.Tuple_nash.a_tuple_auto m) in
   let analytic = Q.to_float (Defender.Gain.defender_gain prof) in
-  let attacker = Sim.Workload.Attacker_fixed (Defender.Profile.vp_strategy prof 0) in
+  let attacker = Sim_tuple.Workload.Attacker_fixed (Engine.Profile.vp_strategy prof 0) in
   let table =
     Harness.Table.create
       ~title:"A2 (failure injection): flaky NE scanner, gain vs outage rate"
@@ -767,16 +769,16 @@ let a2 ctx =
   let worst = ref 0.0 in
   List.iter
     (fun f ->
-      let base = Sim.Workload.Defender_fixed (Defender.Profile.tp_strategy prof) in
+      let base = Sim_tuple.Workload.Defender_fixed (Engine.Profile.tp_strategy prof) in
       let defender =
         if f = 0.0 then base
-        else Sim.Workload.Defender_flaky { base; failure_rate = f }
+        else Sim_tuple.Workload.Defender_flaky { base; failure_rate = f }
       in
       let o =
-        Sim.Workload.run (Prng.Rng.create 4321) m ~attacker ~defender ~rounds
+        Sim_tuple.Workload.run (Prng.Rng.create 4321) m ~attacker ~defender ~rounds
       in
       let predicted = (1.0 -. f) *. analytic in
-      let delta = o.Sim.Workload.mean_caught -. predicted in
+      let delta = o.Sim_tuple.Workload.mean_caught -. predicted in
       worst := max !worst (abs_float delta);
       ignore
         (E.check ctx
@@ -785,7 +787,7 @@ let a2 ctx =
       Harness.Table.add_row table
         [
           Printf.sprintf "%.2f" f;
-          Printf.sprintf "%.4f" o.Sim.Workload.mean_caught;
+          Printf.sprintf "%.4f" o.Sim_tuple.Workload.mean_caught;
           Printf.sprintf "%.4f" predicted;
           Printf.sprintf "%+.4f" delta;
         ])
@@ -865,17 +867,17 @@ let t13 ctx =
   let kernel_equals_naive prof =
     Seq.for_all
       (fun v ->
-        Q.equal (Defender.Profile.hit_prob prof v)
-          (Defender.Profile.hit_prob ~naive:true prof v)
+        Q.equal (Engine.Profile.hit_prob prof v)
+          (Engine.Profile.hit_prob ~naive:true prof v)
         && Q.equal
-             (Defender.Profile.expected_load prof v)
-             (Defender.Profile.expected_load ~naive:true prof v))
+             (Engine.Profile.expected_load prof v)
+             (Engine.Profile.expected_load ~naive:true prof v))
       (Seq.init n Fun.id)
     && Seq.for_all
          (fun id ->
            Q.equal
-             (Defender.Profile.expected_load_edge prof id)
-             (Defender.Profile.expected_load_edge ~naive:true prof id))
+             (Engine.Profile.expected_load_edge prof id)
+             (Engine.Profile.expected_load_edge ~naive:true prof id))
          (Seq.init (Graph.m g) Fun.id)
   in
   let table1 =
@@ -903,8 +905,8 @@ let t13 ctx =
           (Defender.Tuple.of_list g [ 2; 3 ], Q.make 1 2);
         ]
       in
-      let prof = Defender.Profile.make_mixed m ~vp ~tp in
-      let load0 = Defender.Profile.expected_load prof 0 in
+      let prof = Engine.Profile.make_mixed m ~vp ~tp in
+      let load0 = Engine.Profile.expected_load prof 0 in
       (* The seed raised at the first prefix sum of 1/p_i that leaves the
          63-bit range; a non-small prefix is a sufficient witness. *)
       let seed_overflows =
@@ -925,7 +927,7 @@ let t13 ctx =
           ~label:(Printf.sprintf "T13a nu=%d: total load = nu exactly" nu)
           (Q.equal
              (Q.sum
-                (List.init n (fun v -> Defender.Profile.expected_load prof v)))
+                (List.init n (fun v -> Engine.Profile.expected_load prof v)))
              (Q.of_int nu))
       in
       ignore
@@ -937,7 +939,7 @@ let t13 ctx =
       (* The incremental tables survive a deviation that demotes the
          entries back to the small representation. *)
       let deviated =
-        Defender.Profile.replace_vp prof 0 (Dist.Finite.uniform [ 0; 1; 2 ])
+        Engine.Profile.replace_vp prof 0 (Dist.Finite.uniform [ 0; 1; 2 ])
       in
       ignore
         (E.check ctx

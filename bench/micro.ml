@@ -7,7 +7,7 @@
 
    B1-B12 are Bechamel microbenchmarks of the computational kernels, one
    registered experiment each (ns/run from the OLS estimate against the
-   monotonic clock).  B7-B12 pair the Payoff_kernel query path against
+   monotonic clock).  B7-B12 pair the engine kernel query path against
    the naive support-rescanning oracle (~naive:true) on the acceptance
    instance (grid 10x12, n = 120, k = 5, nu = 6); each naive experiment
    also reports the speedup against its kernel partner (the partner's
@@ -47,6 +47,8 @@ open Bechamel
 open Toolkit
 module E = Harness.Experiment
 module Q = Exact.Q
+module Engine = Defender.Tuple_instance.Engine
+module Sim_tuple = Sim.Sim_instance.Tuple
 
 (* --- shared instances, built lazily once per scale --- *)
 
@@ -55,10 +57,10 @@ type instances = {
   gnp : Netgraph.Graph.t;
   grid_model : Defender.Model.t;
   grid_partition : Defender.Matching_nash.partition;
-  edge_prof : Defender.Profile.mixed;
-  ne_prof : Defender.Profile.mixed;
+  edge_prof : Engine.Profile.mixed;
+  ne_prof : Engine.Profile.mixed;
   kmodel : Defender.Model.t; (* kernel-vs-naive instance *)
-  kprof : Defender.Profile.mixed;
+  kprof : Engine.Profile.mixed;
   ktag : string;
 }
 
@@ -226,21 +228,21 @@ let speedup ctx ~id ~kernel_id ~kernel ~label slow =
 (* --- B0: exact kernel = naive assertions (both scales) --- *)
 
 let assert_kernel_equals_naive ctx ~label prof =
-  let g = Defender.Model.graph (Defender.Profile.model prof) in
+  let g = Defender.Model.graph (Engine.Profile.instance prof) in
   let all_equal =
     Seq.for_all
       (fun v ->
-        Q.equal (Defender.Profile.hit_prob prof v)
-          (Defender.Profile.hit_prob ~naive:true prof v)
+        Q.equal (Engine.Profile.hit_prob prof v)
+          (Engine.Profile.hit_prob ~naive:true prof v)
         && Q.equal
-             (Defender.Profile.expected_load prof v)
-             (Defender.Profile.expected_load ~naive:true prof v))
+             (Engine.Profile.expected_load prof v)
+             (Engine.Profile.expected_load ~naive:true prof v))
       (Seq.init (Netgraph.Graph.n g) Fun.id)
     && Seq.for_all
          (fun id ->
            Q.equal
-             (Defender.Profile.expected_load_edge prof id)
-             (Defender.Profile.expected_load_edge ~naive:true prof id))
+             (Engine.Profile.expected_load_edge prof id)
+             (Engine.Profile.expected_load_edge ~naive:true prof id))
          (Seq.init (Netgraph.Graph.m g) Fun.id)
   in
   ignore (E.check ctx ~label:(label ^ ": kernel tables = naive oracle") all_equal)
@@ -263,26 +265,26 @@ let b0 ctx =
            (Array.init (Netgraph.Graph.n g) Fun.id))
     in
     deviated :=
-      Defender.Profile.replace_vp !deviated player (Dist.Finite.uniform support);
+      Engine.Profile.replace_vp !deviated player (Dist.Finite.uniform support);
     assert_kernel_equals_naive ctx
       ~label:(Printf.sprintf "replace_vp chain step %d" step)
       !deviated
   done;
-  (match Defender.Profile.tp_support !deviated with
+  (match Engine.Profile.tp_support !deviated with
   | first :: _ ->
-      deviated := Defender.Profile.replace_tp !deviated [ (first, Q.one) ];
+      deviated := Engine.Profile.replace_tp !deviated [ (first, Q.one) ];
       assert_kernel_equals_naive ctx ~label:"replace_tp collapse" !deviated
   | [] -> ignore (E.check ctx ~label:"non-empty tp support" false));
   (* Incremental and history-rescanning fictitious play are bit-for-bit
      identical on the same seed. *)
-  let a = Sim.Fictitious.run (Prng.Rng.create 99) model ~rounds:40 in
-  let b = Sim.Fictitious.run ~naive:true (Prng.Rng.create 99) model ~rounds:40 in
+  let a = Sim_tuple.Fictitious.run (Prng.Rng.create 99) model ~rounds:40 in
+  let b = Sim_tuple.Fictitious.run ~naive:true (Prng.Rng.create 99) model ~rounds:40 in
   ignore
     (E.check ctx ~label:"fictitious naive = incremental (bit-for-bit)"
-       (a.Sim.Fictitious.avg_gain = b.Sim.Fictitious.avg_gain
-       && a.Sim.Fictitious.gain_series = b.Sim.Fictitious.gain_series
-       && a.Sim.Fictitious.attack_frequency = b.Sim.Fictitious.attack_frequency
-       && a.Sim.Fictitious.scan_frequency = b.Sim.Fictitious.scan_frequency));
+       (a.Sim_tuple.Fictitious.avg_gain = b.Sim_tuple.Fictitious.avg_gain
+       && a.Sim_tuple.Fictitious.gain_series = b.Sim_tuple.Fictitious.gain_series
+       && a.Sim_tuple.Fictitious.attack_frequency = b.Sim_tuple.Fictitious.attack_frequency
+       && a.Sim_tuple.Fictitious.scan_frequency = b.Sim_tuple.Fictitious.scan_frequency));
   E.out ctx "B0: kernel = naive exact-equality assertions (grid 4x5, nu=3, k=2)\n\n"
 
 (* --- B1-B6: core algorithm benchmarks --- *)
@@ -333,25 +335,27 @@ let b6 ctx =
   let sim_rng = Prng.Rng.create 777 in
   ignore
     (bench ctx ~id:"B6" ~name:"B6 simulator 100 rounds (grid)" (fun () ->
-         ignore (Sim.Engine.play sim_rng i.ne_prof ~rounds:100)))
+         ignore (Sim_tuple.Engine.play sim_rng i.ne_prof ~rounds:100)))
 
 (* --- B7-B12: kernel vs naive pairs --- *)
 
 (* One best-response sweep: the attacker scans every vertex's hit
    probability, the defender greedily scans every edge's load. *)
 let br_sweep ?naive prof =
-  ignore (Defender.Best_response.vp_best_value ?naive prof);
-  ignore (Defender.Best_response.tp_greedy_value ?naive prof)
+  ignore (Engine.Best_response.vp_best_value ?naive prof);
+  ignore
+    (Defender.Tuple_game.tp_greedy_value (Engine.Profile.instance prof)
+       ~load:(Engine.Profile.expected_load ?naive prof))
 
 (* The kernel halves' thunks, shared with their naive partners, which
    may need to time them (see [speedup]). *)
 let br_kernel i () = br_sweep i.kprof
 
 let char_kernel i () =
-  ignore (Defender.Characterization.check Defender.Verify.Certificate i.kprof)
+  ignore (Defender.Characterization.check Engine.Verify.Certificate i.kprof)
 
 let fict_kernel i () =
-  ignore (Sim.Fictitious.run (Prng.Rng.create 777) i.kmodel ~rounds:100)
+  ignore (Sim_tuple.Fictitious.run (Prng.Rng.create 777) i.kmodel ~rounds:100)
 
 let b7 ctx =
   let i = get ctx in
@@ -385,7 +389,7 @@ let b10 ctx =
       (fun () ->
         ignore
           (Defender.Characterization.check ~naive:true
-             Defender.Verify.Certificate i.kprof))
+             Engine.Verify.Certificate i.kprof))
   in
   speedup ctx ~id:"B10" ~kernel_id:"B9" ~kernel:(char_kernel i)
     ~label:"characterization (B10/B9)" slow
@@ -404,7 +408,7 @@ let b12 ctx =
       ~name:(Printf.sprintf "B12 fictitious 100r, naive (%s)" i.ktag)
       (fun () ->
         ignore
-          (Sim.Fictitious.run ~naive:true (Prng.Rng.create 777) i.kmodel
+          (Sim_tuple.Fictitious.run ~naive:true (Prng.Rng.create 777) i.kmodel
              ~rounds:100))
   in
   speedup ctx ~id:"B12" ~kernel_id:"B11" ~kernel:(fict_kernel i)
@@ -706,16 +710,16 @@ module B15_plain = struct
   open Netgraph
 
   let vp_best_value prof =
-    let g = Defender.Model.graph (Defender.Profile.model prof) in
-    let best_hit = ref (Defender.Profile.hit_prob prof 0) in
+    let g = Defender.Model.graph (Engine.Profile.instance prof) in
+    let best_hit = ref (Engine.Profile.hit_prob prof 0) in
     for v = 1 to Graph.n g - 1 do
-      let h = Defender.Profile.hit_prob prof v in
+      let h = Engine.Profile.hit_prob prof v in
       if Q.( < ) h !best_hit then best_hit := h
     done;
     Q.sub Q.one !best_hit
 
   let tp_greedy_value prof =
-    let model = Defender.Profile.model prof in
+    let model = Engine.Profile.instance prof in
     let g = Defender.Model.graph model in
     let k = Defender.Model.k model in
     let chosen = Array.make (Graph.m g) false in
@@ -723,7 +727,7 @@ module B15_plain = struct
     let gain id =
       let e = Graph.edge g id in
       let value_of v =
-        if covered.(v) then Q.zero else Defender.Profile.expected_load prof v
+        if covered.(v) then Q.zero else Engine.Profile.expected_load prof v
       in
       Q.add (value_of e.Graph.u) (value_of e.Graph.v)
     in
@@ -763,10 +767,12 @@ let b15 ctx =
   ignore
     (E.check ctx ~label:"B15: uninstrumented copy = library sweep (exact)"
        (Q.equal
-          (Defender.Best_response.vp_best_value i.kprof)
+          (Engine.Best_response.vp_best_value i.kprof)
           (B15_plain.vp_best_value i.kprof)
        && Q.equal
-            (Defender.Best_response.tp_greedy_value i.kprof)
+            (Defender.Tuple_game.tp_greedy_value
+               (Engine.Profile.instance i.kprof)
+               ~load:(Engine.Profile.expected_load i.kprof))
             (B15_plain.tp_greedy_value i.kprof)));
   (* Fixed-iteration timing (not Bechamel): the on-measurement below
      records real counters, and a time-quota loop would record a

@@ -24,6 +24,8 @@
    enterprise:4:20:2. *)
 
 open Cmdliner
+module Engine = Defender.Tuple_instance.Engine
+module Sim_tuple = Sim.Sim_instance.Tuple
 
 let parse_family spec seed =
   Netgraph.Family.parse ~rng:(Prng.Rng.create seed) spec
@@ -249,7 +251,7 @@ let census_cmd =
         Printf.printf "%d symmetric equilibria found\n" (List.length nes);
         List.iter
           (fun p ->
-            Format.printf "%a@.gain: %s@.@." Defender.Profile.pp p
+            Format.printf "%a@.gain: %s@.@." Engine.Profile.pp p
               (Exact.Q.to_string (Defender.Gain.defender_gain p)))
           nes)
   in
@@ -271,10 +273,10 @@ let fp_cmd =
         match game with
         | `Tuple ->
             let m = Defender.Model.make ~graph:g ~nu ~k in
-            let r = Sim.Fictitious.run (Prng.Rng.create seed) m ~rounds in
+            let r = Sim_tuple.Fictitious.run (Prng.Rng.create seed) m ~rounds in
             Printf.printf
               "fictitious play over %d rounds: average gain %.4f (tail %.4f)\n"
-              rounds r.Sim.Fictitious.avg_gain r.Sim.Fictitious.tail_avg_gain;
+              rounds r.Sim_tuple.Fictitious.avg_gain r.Sim_tuple.Fictitious.tail_avg_gain;
             (match Defender.Tuple_nash.a_tuple_auto m with
             | Ok prof ->
                 Printf.printf "k-matching NE prediction: %s\n"
@@ -313,7 +315,7 @@ let pure_cmd =
                 "pure NE exists (Theorem 3.1); defender cover: edges {%s}\n"
                 (String.concat ","
                    (List.map string_of_int
-                      (Defender.Tuple.to_list prof.Defender.Profile.tp_choice)))
+                      (Defender.Tuple.to_list prof.Engine.Profile.tp_choice)))
           | None -> assert false
         end
         else
@@ -386,22 +388,22 @@ let solve_cmd =
             match Defender.Tuple_nash.a_tuple_auto m with
             | Error e -> Printf.printf "no k-matching NE: %s\n" e
             | Ok prof ->
-                Format.printf "%a@." Defender.Profile.pp prof;
+                Format.printf "%a@." Engine.Profile.pp prof;
                 Printf.printf "defender gain: %s (= k*nu/|IS|)\n"
                   (Exact.Q.to_string (Defender.Gain.defender_gain prof));
                 Printf.printf "attacker escape probability: %s\n"
                   (Exact.Q.to_string (Defender.Gain.escape_probability prof 0));
                 let mode =
-                  if verify then Defender.Verify.Exhaustive 2_000_000
-                  else Defender.Verify.Certificate
+                  if verify then Engine.Verify.Exhaustive 2_000_000
+                  else Engine.Verify.Certificate
                 in
                 Printf.printf "verification (%s): %s\n"
                   (if verify then "exhaustive" else "certificate")
-                  (Defender.Verify.verdict_to_string
-                     (Defender.Verify.mixed_ne mode prof));
+                  (Engine.Verify.verdict_to_string
+                     (Engine.Verify.mixed_ne mode prof));
                 match save with
                 | Some path ->
-                    Defender.Profile_io.save path prof;
+                    Engine.Io.save path prof;
                     Printf.printf "profile written to %s\n" path
                 | None -> ())
         | `Double_oracle, `Tuple -> (
@@ -418,17 +420,17 @@ let solve_cmd =
               ~tp_support:(List.length r.DO.tp);
             let prof = DO.profile m r in
             Printf.printf "verification (oracle): %s\n"
-              (Defender.Verify.verdict_to_string
-                 (Defender.Verify.mixed_ne Defender.Verify.Oracle prof));
+              (Engine.Verify.verdict_to_string
+                 (Engine.Verify.mixed_ne Engine.Verify.Oracle prof));
             if verify then
               Printf.printf "verification (exhaustive): %s\n"
-                (Defender.Verify.verdict_to_string
-                   (Defender.Verify.mixed_ne
-                      (Defender.Verify.Exhaustive 2_000_000)
+                (Engine.Verify.verdict_to_string
+                   (Engine.Verify.mixed_ne
+                      (Engine.Verify.Exhaustive 2_000_000)
                       prof));
             match save with
             | Some path ->
-                Defender.Profile_io.save path prof;
+                Engine.Io.save path prof;
                 Printf.printf "profile written to %s\n" path
             | None -> ())
         | `Double_oracle, `Subgraph ->
@@ -483,13 +485,13 @@ let verify_cmd =
     handle (fun () ->
         let g = load_graph file family seed in
         let m = Defender.Model.make ~graph:g ~nu ~k in
-        let prof = Defender.Profile_io.load m path in
+        let prof = Engine.Io.load m path in
         Printf.printf "definitional check: %s\n"
-          (Defender.Verify.verdict_to_string
-             (Defender.Verify.mixed_ne (Defender.Verify.Exhaustive 2_000_000) prof));
+          (Engine.Verify.verdict_to_string
+             (Engine.Verify.mixed_ne (Engine.Verify.Exhaustive 2_000_000) prof));
         Format.printf "Theorem 3.4 characterization:@.%a@."
           Defender.Characterization.pp_report
-          (Defender.Characterization.check (Defender.Verify.Exhaustive 2_000_000) prof);
+          (Defender.Characterization.check (Engine.Verify.Exhaustive 2_000_000) prof);
         Printf.printf "defender gain: %s\n"
           (Exact.Q.to_string (Defender.Gain.defender_gain prof)))
   in
@@ -510,13 +512,13 @@ let simulate_cmd =
         match Defender.Tuple_nash.a_tuple_auto m with
         | Error e -> Printf.printf "no k-matching NE to simulate: %s\n" e
         | Ok prof ->
-            let stats = Sim.Engine.play (Prng.Rng.create seed) prof ~rounds in
+            let stats = Sim_tuple.Engine.play (Prng.Rng.create seed) prof ~rounds in
             Printf.printf "analytic expected catch: %s\n"
               (Exact.Q.to_string (Defender.Gain.defender_gain prof));
             Printf.printf "simulated mean over %d rounds: %.4f (95%% CI +/- %.4f)\n"
-              rounds stats.Sim.Engine.mean_caught (Sim.Engine.confidence95 stats);
+              rounds stats.Sim_tuple.Engine.mean_caught (Sim_tuple.Engine.confidence95 stats);
             Printf.printf "agreement: %b\n"
-              (Sim.Engine.agrees_with_analytic stats prof))
+              (Sim_tuple.Engine.agrees_with_analytic stats prof))
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Monte-Carlo play of the equilibrium.")
     Term.(
@@ -533,15 +535,15 @@ let dynamics_cmd =
         match game with
         | `Tuple -> (
             let m = Defender.Model.make ~graph:g ~nu ~k in
-            match Sim.Dynamics.run (Prng.Rng.create seed) m ~max_steps with
-            | Sim.Dynamics.Converged { steps; profile } ->
+            match Sim_tuple.Dynamics.run (Prng.Rng.create seed) m ~max_steps with
+            | Sim_tuple.Dynamics.Converged { steps; profile } ->
                 Printf.printf
                   "converged to a pure NE after %d steps; defender plays {%s}\n"
                   steps
                   (String.concat ","
                      (List.map string_of_int
-                        (Defender.Tuple.to_list profile.Defender.Profile.tp_choice)))
-            | Sim.Dynamics.Cycling { steps } ->
+                        (Defender.Tuple.to_list profile.Engine.Profile.tp_choice)))
+            | Sim_tuple.Dynamics.Cycling { steps } ->
                 Printf.printf
                   "still churning after %d steps — consistent with no pure NE \
                    (rho = %d vs k = %d)\n"

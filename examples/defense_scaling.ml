@@ -8,6 +8,8 @@
 *)
 
 module Q = Exact.Q
+module Engine = Defender.Tuple_instance.Engine
+module Sim_tuple = Sim.Sim_instance.Tuple
 
 let () =
   let g = Netgraph.Gen.grid 4 5 in
@@ -22,7 +24,7 @@ let () =
         prerr_endline ("no matching NE: " ^ e);
         exit 1
   in
-  let is_size = List.length (Defender.Profile.vp_support_union edge_profile) in
+  let is_size = List.length (Engine.Profile.vp_support_union edge_profile) in
   Printf.printf "attacker support |IS| = %d, so k ranges over 1..%d\n\n" is_size is_size;
 
   let table =
@@ -39,13 +41,13 @@ let () =
     let closed_form = Q.make (k * nu) is_size in
     let exact = Defender.Gain.defender_gain profile in
     assert (Q.equal closed_form exact);
-    let stats = Sim.Engine.play (Prng.Rng.create (100 + k)) profile ~rounds:20_000 in
+    let stats = Sim_tuple.Engine.play (Prng.Rng.create (100 + k)) profile ~rounds:20_000 in
     Harness.Table.add_row table
       [
         string_of_int k;
         Q.to_string closed_form;
         Q.to_string exact;
-        Printf.sprintf "%.3f" stats.Sim.Engine.mean_caught;
+        Printf.sprintf "%.3f" stats.Sim_tuple.Engine.mean_caught;
         Q.to_string (Defender.Gain.escape_probability profile 0);
       ];
     points := (float_of_int k, Q.to_float exact) :: !points

@@ -14,6 +14,8 @@
 *)
 
 module Q = Exact.Q
+module Engine = Defender.Tuple_instance.Engine
+module Sim_tuple = Sim.Sim_instance.Tuple
 
 let section title = Printf.printf "\n--- %s ---\n" title
 
@@ -49,11 +51,11 @@ let () =
     (List.length partition.Defender.Matching_nash.is)
     (List.length partition.Defender.Matching_nash.vc);
   Printf.printf "scan schedule: %d tuples of %d links each\n"
-    (List.length (Defender.Profile.tp_support profile))
+    (List.length (Engine.Profile.tp_support profile))
     scan_capacity;
   Printf.printf "verification: %s\n"
-    (Defender.Verify.verdict_to_string
-       (Defender.Verify.mixed_ne Defender.Verify.Certificate profile));
+    (Engine.Verify.verdict_to_string
+       (Engine.Verify.mixed_ne Engine.Verify.Certificate profile));
   Printf.printf "expected intrusions stopped per round: %s of %d\n"
     (Q.to_string (Defender.Gain.defender_gain profile))
     attackers;
@@ -61,29 +63,29 @@ let () =
     (Q.to_string (Defender.Gain.escape_probability profile 0));
 
   section "Deployment stress test (20k rounds each)";
-  let ne_defense = Sim.Workload.Defender_fixed (Defender.Profile.tp_strategy profile) in
+  let ne_defense = Sim_tuple.Workload.Defender_fixed (Engine.Profile.tp_strategy profile) in
   let defenses =
     [
       ne_defense;
-      Sim.Workload.Defender_uniform_tuple;
-      Sim.Workload.Defender_greedy { epsilon = 0.1 };
-      Sim.Workload.Defender_round_robin;
+      Sim_tuple.Workload.Defender_uniform_tuple;
+      Sim_tuple.Workload.Defender_greedy { epsilon = 0.1 };
+      Sim_tuple.Workload.Defender_round_robin;
     ]
   in
   let hotspot_targets = List.filteri (fun i _ -> i < 2) partition.Defender.Matching_nash.vc in
   let attacks =
     [
-      Sim.Workload.Attacker_uniform;
-      Sim.Workload.Attacker_hotspot { targets = hotspot_targets; concentration = 0.9 };
-      Sim.Workload.Attacker_fixed (Defender.Profile.vp_strategy profile 0);
-      Sim.Workload.Attacker_adaptive { epsilon = 0.1 };
+      Sim_tuple.Workload.Attacker_uniform;
+      Sim_tuple.Workload.Attacker_hotspot { targets = hotspot_targets; concentration = 0.9 };
+      Sim_tuple.Workload.Attacker_fixed (Engine.Profile.vp_strategy profile 0);
+      Sim_tuple.Workload.Attacker_adaptive { epsilon = 0.1 };
     ]
   in
   let table =
     Harness.Table.create ~title:"mean intrusions stopped per round"
       ~columns:
         ("defense \\ attack"
-        :: List.map Sim.Workload.attacker_name attacks)
+        :: List.map Sim_tuple.Workload.attacker_name attacks)
   in
   List.iter
     (fun defender ->
@@ -91,13 +93,13 @@ let () =
         List.map
           (fun attacker ->
             let o =
-              Sim.Workload.run (Prng.Rng.create 1001) model ~attacker ~defender
+              Sim_tuple.Workload.run (Prng.Rng.create 1001) model ~attacker ~defender
                 ~rounds:20_000
             in
-            Printf.sprintf "%.3f" o.Sim.Workload.mean_caught)
+            Printf.sprintf "%.3f" o.Sim_tuple.Workload.mean_caught)
           attacks
       in
-      Harness.Table.add_row table (Sim.Workload.policy_name defender :: cells))
+      Harness.Table.add_row table (Sim_tuple.Workload.policy_name defender :: cells))
     defenses;
   Harness.Table.print table;
   Printf.printf

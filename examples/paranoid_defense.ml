@@ -14,6 +14,7 @@
 *)
 
 module Q = Exact.Q
+module Sim_tuple = Sim.Sim_instance.Tuple
 
 let show name g =
   Printf.printf "\n--- %s ---\n" name;
@@ -40,10 +41,10 @@ let show name g =
   (* empirical confirmation by fictitious play *)
   let nu = 3 in
   let m = Defender.Model.make ~graph:g ~nu ~k:1 in
-  let fp = Sim.Fictitious.run (Prng.Rng.create 11) m ~rounds:30_000 in
+  let fp = Sim_tuple.Fictitious.run (Prng.Rng.create 11) m ~rounds:30_000 in
   Printf.printf
     "fictitious play (nu = %d, 30k rounds): avg gain %.4f vs predicted nu*value = %s*%d = %.4f\n"
-    nu fp.Sim.Fictitious.tail_avg_gain
+    nu fp.Sim_tuple.Fictitious.tail_avg_gain
     (Q.to_string d.Defender.Minimax.value)
     nu
     (Q.to_float (Q.mul_int d.Defender.Minimax.value nu))

@@ -4,6 +4,9 @@
      dune exec examples/quickstart.exe
 *)
 
+module Engine = Defender.Tuple_instance.Engine
+module Sim_tuple = Sim.Sim_instance.Tuple
+
 let () =
   (* A 3x3 grid network: 9 hosts, 12 links. *)
   let network = Netgraph.Gen.grid 3 3 in
@@ -14,14 +17,14 @@ let () =
   match Defender.Tuple_nash.a_tuple_auto game with
   | Error reason -> prerr_endline ("no k-matching equilibrium: " ^ reason)
   | Ok equilibrium ->
-      Format.printf "Equilibrium found:@.%a@.@." Defender.Profile.pp equilibrium;
+      Format.printf "Equilibrium found:@.%a@.@." Engine.Profile.pp equilibrium;
 
       (* Independent verification against the definition of a Nash
          equilibrium (defender side enumerated exhaustively). *)
       let verdict =
-        Defender.Verify.mixed_ne (Defender.Verify.Exhaustive 100_000) equilibrium
+        Engine.Verify.mixed_ne (Engine.Verify.Exhaustive 100_000) equilibrium
       in
-      Format.printf "verification: %s@." (Defender.Verify.verdict_to_string verdict);
+      Format.printf "verification: %s@." (Engine.Verify.verdict_to_string verdict);
 
       (* The quantities the paper is about. *)
       let gain = Defender.Gain.defender_gain equilibrium in
@@ -33,8 +36,8 @@ let () =
 
       (* Cross-check by simulation. *)
       let stats =
-        Sim.Engine.play (Prng.Rng.create 42) equilibrium ~rounds:50_000
+        Sim_tuple.Engine.play (Prng.Rng.create 42) equilibrium ~rounds:50_000
       in
       Format.printf "simulated over %d rounds:              %.4f (+/- %.4f)@."
-        stats.Sim.Engine.rounds stats.Sim.Engine.mean_caught
-        (Sim.Engine.confidence95 stats)
+        stats.Sim_tuple.Engine.rounds stats.Sim_tuple.Engine.mean_caught
+        (Sim_tuple.Engine.confidence95 stats)

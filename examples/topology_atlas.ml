@@ -9,6 +9,7 @@
 *)
 
 open Netgraph
+module Engine = Defender.Tuple_instance.Engine
 
 let () =
   let table =
@@ -61,8 +62,8 @@ let () =
   | Ok prof ->
       Format.printf "grid-3x3, k=2: k-matching NE with gain %s — %s@."
         (Exact.Q.to_string (Defender.Gain.defender_gain prof))
-        (Defender.Verify.verdict_to_string
-           (Defender.Verify.mixed_ne Defender.Verify.Certificate prof))
+        (Engine.Verify.verdict_to_string
+           (Engine.Verify.mixed_ne Engine.Verify.Certificate prof))
   | Error e -> Format.printf "grid-3x3, k=2: %s@." e);
   let c5 = Gen.cycle 5 in
   (match

@@ -9,25 +9,27 @@
        maximal over E^k, (b) Σ_{v ∈ V(D(tp))} m_s(v) = ν.
 
     Condition 3(a)'s global maximality quantifies over C(m,k) tuples, so
-    it inherits {!Verify.mode}. *)
+    it inherits {!Tuple_instance.Engine.Verify.mode}. *)
+
+open Tuple_instance
 
 type report = {
   cond1_edge_cover : bool;
   cond1_vertex_cover : bool;
   cond2a_uniform_minimal_hit : bool;
   cond2b_tp_probability_sums : bool;
-  cond3a_support_loads : Verify.verdict;
+  cond3a_support_loads : Engine.Verify.verdict;
   cond3b_total_load : bool;
 }
 
 (** Overall verdict implied by a report. *)
-val verdict : report -> Verify.verdict
+val verdict : report -> Engine.Verify.verdict
 
 (** [~naive:true] answers the hit/load queries by support re-scan instead
-    of the profile's {!Payoff_kernel} tables (correctness oracle). *)
-val check : ?naive:bool -> Verify.mode -> Profile.mixed -> report
+    of the profile's kernel tables (correctness oracle). *)
+val check : ?naive:bool -> Engine.Verify.mode -> Engine.Profile.mixed -> report
 
 (** [holds mode m] = the characterization verdict is [Confirmed]. *)
-val holds : ?naive:bool -> Verify.mode -> Profile.mixed -> bool
+val holds : ?naive:bool -> Engine.Verify.mode -> Engine.Profile.mixed -> bool
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,12 +1,13 @@
-(* The exact game engine, generic over a GAME instance (game.mli).
-   [Make] builds, for one game, the full tower the tuple modules used to
-   hard-code: incremental payoff kernel, profiles, exact profits, best
-   responses, pure-NE brute force, mixed-NE verification and profile
-   I/O.  The tuple game's modules (Payoff_kernel, Profile, ...) are thin
-   wrappers over [Make (Tuple_game)] (see tuple_instance.ml) and must
-   stay byte-identical to their pre-functor behavior: every fold order,
-   tie-break, error string and observability counter below is load-
-   bearing.  Payoffs never leave Exact.Q. *)
+(* The exact game engine, generic over a GAME instance (game.mli); the
+   interface and its documentation are in game_engine.mli.  [Make]
+   builds, for one game, the full tower: incremental payoff kernel,
+   profiles, exact profits, best responses, pure-NE brute force,
+   mixed-NE verification and profile I/O.  Tuple_instance and
+   Subgraph_instance are its two applications.  The tuple game's
+   results must stay byte-identical to the pre-functor code it
+   replaced: every fold order, tie-break, error string and
+   observability counter below is load-bearing.  Payoffs never leave
+   Exact.Q. *)
 
 open Netgraph
 module Q = Exact.Q
@@ -58,7 +59,6 @@ module Make (G : Game.S) = struct
       let load = load_table g vp in
       { instance = inst; hit = hit_table inst tp; load; edge_load = edge_load_table g load }
 
-    let instance k = k.instance
     let hit_prob k v = k.hit.(v)
     let expected_load k v = k.load.(v)
     let expected_load_edge k id = k.edge_load.(id)

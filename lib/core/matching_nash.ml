@@ -1,7 +1,8 @@
 open Netgraph
+module E = Tuple_instance.Engine
 
 let require_edge_model m =
-  if Model.k (Profile.model m) <> 1 then
+  if Model.k (E.Profile.instance m) <> 1 then
     invalid_arg "Matching_nash: profile must belong to the Edge model (k = 1)"
 
 let incident_support_count g support_edges v =
@@ -14,19 +15,19 @@ let incident_support_count g support_edges v =
 
 let is_matching_configuration m =
   require_edge_model m;
-  let g = Model.graph (Profile.model m) in
-  let vp = Profile.vp_support_union m in
-  let support_edges = Profile.tp_support_edges m in
+  let g = Model.graph (E.Profile.instance m) in
+  let vp = E.Profile.vp_support_union m in
+  let support_edges = Tuple.edge_union (E.Profile.tp_support m) in
   Matching.Checks.is_independent_set g vp
   && List.for_all (fun v -> incident_support_count g support_edges v = 1) vp
 
 let lemma21_cover_conditions m =
-  let g = Model.graph (Profile.model m) in
-  let support_edges = Profile.tp_support_edges m in
+  let g = Model.graph (E.Profile.instance m) in
+  let support_edges = Tuple.edge_union (E.Profile.tp_support m) in
   Matching.Checks.is_edge_cover g support_edges
   &&
   let sub, _ = Graph.edge_subgraph g support_edges in
-  Matching.Checks.is_vertex_cover sub (Profile.vp_support_union m)
+  Matching.Checks.is_vertex_cover sub (E.Profile.vp_support_union m)
 
 type partition = { is : Graph.vertex list; vc : Graph.vertex list }
 
@@ -137,7 +138,7 @@ let solve model partition =
   | Error _ as e -> e
   | Ok edges ->
       let tuples = List.map (fun id -> Tuple.of_list g [ id ]) edges in
-      Ok (Profile.uniform model ~vp_support:partition.is ~tp_support:tuples)
+      Ok (E.Profile.uniform model ~vp_support:partition.is ~tp_support:tuples)
 
 let solve_auto model =
   let g = Model.graph model in

@@ -4,15 +4,16 @@
     subroutine (see DESIGN.md for the reconstruction). *)
 
 open Netgraph
+open Tuple_instance
 
 (** Definition 2.2 on a Π₁ profile: D(VP) independent and every support
     vertex incident to exactly one support edge.
     @raise Invalid_argument if the profile's model has [k <> 1]. *)
-val is_matching_configuration : Profile.mixed -> bool
+val is_matching_configuration : Engine.Profile.mixed -> bool
 
 (** Conditions (ii)–(iii) of Lemma 2.1: support edges form an edge cover
     and D(VP) is a vertex cover of the graph they span. *)
-val lemma21_cover_conditions : Profile.mixed -> bool
+val lemma21_cover_conditions : Engine.Profile.mixed -> bool
 
 (** Validated input partition for algorithm [A]. *)
 type partition = { is : Graph.vertex list; vc : Graph.vertex list }
@@ -53,11 +54,11 @@ val extremal_partitions : Graph.t -> (partition * partition) option
     Returns [Error] (with the Hall violator) when G is not a
     [vc]-expander. @raise Invalid_argument if the model has [k <> 1] or
     [is] is not independent. *)
-val solve : Model.t -> partition -> (Profile.mixed, string) result
+val solve : Model.t -> partition -> (Engine.Profile.mixed, string) result
 
 (** The support edges algorithm [A] picks — one per [is] vertex, jointly
     covering [vc] — exposed for the reduction and for tests. *)
 val support_edges : Graph.t -> partition -> (Graph.edge_id list, string) result
 
 (** End-to-end convenience: find a partition and solve. *)
-val solve_auto : Model.t -> (Profile.mixed, string) result
+val solve_auto : Model.t -> (Engine.Profile.mixed, string) result

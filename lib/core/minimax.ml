@@ -39,10 +39,18 @@ let solve g =
 
 let fractional_edge_cover_number g = (solve g).rho_star
 
+(* The "Payoff_kernel." error prefix is kept verbatim: tests pin it. *)
+let vertex_incidence_sums g weights =
+  if Array.length weights <> Graph.m g then
+    invalid_arg "Payoff_kernel.vertex_incidence_sums: need one weight per edge";
+  Array.init (Graph.n g) (fun v ->
+      Graph.fold_incident g v ~init:Q.zero ~f:(fun acc _ id ->
+          Q.add acc weights.(id)))
+
 let hit_floor g marginals =
   (* The hit probability of a fractional edge schedule is the per-vertex
-     incidence sum of the marginals; answered by the kernel primitive. *)
-  Q.min_list (Array.to_list (Payoff_kernel.vertex_incidence_sums g marginals))
+     incidence sum of the marginals. *)
+  Q.min_list (Array.to_list (vertex_incidence_sums g marginals))
 
 let certified g d =
   let m = Graph.m g in
@@ -50,7 +58,7 @@ let certified g d =
   let cover_ok =
     Array.for_all
       (fun total -> Q.( >= ) total Q.one)
-      (Payoff_kernel.vertex_incidence_sums g d.cover)
+      (vertex_incidence_sums g d.cover)
     && Array.for_all (fun xe -> Q.( >= ) xe Q.zero) d.cover
   in
   (* packing feasibility *)

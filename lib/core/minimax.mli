@@ -36,6 +36,12 @@ val solve : Graph.t -> defense
 (** Fractional edge-cover number ρ*(G). *)
 val fractional_edge_cover_number : Graph.t -> Q.t
 
+(** [vertex_incidence_sums g w]: per-vertex sums Σ_{e ∋ v} w(e) of
+    arbitrary per-edge weights — the hit probabilities of a fractional
+    edge schedule.
+    @raise Invalid_argument unless [w] has one weight per edge. *)
+val vertex_incidence_sums : Graph.t -> Q.t array -> Q.t array
+
 (** min_v Σ_{e∋v} marginals(e): the achieved hit floor (= [value]). *)
 val hit_floor : Graph.t -> Q.t array -> Q.t
 

@@ -1,5 +1,6 @@
 open Netgraph
 module Q = Exact.Q
+module E = Tuple_instance.Engine
 
 let is_path g ids =
   match ids with
@@ -142,42 +143,44 @@ let construct_pure_ne model =
         in
         let tuple = Tuple.of_list g (edges vertices) in
         Some
-          (Profile.make_pure model
+          (E.Profile.make_pure model
              ~vp_choices:(List.init (Model.nu model) (fun _ -> 0))
              ~tp_choice:tuple)
 
 let tp_best_value ?limit m =
-  let model = Profile.model m in
+  let model = E.Profile.instance m in
   let g = Model.graph model in
   let paths = enumerate_paths ?limit g ~k:(Model.k model) in
   match paths with
   | [] -> Q.zero
-  | _ -> Q.max_list (List.map (Profile.expected_load_tuple m) paths)
+  | _ -> Q.max_list (List.map (E.Profile.expected_load_strategy m) paths)
 
 let is_mixed_ne ?limit m =
-  let g = Model.graph (Profile.model m) in
+  let g = Model.graph (E.Profile.instance m) in
   let non_path =
-    List.find_opt (fun t -> not (is_path g (Tuple.to_list t))) (Profile.tp_support m)
+    List.find_opt (fun t -> not (is_path g (Tuple.to_list t))) (E.Profile.tp_support m)
   in
   match non_path with
   | Some t ->
-      Verify.Refuted
+      E.Verify.Refuted
         (Format.asprintf "support tuple %a is not a simple path" Tuple.pp t)
   | None -> (
-      match Verify.vp_side m with
-      | Verify.Confirmed ->
+      match E.Verify.vp_side m with
+      | E.Verify.Confirmed ->
           let best = tp_best_value ?limit m in
           let loads =
-            List.map (fun (t, _) -> Profile.expected_load_tuple m t) (Profile.tp_strategy m)
+            List.map
+              (fun (t, _) -> E.Profile.expected_load_strategy m t)
+              (E.Profile.tp_strategy m)
           in
           let low = Q.min_list loads in
           if Q.( < ) low (Q.max_list loads) then
-            Verify.Refuted "defender support mixes paths of different value"
+            E.Verify.Refuted "defender support mixes paths of different value"
           else if Q.( < ) low best then
-            Verify.Refuted
+            E.Verify.Refuted
               (Printf.sprintf "a path of value %s beats the support's %s"
                  (Q.to_string best) (Q.to_string low))
-          else Verify.Confirmed
+          else E.Verify.Confirmed
       | v -> v)
 
 let pure_thresholds g =

@@ -11,6 +11,7 @@
     Experiment P1 contrasts the two thresholds. *)
 
 open Netgraph
+open Tuple_instance
 
 (** [is_path g ids]: do these edge ids form a simple path (connected,
     all internal degrees 2, endpoints degree 1, no repeated vertex)?  A
@@ -35,17 +36,17 @@ val pure_ne_exists : Model.t -> bool
 
 (** A pure NE profile of the Path model (defender on a Hamiltonian
     path), when one exists. *)
-val construct_pure_ne : Model.t -> Profile.pure option
+val construct_pure_ne : Model.t -> Engine.Profile.pure option
 
 (** Best-response value of the path-constrained defender against a mixed
     profile: max over k-edge simple paths of m_s(t).  Same enumeration
     guard as {!enumerate_paths}. *)
-val tp_best_value : ?limit:int -> Profile.mixed -> Exact.Q.t
+val tp_best_value : ?limit:int -> Engine.Profile.mixed -> Exact.Q.t
 
 (** Definitional mixed-NE check for the Path model: the profile's support
     tuples must all be simple paths, attackers must sit on minimum-hit
     vertices, and every support path must attain {!tp_best_value}. *)
-val is_mixed_ne : ?limit:int -> Profile.mixed -> Verify.verdict
+val is_mixed_ne : ?limit:int -> Engine.Profile.mixed -> Engine.Verify.verdict
 
 (** Smallest defender power granting a pure NE, Tuple vs Path model:
     [(rho g, Some (n-1))] when a Hamiltonian path exists, [(rho g, None)]

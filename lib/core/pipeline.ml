@@ -1,9 +1,10 @@
 open Netgraph
+module E = Tuple_instance.Engine
 
 type outcome = {
-  profile : Profile.mixed;
+  profile : E.Profile.mixed;
   partition : Matching_nash.partition;
-  edge_profile : Profile.mixed;
+  edge_profile : E.Profile.mixed;
 }
 
 let koenig_partition g =

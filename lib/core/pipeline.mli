@@ -4,10 +4,12 @@
     IS = V \ VC, and run [A_tuple].  Total time
     max{O(k·n), O(m√n)} — dominated by Hopcroft–Karp. *)
 
+open Tuple_instance
+
 type outcome = {
-  profile : Profile.mixed;
+  profile : Engine.Profile.mixed;
   partition : Matching_nash.partition;
-  edge_profile : Profile.mixed;  (** the intermediate Π₁ matching NE *)
+  edge_profile : Engine.Profile.mixed;  (** the intermediate Π₁ matching NE *)
 }
 
 (** @raise Invalid_argument if the model's graph is not bipartite.

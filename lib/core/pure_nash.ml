@@ -1,10 +1,9 @@
+(* The polynomial Theorem 3.1 route to pure equilibria of the tuple game
+   (edge covers are a tuple-game notion).  The definitional checks
+   is_pure_ne and exists_brute_force live in the generic engine
+   (Game_engine.Make (G).Pure). *)
+
 open Netgraph
-
-(* The definitional checks (is_pure_ne, exists_brute_force) come from
-   the generic engine; the polynomial Theorem 3.1 route below is
-   tuple-specific (edge covers are a tuple-game notion). *)
-
-include Tuple_instance.Engine.Pure
 
 let exists model =
   Matching.Edge_cover.exists_of_size (Model.graph model) (Model.k model)
@@ -16,7 +15,7 @@ let construct model =
       let g = Model.graph model in
       let tp_choice = Tuple.of_list g cover in
       Some
-        (Profile.make_pure model
+        (Tuple_instance.Engine.Profile.make_pure model
            ~vp_choices:(List.init (Model.nu model) (fun _ -> 0))
            ~tp_choice)
 

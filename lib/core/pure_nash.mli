@@ -1,7 +1,9 @@
 (** Pure Nash equilibria of Π_k(G): Theorem 3.1 and Corollaries 3.2–3.3.
 
     Π_k(G) has a pure NE iff G has an edge cover of size k (iff
-    ρ(G) ≤ k ≤ m); in particular no instance with n ≥ 2k + 1 has one. *)
+    ρ(G) ≤ k ≤ m); in particular no instance with n ≥ 2k + 1 has one.
+    The definitional checks ([is_pure_ne], [exists_brute_force]) are
+    game-generic and live in [Tuple_instance.Engine.Pure]. *)
 
 (** Theorem 3.1 decision, in polynomial time (Corollary 3.2). *)
 val exists : Model.t -> bool
@@ -9,21 +11,7 @@ val exists : Model.t -> bool
 (** A pure NE when one exists: the defender plays an edge cover of size k
     (catching everyone wherever they stand); attackers' choices are
     irrelevant and default to vertex 0. *)
-val construct : Model.t -> Profile.pure option
-
-(** Direct definition check: no player improves by any unilateral pure
-    deviation.  The defender's best deviation maximizes coverage over all
-    C(m,k) tuples, so this is exponential and guarded by [limit] (the
-    maximum number of tuples inspected; default 2_000_000).
-    @raise Invalid_argument when the tuple space exceeds the limit. *)
-val is_pure_ne : ?limit:int -> Model.t -> Profile.pure -> bool
-
-(** Brute-force existence: search all pure configurations up to attacker
-    symmetry (attackers are interchangeable, and only whether each is
-    caught matters, so it suffices to let all attackers sit on a common
-    best-escape vertex per defender choice).  Used as a test oracle.
-    @raise Invalid_argument when the tuple space exceeds [limit]. *)
-val exists_brute_force : ?limit:int -> Model.t -> bool
+val construct : Model.t -> Tuple_instance.Engine.Profile.pure option
 
 (** Corollary 3.3: [n ≥ 2k+1] forces non-existence. *)
 val cor33_applies : Model.t -> bool

@@ -1,19 +1,20 @@
 module Q = Exact.Q
 module Finite = Dist.Finite
+module E = Tuple_instance.Engine
 
 type regret = { attacker : Q.t; defender : Q.t }
 
 let regret ?(limit = 2_000_000) m =
-  let nu = Model.nu (Profile.model m) in
-  let best_vp = Best_response.vp_best_value m in
+  let nu = Model.nu (E.Profile.instance m) in
+  let best_vp = E.Best_response.vp_best_value m in
   let attacker =
     List.fold_left
-      (fun acc i -> Q.max acc (Q.sub best_vp (Profit.expected_vp m i)))
+      (fun acc i -> Q.max acc (Q.sub best_vp (E.Profit.expected_vp m i)))
       Q.zero
       (List.init nu Fun.id)
   in
-  let best_tp = Best_response.tp_best_value_exhaustive ~limit m in
-  let defender = Q.max Q.zero (Q.sub best_tp (Profit.expected_tp m)) in
+  let best_tp = E.Best_response.tp_best_value_exhaustive ~limit m in
+  let defender = Q.max Q.zero (Q.sub best_tp (E.Profit.expected_tp m)) in
   { attacker; defender }
 
 let max_regret r = Q.max r.attacker r.defender
@@ -26,7 +27,7 @@ let check_epsilon epsilon =
 
 let tilt_vp m i ~epsilon ~towards =
   check_epsilon epsilon;
-  let current = Profile.vp_strategy m i in
+  let current = E.Profile.vp_strategy m i in
   let keep = Q.sub Q.one epsilon in
   let outcomes = List.sort_uniq compare (towards :: Finite.support current) in
   let mixed =
@@ -37,12 +38,12 @@ let tilt_vp m i ~epsilon ~towards =
         (v, Q.add base bonus))
       outcomes
   in
-  Profile.replace_vp m i (Finite.make mixed)
+  E.Profile.replace_vp m i (Finite.make mixed)
 
 let tilt_tp m ~epsilon ~towards =
   check_epsilon epsilon;
   let keep = Q.sub Q.one epsilon in
-  let strategy = Profile.tp_strategy m in
+  let strategy = E.Profile.tp_strategy m in
   let present = List.exists (fun (t, _) -> Tuple.equal t towards) strategy in
   let scaled = List.map (fun (t, p) -> (t, Q.mul keep p)) strategy in
   let with_bonus =
@@ -53,4 +54,4 @@ let tilt_tp m ~epsilon ~towards =
     else (towards, epsilon) :: scaled
   in
   let positive = List.filter (fun (_, p) -> Q.sign p > 0) with_bonus in
-  Profile.replace_tp m positive
+  E.Profile.replace_tp m positive

@@ -8,6 +8,7 @@
     Experiment F5 shows regret grows linearly in the tilt ε around the
     constructed equilibria. *)
 
+open Tuple_instance
 module Q = Exact.Q
 
 type regret = {
@@ -15,23 +16,29 @@ type regret = {
   defender : Q.t;  (** defender's best-response gain *)
 }
 
-(** Exact regrets; the defender side uses the given {!Verify.mode}-style
-    enumeration limit. @raise Invalid_argument when the tuple space
-    exceeds [limit] (default 2_000_000). *)
-val regret : ?limit:int -> Profile.mixed -> regret
+(** Exact regrets; the defender side uses the given
+    {!Tuple_instance.Engine.Verify.mode}-style enumeration limit.
+    @raise Invalid_argument when the tuple space exceeds [limit]
+    (default 2_000_000). *)
+val regret : ?limit:int -> Engine.Profile.mixed -> regret
 
 val max_regret : regret -> Q.t
 
 (** [is_epsilon_ne ?limit profile ~epsilon]: every unilateral deviation
     improves by at most [epsilon]. *)
-val is_epsilon_ne : ?limit:int -> Profile.mixed -> epsilon:Q.t -> bool
+val is_epsilon_ne : ?limit:int -> Engine.Profile.mixed -> epsilon:Q.t -> bool
 
 (** [tilt_vp profile i ~epsilon ~towards] replaces player [i]'s strategy
     by [(1-epsilon)·current + epsilon·point towards].
     @raise Invalid_argument unless [0 <= epsilon <= 1]. *)
-val tilt_vp : Profile.mixed -> int -> epsilon:Q.t -> towards:Netgraph.Graph.vertex -> Profile.mixed
+val tilt_vp :
+  Engine.Profile.mixed ->
+  int ->
+  epsilon:Q.t ->
+  towards:Netgraph.Graph.vertex ->
+  Engine.Profile.mixed
 
 (** Same for the defender, tilting toward one tuple of its support.
     @raise Invalid_argument unless [0 <= epsilon <= 1] and [towards] has
     the right size. *)
-val tilt_tp : Profile.mixed -> epsilon:Q.t -> towards:Tuple.t -> Profile.mixed
+val tilt_tp : Engine.Profile.mixed -> epsilon:Q.t -> towards:Tuple.t -> Engine.Profile.mixed

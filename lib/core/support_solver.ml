@@ -1,5 +1,6 @@
 open Netgraph
 module Q = Exact.Q
+module E = Tuple_instance.Engine
 
 type failure =
   [ `Ambiguous | `Inconsistent | `Nonpositive | `Not_equilibrium of string ]
@@ -70,13 +71,13 @@ let solve ?(limit = 2_000_000) ?naive model ~vp_support ~tp_support =
             List.mapi (fun i t -> (t, p.(i))) tp_support
           in
           let profile =
-            Profile.make_mixed model
+            E.Profile.make_mixed model
               ~vp:(List.init (Model.nu model) (fun _ -> vp_dist))
               ~tp
           in
-          (match Verify.mixed_ne ?naive (Verify.Exhaustive limit) profile with
-          | Verify.Confirmed -> Ok profile
-          | Verify.Refuted why | Verify.Unknown why ->
+          (match E.Verify.mixed_ne ?naive (E.Verify.Exhaustive limit) profile with
+          | E.Verify.Confirmed -> Ok profile
+          | E.Verify.Refuted why | E.Verify.Unknown why ->
               Error (`Not_equilibrium why)))
 
 let subsets_of_size items k =

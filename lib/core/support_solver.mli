@@ -15,14 +15,15 @@
     — so each side is an exact linear solve ({!Lp.Gauss}).  If both
     systems have a unique solution with positive weights, the resulting
     profile is checked against the full best-response conditions
-    ({!Verify}).  Underdetermined systems are reported as [`Ambiguous]
-    rather than guessed at.
+    ([Tuple_instance.Engine.Verify]).  Underdetermined systems are
+    reported as [`Ambiguous] rather than guessed at.
 
     With support enumeration on top ({!search}) this is a complete solver
     for symmetric equilibria of small instances — it finds non-uniform
     equilibria the paper's constructions cannot produce. *)
 
 open Netgraph
+open Tuple_instance
 
 type failure =
   [ `Ambiguous  (** indifference system underdetermined *)
@@ -36,7 +37,7 @@ val failure_to_string : failure -> string
     The defender side of the best-response check enumerates C(m,k)
     tuples, guarded by [limit] (default 2_000_000); [~naive:true] runs
     that check on the support-rescanning oracle instead of the
-    {!Payoff_kernel} tables.
+    engine's kernel tables.
     @raise Invalid_argument on empty supports or out-of-range members. *)
 val solve :
   ?limit:int ->
@@ -44,7 +45,7 @@ val solve :
   Model.t ->
   vp_support:Graph.vertex list ->
   tp_support:Tuple.t list ->
-  (Profile.mixed, failure) result
+  (Engine.Profile.mixed, failure) result
 
 (** Exhaustive search over supports for symmetric equilibria: every
     non-empty vertex subset S paired with every equal-cardinality
@@ -59,4 +60,4 @@ val search :
   ?naive:bool ->
   Model.t ->
   candidate_tuples:Tuple.t list ->
-  Profile.mixed list
+  Engine.Profile.mixed list

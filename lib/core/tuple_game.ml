@@ -1,9 +1,10 @@
 (* The paper's game Π_k(G) as a GAME instance: ν vertex players and one
    defender choosing a k-edge tuple.  This module is instance #1 of the
-   Game.S signature; the pre-functor modules (Payoff_kernel, Profile,
-   Best_response, ...) are wrappers over Game_engine.Make applied to it
-   (tuple_instance.ml) and their observable behavior — fold orders,
-   tie-breaks, error strings — must not drift. *)
+   Game.S signature; Tuple_instance applies Game_engine.Make to it, and
+   the results must stay byte-identical to the pre-functor tuple code —
+   fold orders, tie-breaks, error strings must not drift.  Beyond the
+   signature it carries the tuple-only greedy helpers (greedy_edges,
+   tp_greedy_value). *)
 
 open Netgraph
 module Q = Exact.Q
@@ -217,6 +218,47 @@ let greedy_edges ?(err = "Tuple_game.greedy_response")
 
 let greedy_response inst ~load =
   greedy_edges (Model.graph inst) (Model.k inst) load
+
+(* Greedy max-coverage baseline on exact loads: the value of k passes
+   picking the edge with the best marginal covered load, a lower bound
+   on the defender's best-response value (the classic (1 - 1/e)
+   heuristic, used in benchmarks).  [load v] is queried afresh on every
+   gain evaluation; callers pass a profile's [expected_load], so its
+   kernel or naive path sets the cost.  Counted separately from the
+   engine's sweeps (B15 gates on br.* counters). *)
+let c_tp_greedy_sweeps = Obs.counter "br.tp_greedy_sweeps"
+
+let tp_greedy_value inst ~load =
+  Obs.incr c_tp_greedy_sweeps;
+  let g = Model.graph inst in
+  let k = Model.k inst in
+  let chosen = Array.make (Graph.m g) false in
+  let covered = Array.make (Graph.n g) false in
+  let gain id =
+    let e = Graph.edge g id in
+    let value_of v = if covered.(v) then Q.zero else load v in
+    Q.add (value_of e.Graph.u) (value_of e.Graph.v)
+  in
+  let total = ref Q.zero in
+  for _ = 1 to k do
+    let best = ref None in
+    for id = 0 to Graph.m g - 1 do
+      if not chosen.(id) then
+        let value = gain id in
+        match !best with
+        | Some (_, v) when Q.( >= ) v value -> ()
+        | _ -> best := Some (id, value)
+    done;
+    match !best with
+    | None -> ()
+    | Some (id, value) ->
+        chosen.(id) <- true;
+        let e = Graph.edge g id in
+        covered.(e.Graph.u) <- true;
+        covered.(e.Graph.v) <- true;
+        total := Q.add !total value
+  done;
+  !total
 
 let greedy_coverage_response inst ~load =
   greedy_edges ~coverage_tie_break:true (Model.graph inst) (Model.k inst) load

@@ -1,4 +1,5 @@
 open Netgraph
+module E = Tuple_instance.Engine
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 let lcm a b = a / gcd a b * b
@@ -6,9 +7,9 @@ let delta ~e_num ~k = e_num / gcd e_num k
 let multiplicity ~e_num ~k = k / gcd e_num k
 
 let is_k_matching_configuration m =
-  let g = Model.graph (Profile.model m) in
-  let vp = Profile.vp_support_union m in
-  let support_tuples = Profile.tp_support m in
+  let g = Model.graph (E.Profile.instance m) in
+  let vp = E.Profile.vp_support_union m in
+  let support_tuples = E.Profile.tp_support m in
   let support_edges = Tuple.edge_union support_tuples in
   let incident_count v =
     List.length
@@ -32,13 +33,13 @@ let is_k_matching_configuration m =
       List.for_all (fun id -> count id = reference) rest
 
 let is_k_matching_ne_support m =
-  let g = Model.graph (Profile.model m) in
-  let support_edges = Profile.tp_support_edges m in
+  let g = Model.graph (E.Profile.instance m) in
+  let support_edges = Tuple.edge_union (E.Profile.tp_support m) in
   is_k_matching_configuration m
   && Matching.Checks.is_edge_cover g support_edges
   &&
   let sub, _ = Graph.edge_subgraph g support_edges in
-  Matching.Checks.is_vertex_cover sub (Profile.vp_support_union m)
+  Matching.Checks.is_vertex_cover sub (E.Profile.vp_support_union m)
 
 let cyclic_tuples g edges ~k =
   let arr = Array.of_list edges in
@@ -67,7 +68,9 @@ let a_tuple model partition =
              k e_num)
       else
         let tuples = cyclic_tuples g edges ~k in
-        Ok (Profile.uniform model ~vp_support:partition.Matching_nash.is ~tp_support:tuples)
+        Ok
+          (E.Profile.uniform model ~vp_support:partition.Matching_nash.is
+             ~tp_support:tuples)
 
 let a_tuple_auto model =
   match Matching_nash.find_partition (Model.graph model) with

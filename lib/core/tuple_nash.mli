@@ -6,16 +6,17 @@
     the constructors return [Error] beyond that bound. *)
 
 open Netgraph
+open Tuple_instance
 
 (** Definition 4.1: (1) D(VP) independent, (2) each support vertex incident
     to exactly one edge of E(D(tp)), (3) every edge of E(D(tp)) appears in
     the same number of support tuples. *)
-val is_k_matching_configuration : Profile.mixed -> bool
+val is_k_matching_configuration : Engine.Profile.mixed -> bool
 
 (** Definition 4.2: a k-matching configuration additionally satisfying
     condition 1 of Theorem 3.4 (supports only; probabilities are checked
     separately by {!Characterization}). *)
-val is_k_matching_ne_support : Profile.mixed -> bool
+val is_k_matching_ne_support : Engine.Profile.mixed -> bool
 
 (** Step 3 of [A_tuple]: the cyclic windows over an ordered edge list.
     [cyclic_tuples g edges ~k] returns δ = E_num / gcd(E_num, k) tuples,
@@ -35,11 +36,11 @@ val multiplicity : e_num:int -> k:int -> int
 (** Algorithm [A_tuple] (Figure 1): matching NE of Π₁(G) via algorithm
     [A], then the cyclic lift, then uniform probabilities per Lemma 4.1.
     Fails when the partition is inadmissible or [k > |is|]. *)
-val a_tuple : Model.t -> Matching_nash.partition -> (Profile.mixed, string) result
+val a_tuple : Model.t -> Matching_nash.partition -> (Engine.Profile.mixed, string) result
 
 (** [A_tuple] with the partition discovered automatically
     ({!Matching_nash.find_partition}). *)
-val a_tuple_auto : Model.t -> (Profile.mixed, string) result
+val a_tuple_auto : Model.t -> (Engine.Profile.mixed, string) result
 
 val gcd : int -> int -> int
 val lcm : int -> int -> int

@@ -1,4 +1,5 @@
 module Q = Exact.Q
+module E = Tuple_instance.Engine
 
 type t = { model : Model.t; weights : Q.t array }
 
@@ -16,7 +17,7 @@ let expected_load t profile v =
   let acc = ref Q.zero in
   Array.iteri
     (fun i w ->
-      acc := Q.add !acc (Q.mul w (Dist.Finite.prob (Profile.vp_strategy profile i) v)))
+      acc := Q.add !acc (Q.mul w (Dist.Finite.prob (E.Profile.vp_strategy profile i) v)))
     t.weights;
   !acc
 
@@ -24,12 +25,21 @@ let expected_load_tuple t profile tuple =
   let g = Model.graph t.model in
   Q.sum (List.map (expected_load t profile) (Tuple.vertices g tuple))
 
-(* Hot loops precompute the per-vertex weighted-load table once
-   (Payoff_kernel.weighted_loads) so each tuple query is O(k) instead of
-   O(k·ν·log supp). *)
+(* Hot loops precompute the per-vertex weighted-load table
+   Σ_i w_i · P(vp_i = v) once so each tuple query is O(k) instead of
+   O(k·ν·log supp).  The "Payoff_kernel." error prefix is kept
+   verbatim. *)
 let load_table t profile =
-  Payoff_kernel.weighted_loads t.model ~weights:t.weights
-    ~vp:(Profile.vp_strategies profile)
+  let vp = E.Profile.vp_strategies profile in
+  if Array.length t.weights <> Array.length vp then
+    invalid_arg "Payoff_kernel.weighted_loads: need one weight per player";
+  let load = Array.make (Netgraph.Graph.n (Model.graph t.model)) Q.zero in
+  Array.iteri
+    (fun i d ->
+      Dist.Finite.iter d ~f:(fun v p ->
+          load.(v) <- Q.add load.(v) (Q.mul t.weights.(i) p)))
+    vp;
+  load
 
 let table_load_tuple t loads tuple =
   let g = Model.graph t.model in
@@ -43,16 +53,16 @@ let expected_tp t profile =
   Q.sum
     (List.map
        (fun (tuple, p) -> Q.mul p (table_load_tuple t loads tuple))
-       (Profile.tp_strategy profile))
+       (E.Profile.tp_strategy profile))
 
 let expected_vp t profile i =
-  Q.mul t.weights.(i) (Profit.expected_vp profile i)
+  Q.mul t.weights.(i) (E.Profit.expected_vp profile i)
 
 let verify_ne ?(limit = 2_000_000) t profile =
   (* Attacker side is weight-invariant: minimum-hit support. *)
-  match Verify.vp_side profile with
-  | (Verify.Refuted _ | Verify.Unknown _) as v -> v
-  | Verify.Confirmed -> (
+  match E.Verify.vp_side profile with
+  | (E.Verify.Refuted _ | E.Verify.Unknown _) as v -> v
+  | E.Verify.Confirmed -> (
       let g = Model.graph t.model in
       let k = Model.k t.model in
       (match Model.tuple_space_size t.model with
@@ -62,21 +72,21 @@ let verify_ne ?(limit = 2_000_000) t profile =
       let loads =
         List.map
           (fun (tuple, _) -> table_load_tuple t table tuple)
-          (Profile.tp_strategy profile)
+          (E.Profile.tp_strategy profile)
       in
       let low = Q.min_list loads and high = Q.max_list loads in
       if Q.( < ) low high then
-        Verify.Refuted "defender support mixes tuples of different weighted value"
+        E.Verify.Refuted "defender support mixes tuples of different weighted value"
       else
         let best =
           Tuple.fold_enumerate g ~k ~init:Q.zero ~f:(fun acc tuple ->
               Q.max acc (table_load_tuple t table tuple))
         in
         if Q.( < ) low best then
-          Verify.Refuted
+          E.Verify.Refuted
             (Printf.sprintf "a tuple of weighted value %s beats the support's %s"
                (Q.to_string best) (Q.to_string low))
-        else Verify.Confirmed)
+        else E.Verify.Confirmed)
 
 let a_tuple t partition = Tuple_nash.a_tuple t.model partition
 

@@ -13,6 +13,7 @@
     defender's power multiplies expected damage interdicted, not just
     the body count.  Verified by tests and experiment T10. *)
 
+open Tuple_instance
 module Q = Exact.Q
 
 type t = private { model : Model.t; weights : Q.t array }
@@ -23,25 +24,25 @@ val make : Model.t -> weights:Q.t list -> t
 val total_weight : t -> Q.t
 
 (** Weighted load mw_s(v) = Σ_i w_i·P(vp_i = v). *)
-val expected_load : t -> Profile.mixed -> Netgraph.Graph.vertex -> Q.t
+val expected_load : t -> Engine.Profile.mixed -> Netgraph.Graph.vertex -> Q.t
 
 (** Weighted load of a tuple: Σ_{v ∈ V(t)} mw_s(v). *)
-val expected_load_tuple : t -> Profile.mixed -> Tuple.t -> Q.t
+val expected_load_tuple : t -> Engine.Profile.mixed -> Tuple.t -> Q.t
 
 (** Defender's expected arrested damage. *)
-val expected_tp : t -> Profile.mixed -> Q.t
+val expected_tp : t -> Engine.Profile.mixed -> Q.t
 
 (** Attacker i's expected escaped damage: w_i·(1 − caught prob). *)
-val expected_vp : t -> Profile.mixed -> int -> Q.t
+val expected_vp : t -> Engine.Profile.mixed -> int -> Q.t
 
 (** Definitional weighted-NE check; the defender's best response
     maximizes weighted coverage over C(m,k) tuples (enumerated, guarded
     by [limit], default 2_000_000). *)
-val verify_ne : ?limit:int -> t -> Profile.mixed -> Verify.verdict
+val verify_ne : ?limit:int -> t -> Engine.Profile.mixed -> Engine.Verify.verdict
 
 (** The k-matching construction on a valid partition; an NE for every
     weight vector (see above). *)
-val a_tuple : t -> Matching_nash.partition -> (Profile.mixed, string) result
+val a_tuple : t -> Matching_nash.partition -> (Engine.Profile.mixed, string) result
 
 (** Predicted equilibrium gain k·W/|IS|. *)
 val predicted_gain : t -> is_size:int -> Q.t

@@ -2,6 +2,7 @@
    cache key, and the worker-side handler.  See daemon_service.mli. *)
 
 module Json = Harness.Json
+module E = Defender.Tuple_instance.Engine
 
 let get_string key msg =
   match Json.member key msg with
@@ -100,7 +101,7 @@ let model_of msg g =
 
 let profile_of msg m =
   match get_string "profile" msg with
-  | Some text -> Defender.Profile_io.of_string m text
+  | Some text -> E.Io.of_string m text
   | None -> invalid_arg "missing string field \"profile\""
 
 (* The double-oracle solve payloads carry only isomorphism-invariant
@@ -124,8 +125,8 @@ let solve_double_oracle_tuple msg g =
          ("rho", Json.Int (Matching.Edge_cover.rho g));
          ( "verdict",
            Json.String
-             (Defender.Verify.verdict_to_string
-                (Defender.Verify.mixed_ne Defender.Verify.Oracle prof)) );
+             (E.Verify.verdict_to_string
+                (E.Verify.mixed_ne E.Verify.Oracle prof)) );
        ])
 
 let solve_double_oracle_subgraph msg g =
@@ -182,8 +183,8 @@ let solve msg =
                  ("rho", Json.Int (Matching.Edge_cover.rho g));
                  ( "verdict",
                    Json.String
-                     (Defender.Verify.verdict_to_string
-                        (Defender.Verify.mixed_ne Defender.Verify.Certificate
+                     (E.Verify.verdict_to_string
+                        (E.Verify.mixed_ne E.Verify.Certificate
                            prof)) );
                ]))
 
@@ -208,17 +209,17 @@ let equilibrium_check msg =
   let prof = profile_of msg m in
   let mode =
     match get_string "mode" msg with
-    | None | Some "certificate" -> Defender.Verify.Certificate
-    | Some "exhaustive" -> Defender.Verify.Exhaustive 2_000_000
-    | Some "oracle" -> Defender.Verify.Oracle
+    | None | Some "certificate" -> E.Verify.Certificate
+    | Some "exhaustive" -> E.Verify.Exhaustive 2_000_000
+    | Some "oracle" -> E.Verify.Oracle
     | Some other -> invalid_arg (Printf.sprintf "unknown verify mode %S" other)
   in
-  let verdict = Defender.Verify.mixed_ne mode prof in
+  let verdict = E.Verify.mixed_ne mode prof in
   ok
     (Json.Obj
        [
-         ("confirmed", Json.Bool (Defender.Verify.verdict_is_confirmed verdict));
-         ("verdict", Json.String (Defender.Verify.verdict_to_string verdict));
+         ("confirmed", Json.Bool (E.Verify.verdict_is_confirmed verdict));
+         ("verdict", Json.String (E.Verify.verdict_to_string verdict));
        ])
 
 (* Total: every failure becomes an {"ok":false} payload.  An exception

@@ -21,7 +21,8 @@
       never the iteration or oracle-call counts, which depend on the
       vertex labeling and would poison the label-erasing cache.
     - [{"op":"profit", "graph6":G6, "k":K, "nu":NU, "profile":text}] —
-      evaluate a {!Defender.Profile_io}-format profile:
+      evaluate a "profile v1" text profile
+      ([Defender.Tuple_instance.Engine.Io]):
       [{"gain":Q, "escape":[Q, …]}] (one entry per attacker).
     - [{"op":"equilibrium-check", …, "profile":text,
       "mode":"certificate"|"exhaustive"|"oracle"}] — re-verify a

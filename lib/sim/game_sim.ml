@@ -1,11 +1,12 @@
 (* Simulation loops generic over a GAME instance (Defender.Game.S):
    fictitious play, pure best-response dynamics, Monte-Carlo play of a
-   mixed profile, and the policy workloads.  The tuple-game application
-   lives in Sim_instance; the historical modules (Fictitious, Dynamics,
-   Engine, Workload) are wrappers over it and must stay bit-for-bit —
-   every PRNG draw, fold order and error string below is load-bearing.
-   The historical error strings (".. tuple size <> k") are kept verbatim
-   even in generic code: tests pin them, and "tuple" reads fine as the
+   mixed profile, and the policy workloads; the interface and its
+   documentation are in game_sim.mli.  Sim_instance applies [Make] to
+   both built-in games.  The tuple game's runs must stay bit-for-bit
+   identical to the pre-functor code they replaced — every PRNG draw,
+   fold order and error string below is load-bearing.  The historical
+   error strings (".. tuple size <> k") are kept verbatim even in
+   generic code: tests pin them, and "tuple" reads fine as the
    defender's pure strategy in every game. *)
 
 open Netgraph
@@ -15,7 +16,7 @@ module Rng = Prng.Rng
 module Make (G : Defender.Game.S) = struct
   (* The exact engine for the same game, applicatively equal to any
      other application of Game_engine.Make to [G] — for the tuple game,
-     [E.Profile] is Defender.Profile. *)
+     [E.Profile] is Defender.Tuple_instance.Engine.Profile. *)
   module E = Defender.Game_engine.Make (G)
 
   module Fictitious = struct

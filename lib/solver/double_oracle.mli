@@ -91,7 +91,7 @@ module Make (G : Defender.Game.S) : sig
     result
 
   (** Package a result as a full (ν+1)-player mixed profile — every
-      attacker on [sigma] — ready for [Verify.mixed_ne], gain/escape
+      attacker on [sigma] — ready for the engine's [Verify.mixed_ne], gain/escape
       accounting, and profile I/O. *)
   val profile :
     G.instance -> result -> Defender.Game_engine.Make(G).Profile.mixed

@@ -5,9 +5,9 @@
     the modules everything downstream (tests, bench family D, the CLI
     [solve --method double-oracle], the query daemon) uses.  OCaml's
     applicative functor semantics keep [Tuple]'s profile type equal to
-    [Defender.Profile]'s and [Subgraph]'s to
+    [Defender.Tuple_instance.Engine]'s and [Subgraph]'s to
     [Defender.Subgraph_instance.Engine]'s, so solver results flow
-    straight into the existing verification, gain and I/O paths. *)
+    straight into the engines' verification, gain and I/O paths. *)
 
 module Tuple : module type of Double_oracle.Make (Defender.Tuple_game)
 

@@ -5,6 +5,7 @@
 
 module J = Harness.Json
 module D = Harness.Daemon
+module Engine = Defender.Tuple_instance.Engine
 
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
@@ -491,7 +492,7 @@ let test_service_profit_and_check_not_cached () =
     | Ok p -> p
     | Error e -> Alcotest.failf "solver failed: %s" e
   in
-  let text = Defender.Profile_io.to_string prof in
+  let text = Engine.Io.to_string prof in
   let q op =
     J.Obj
       [
@@ -599,7 +600,7 @@ let test_service_equilibrium_check_oracle_mode () =
            ("graph6", J.String (Netgraph.Graph6.encode g));
            ("k", J.Int 2);
            ("nu", J.Int 3);
-           ("profile", J.String (Defender.Profile_io.to_string prof));
+           ("profile", J.String (Engine.Io.to_string prof));
            ("mode", J.String "oracle");
          ])
   in

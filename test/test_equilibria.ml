@@ -4,8 +4,9 @@
 
 open Netgraph
 module Q = Exact.Q
+module Engine = Defender.Tuple_instance.Engine
 module P = Defender.Pure_nash
-module V = Defender.Verify
+module V = Engine.Verify
 module C = Defender.Characterization
 
 let q = Alcotest.testable Q.pp Q.equal
@@ -35,9 +36,9 @@ let test_pure_ne_construction () =
   | None -> Alcotest.fail "K4 with k=2 admits a pure NE"
   | Some profile ->
       Alcotest.(check bool) "constructed profile verifies" true
-        (P.is_pure_ne m profile);
+        (Engine.Pure.is_pure_ne m profile);
       Alcotest.(check int) "defender catches everyone" 3
-        (Defender.Profit.pure_tp m profile)
+        (Engine.Profit.pure_tp m profile)
 
 let test_pure_ne_none_constructed () =
   let g = Gen.path 5 in
@@ -49,16 +50,16 @@ let test_is_pure_ne_rejects () =
   let m = model ~g ~nu:1 ~k:1 in
   (* Defender on edge (0,1); attacker on 2 escapes: defender deviates. *)
   let prof =
-    Defender.Profile.make_pure m ~vp_choices:[ 2 ]
+    Engine.Profile.make_pure m ~vp_choices:[ 2 ]
       ~tp_choice:(Defender.Tuple.of_list g [ 0 ])
   in
-  Alcotest.(check bool) "defender wants to deviate" false (P.is_pure_ne m prof);
+  Alcotest.(check bool) "defender wants to deviate" false (Engine.Pure.is_pure_ne m prof);
   (* Attacker on covered vertex 1 while 2 is free: attacker deviates. *)
   let prof2 =
-    Defender.Profile.make_pure m ~vp_choices:[ 1 ]
+    Engine.Profile.make_pure m ~vp_choices:[ 1 ]
       ~tp_choice:(Defender.Tuple.of_list g [ 0 ])
   in
-  Alcotest.(check bool) "attacker wants to deviate" false (P.is_pure_ne m prof2)
+  Alcotest.(check bool) "attacker wants to deviate" false (Engine.Pure.is_pure_ne m prof2)
 
 let test_theorem31_vs_brute_force_atlas () =
   List.iter
@@ -68,7 +69,7 @@ let test_theorem31_vs_brute_force_atlas () =
         let m = model ~g ~nu:2 ~k in
         Alcotest.(check bool)
           (Printf.sprintf "%s k=%d theorem = brute" name k)
-          (P.exists_brute_force m) (P.exists m)
+          (Engine.Pure.exists_brute_force m) (P.exists m)
       done)
     (Gen.atlas_small ())
 
@@ -96,37 +97,37 @@ let sample_profile () =
   let g = Gen.path 4 in
   let m = model ~g ~nu:2 ~k:1 in
   let tuples = List.map (fun id -> Defender.Tuple.of_list g [ id ]) [ 0; 2 ] in
-  (g, m, Defender.Profile.uniform m ~vp_support:[ 0; 3 ] ~tp_support:tuples)
+  (g, m, Engine.Profile.uniform m ~vp_support:[ 0; 3 ] ~tp_support:tuples)
 
 let test_vp_best_value () =
   let _, _, prof = sample_profile () in
   (* Every vertex has hit probability 1/2 under {e0, e2} uniform. *)
   Alcotest.check q "vp best value" (Q.make 1 2)
-    (Defender.Best_response.vp_best_value prof)
+    (Engine.Best_response.vp_best_value prof)
 
 let test_vp_best_vertex_prefers_uncovered () =
   let g = Gen.path 4 in
   let m = model ~g ~nu:1 ~k:1 in
   let prof =
-    Defender.Profile.uniform m ~vp_support:[ 0 ]
+    Engine.Profile.uniform m ~vp_support:[ 0 ]
       ~tp_support:[ Defender.Tuple.of_list g [ 0 ] ]
   in
   (* Defender always on edge (0,1): vertices 2,3 are free. *)
-  let v = Defender.Best_response.vp_best_vertex prof in
+  let v = Engine.Best_response.vp_best_vertex prof in
   Alcotest.(check bool) "free vertex" true (v = 2 || v = 3);
-  Alcotest.check q "value 1" Q.one (Defender.Best_response.vp_best_value prof)
+  Alcotest.check q "value 1" Q.one (Engine.Best_response.vp_best_value prof)
 
 let test_tp_best_exhaustive () =
   let g = Gen.path 4 in
   let m = model ~g ~nu:2 ~k:1 in
   let prof =
-    Defender.Profile.uniform m ~vp_support:[ 1 ]
+    Engine.Profile.uniform m ~vp_support:[ 1 ]
       ~tp_support:[ Defender.Tuple.of_list g [ 2 ] ]
   in
   (* Both attackers on vertex 1: best edge catches both. *)
   Alcotest.check q "best catches 2" (Q.of_int 2)
-    (Defender.Best_response.tp_best_value_exhaustive prof);
-  let best = Defender.Best_response.tp_best_tuple_exhaustive prof in
+    (Engine.Best_response.tp_best_value_exhaustive prof);
+  let best = Engine.Best_response.tp_best_exhaustive prof in
   Alcotest.(check bool) "best tuple covers vertex 1" true
     (Defender.Tuple.covers g best 1)
 
@@ -134,15 +135,16 @@ let test_tp_upper_bound_sound () =
   let _, _, prof = sample_profile () in
   Alcotest.(check bool) "upper bound >= exhaustive max" true
     (Q.( >= )
-       (Defender.Best_response.tp_upper_bound prof)
-       (Defender.Best_response.tp_best_value_exhaustive prof))
+       (Engine.Best_response.tp_upper_bound prof)
+       (Engine.Best_response.tp_best_value_exhaustive prof))
 
 let test_tp_greedy_sound () =
   let _, _, prof = sample_profile () in
   Alcotest.(check bool) "greedy <= exhaustive max" true
     (Q.( <= )
-       (Defender.Best_response.tp_greedy_value prof)
-       (Defender.Best_response.tp_best_value_exhaustive prof))
+       (Defender.Tuple_game.tp_greedy_value (Engine.Profile.instance prof)
+          ~load:(Engine.Profile.expected_load prof))
+       (Engine.Best_response.tp_best_value_exhaustive prof))
 
 (* --- Verify --- *)
 
@@ -164,13 +166,13 @@ let test_verify_refutes_perturbed () =
   let prof = ne_p6_k2 () in
   (* Move one attacker onto a covered VC vertex: its hit probability rises
      strictly, so the profile stops being an NE. *)
-  let perturbed = Defender.Profile.replace_vp prof 0 (Dist.Finite.point 0) in
+  let perturbed = Engine.Profile.replace_vp prof 0 (Dist.Finite.point 0) in
   (match V.mixed_ne exhaustive perturbed with
   | V.Refuted _ -> ()
   | other -> Alcotest.fail ("expected refutation, got " ^ V.verdict_to_string other));
   (* Degrade the defender: all mass on a single tuple. *)
-  let first_tuple = List.hd (Defender.Profile.tp_support prof) in
-  let lazy_defender = Defender.Profile.replace_tp prof [ (first_tuple, Q.one) ] in
+  let first_tuple = List.hd (Engine.Profile.tp_support prof) in
+  let lazy_defender = Engine.Profile.replace_tp prof [ (first_tuple, Q.one) ] in
   match V.mixed_ne exhaustive lazy_defender with
   | V.Refuted _ -> ()
   | other -> Alcotest.fail ("expected refutation, got " ^ V.verdict_to_string other)
@@ -181,7 +183,7 @@ let test_verify_vp_side_detects () =
   (* Defender always scans (0,1); attacker splits mass between covered 0
      and free 3: misallocated mass on 0. *)
   let prof =
-    Defender.Profile.make_mixed m
+    Engine.Profile.make_mixed m
       ~vp:[ Dist.Finite.uniform [ 0; 3 ] ]
       ~tp:[ (Defender.Tuple.of_list g [ 0 ], Q.one) ]
   in
@@ -195,7 +197,7 @@ let test_tp_side_detects_unequal_support () =
   (* Attacker mass on {0,1}: support edge (0,1) has load 1,
      support edge (0,2) has load 1/2 -> defender support not indifferent. *)
   let prof =
-    Defender.Profile.make_mixed m
+    Engine.Profile.make_mixed m
       ~vp:[ Dist.Finite.uniform [ 0; 1 ] ]
       ~tp:
         [
@@ -214,7 +216,7 @@ let test_certificate_unknown_when_loose () =
   let g = Gen.path 4 in
   let m = model ~g ~nu:1 ~k:1 in
   let prof =
-    Defender.Profile.make_mixed m
+    Engine.Profile.make_mixed m
       ~vp:[ Dist.Finite.point 0 ]
       ~tp:[ (Defender.Tuple.of_list g [ 2 ], Q.one) ]
   in
@@ -257,7 +259,7 @@ let random_uniform_profile rng =
           (Array.to_list (Prng.Rng.sample_without_replacement rng ~count:k edge_ids)))
     |> List.sort_uniq Defender.Tuple.compare
   in
-  Defender.Profile.uniform m ~vp_support ~tp_support:tuples
+  Engine.Profile.uniform m ~vp_support ~tp_support:tuples
 
 let test_characterization_agrees_with_direct () =
   (* Theorem 3.4 vs the definitional best-response check on random
@@ -268,16 +270,16 @@ let test_characterization_agrees_with_direct () =
   let rng = Prng.Rng.create 4242 in
   for _ = 1 to 80 do
     let prof = random_uniform_profile rng in
-    let nu = Defender.Model.nu (Defender.Profile.model prof) in
+    let nu = Defender.Model.nu (Engine.Profile.instance prof) in
     let direct = V.verdict_is_confirmed (V.mixed_ne exhaustive prof) in
     let characterized = C.holds exhaustive prof in
     let saturating =
-      Q.equal (Defender.Profit.expected_tp prof) (Q.of_int nu)
+      Q.equal (Engine.Profit.expected_tp prof) (Q.of_int nu)
     in
     if direct <> characterized && not (direct && saturating) then
       Alcotest.failf "disagreement (direct %b vs characterization %b) on %s" direct
         characterized
-        (Format.asprintf "%a" Defender.Profile.pp prof)
+        (Format.asprintf "%a" Engine.Profile.pp prof)
   done
 
 let test_characterization_gap_single_tuple () =
@@ -289,7 +291,7 @@ let test_characterization_gap_single_tuple () =
   let m = model ~g ~nu:1 ~k:2 in
   let full_cover = Defender.Tuple.of_list g [ 0; 2 ] in
   let prof =
-    Defender.Profile.make_mixed m
+    Engine.Profile.make_mixed m
       ~vp:[ Dist.Finite.point 0 ]
       ~tp:[ (full_cover, Q.one) ]
   in
@@ -308,14 +310,14 @@ let test_characterization_gap_saturating_mixed () =
   let t1 = Defender.Tuple.of_list g [ 0; 3 ] in
   let t2 = Defender.Tuple.of_list g [ 2; 4 ] in
   let prof =
-    Defender.Profile.make_mixed m
+    Engine.Profile.make_mixed m
       ~vp:[ Dist.Finite.point 1; Dist.Finite.point 1 ]
       ~tp:[ (t1, Q.make 1 2); (t2, Q.make 1 2) ]
   in
   Alcotest.(check bool) "direct check: NE" true
     (V.verdict_is_confirmed (V.mixed_ne exhaustive prof));
   Alcotest.(check bool) "saturating: IP_tp = nu" true
-    (Q.equal (Defender.Profit.expected_tp prof) (Q.of_int 2));
+    (Q.equal (Engine.Profit.expected_tp prof) (Q.of_int 2));
   let report = C.check exhaustive prof in
   Alcotest.(check bool) "vertex-cover condition fails" false
     report.C.cond1_vertex_cover;
@@ -328,7 +330,7 @@ let test_characterization_refutes_non_cover () =
   let m = model ~g ~nu:1 ~k:1 in
   (* Support edge {1} = (1,2) is not an edge cover. *)
   let prof =
-    Defender.Profile.uniform m ~vp_support:[ 0 ]
+    Engine.Profile.uniform m ~vp_support:[ 0 ]
       ~tp_support:[ Defender.Tuple.of_list g [ 1 ] ]
   in
   let report = C.check exhaustive prof in
@@ -339,7 +341,7 @@ let test_characterization_condition_3b () =
   let g = Gen.path 4 in
   let m = model ~g ~nu:2 ~k:1 in
   let prof =
-    Defender.Profile.uniform m ~vp_support:[ 0; 3 ]
+    Engine.Profile.uniform m ~vp_support:[ 0; 3 ]
       ~tp_support:[ Defender.Tuple.of_list g [ 0 ]; Defender.Tuple.of_list g [ 2 ] ]
   in
   let report = C.check exhaustive prof in

@@ -4,6 +4,8 @@
 
 open Netgraph
 module Q = Exact.Q
+module Engine = Defender.Tuple_instance.Engine
+module Sim_tuple = Sim.Sim_instance.Tuple
 
 let q = Alcotest.testable Q.pp Q.equal
 
@@ -100,7 +102,7 @@ let test_path_model_pure_ne () =
   | None -> Alcotest.fail "construction should succeed"
   | Some prof ->
       Alcotest.(check int) "covers all vertices" 5
-        (List.length (Defender.Tuple.vertices g prof.Defender.Profile.tp_choice))
+        (List.length (Defender.Tuple.vertices g prof.Engine.Profile.tp_choice))
 
 let test_path_model_thresholds () =
   let rho, path_k = Defender.Path_model.pure_thresholds (Gen.cycle 6) in
@@ -117,16 +119,16 @@ let test_path_model_mixed_verify () =
   let m = model ~g ~nu:3 ~k:1 in
   let prof = ok (Defender.Matching_nash.solve_auto m) in
   Alcotest.(check bool) "matching NE is path-model NE" true
-    (Defender.Verify.verdict_is_confirmed (Defender.Path_model.is_mixed_ne prof));
+    (Engine.Verify.verdict_is_confirmed (Defender.Path_model.is_mixed_ne prof));
   (* A profile whose support is not made of paths is rejected. *)
   let m2 = model ~g ~nu:3 ~k:2 in
   let non_path =
-    Defender.Profile.uniform m2 ~vp_support:[ 0 ]
+    Engine.Profile.uniform m2 ~vp_support:[ 0 ]
       ~tp_support:[ Defender.Tuple.of_list g [ 0; 2 ] ]
   in
   match Defender.Path_model.is_mixed_ne non_path with
-  | Defender.Verify.Refuted _ -> ()
-  | v -> Alcotest.fail ("expected refutation: " ^ Defender.Verify.verdict_to_string v)
+  | Engine.Verify.Refuted _ -> ()
+  | v -> Alcotest.fail ("expected refutation: " ^ Engine.Verify.verdict_to_string v)
 
 (* --- Robustness --- *)
 
@@ -159,7 +161,7 @@ let test_tilt_vp_regret () =
 
 let test_tilt_tp_regret_scales_linearly () =
   let prof = ne_profile () in
-  let towards = List.hd (Defender.Profile.tp_support prof) in
+  let towards = List.hd (Engine.Profile.tp_support prof) in
   let regret_at eps =
     Defender.Robustness.max_regret
       (Defender.Robustness.regret
@@ -181,7 +183,7 @@ let test_tilt_validation () =
   (* tilting with epsilon = 0 is the identity on payoffs *)
   let t0 =
     Defender.Robustness.tilt_tp prof ~epsilon:Q.zero
-      ~towards:(List.hd (Defender.Profile.tp_support prof))
+      ~towards:(List.hd (Engine.Profile.tp_support prof))
   in
   Alcotest.check q "no-op tilt keeps gain" (Defender.Gain.defender_gain prof)
     (Defender.Gain.defender_gain t0)
@@ -299,7 +301,7 @@ let test_minimax_matches_matching_ne_floor () =
   List.iter
     (fun g ->
       let prof = ok (Defender.Matching_nash.solve_auto (model ~g ~nu:2 ~k:1)) in
-      let is_size = List.length (Defender.Profile.vp_support_union prof) in
+      let is_size = List.length (Engine.Profile.vp_support_union prof) in
       let d = Defender.Minimax.solve g in
       Alcotest.check q "NE floor = max-min value" (Q.make 1 is_size)
         d.Defender.Minimax.value)
@@ -310,38 +312,38 @@ let test_minimax_matches_matching_ne_floor () =
 let test_fictitious_converges_to_ne_value () =
   let g = Gen.path 6 in
   let m = model ~g ~nu:4 ~k:2 in
-  let r = Sim.Fictitious.run (Prng.Rng.create 5) m ~rounds:20_000 in
+  let r = Sim_tuple.Fictitious.run (Prng.Rng.create 5) m ~rounds:20_000 in
   let expected = 8.0 /. 3.0 in
   Alcotest.(check bool)
-    (Printf.sprintf "tail avg %.4f near %.4f" r.Sim.Fictitious.tail_avg_gain expected)
+    (Printf.sprintf "tail avg %.4f near %.4f" r.Sim_tuple.Fictitious.tail_avg_gain expected)
     true
-    (abs_float (r.Sim.Fictitious.tail_avg_gain -. expected) < 0.05 *. expected)
+    (abs_float (r.Sim_tuple.Fictitious.tail_avg_gain -. expected) < 0.05 *. expected)
 
 let test_fictitious_converges_to_minimax_without_ne () =
   (* C5 admits no matching NE; fictitious play still converges — to the
      LP max-min value nu * 2/5. *)
   let g = Gen.cycle 5 in
   let m = model ~g ~nu:3 ~k:1 in
-  let r = Sim.Fictitious.run (Prng.Rng.create 5) m ~rounds:20_000 in
+  let r = Sim_tuple.Fictitious.run (Prng.Rng.create 5) m ~rounds:20_000 in
   let expected = 3.0 *. 0.4 in
   Alcotest.(check bool)
-    (Printf.sprintf "tail avg %.4f near %.4f" r.Sim.Fictitious.tail_avg_gain expected)
+    (Printf.sprintf "tail avg %.4f near %.4f" r.Sim_tuple.Fictitious.tail_avg_gain expected)
     true
-    (abs_float (r.Sim.Fictitious.tail_avg_gain -. expected) < 0.05 *. expected)
+    (abs_float (r.Sim_tuple.Fictitious.tail_avg_gain -. expected) < 0.05 *. expected)
 
 let test_fictitious_bookkeeping () =
   let g = Gen.grid 2 3 in
   let m = model ~g ~nu:2 ~k:2 in
-  let r = Sim.Fictitious.run (Prng.Rng.create 9) m ~rounds:500 in
-  Alcotest.(check int) "rounds" 500 r.Sim.Fictitious.rounds;
-  let freq_total = Array.fold_left ( +. ) 0.0 r.Sim.Fictitious.attack_frequency in
+  let r = Sim_tuple.Fictitious.run (Prng.Rng.create 9) m ~rounds:500 in
+  Alcotest.(check int) "rounds" 500 r.Sim_tuple.Fictitious.rounds;
+  let freq_total = Array.fold_left ( +. ) 0.0 r.Sim_tuple.Fictitious.attack_frequency in
   Alcotest.(check (float 1e-9)) "attack frequencies sum to 1" 1.0 freq_total;
-  let scan_total = Array.fold_left ( +. ) 0.0 r.Sim.Fictitious.scan_frequency in
+  let scan_total = Array.fold_left ( +. ) 0.0 r.Sim_tuple.Fictitious.scan_frequency in
   Alcotest.(check (float 1e-9)) "scan marginals sum to k" 2.0 scan_total;
-  Alcotest.(check int) "series length" 500 (Array.length r.Sim.Fictitious.gain_series);
+  Alcotest.(check int) "series length" 500 (Array.length r.Sim_tuple.Fictitious.gain_series);
   Alcotest.check_raises "needs 2 rounds"
     (Invalid_argument "Fictitious.run: need at least two rounds") (fun () ->
-      ignore (Sim.Fictitious.run (Prng.Rng.create 1) m ~rounds:1))
+      ignore (Sim_tuple.Fictitious.run (Prng.Rng.create 1) m ~rounds:1))
 
 (* --- Gauss --- *)
 
@@ -388,7 +390,7 @@ let test_support_solver_recovers_matching_ne () =
   match Defender.Support_solver.solve m ~vp_support:[ 0; 2 ] ~tp_support:[ t 0; t 2 ] with
   | Ok prof ->
       Alcotest.check q "uniform attacker" (Q.make 1 2)
-        (Dist.Finite.prob (Defender.Profile.vp_strategy prof 0) 0);
+        (Dist.Finite.prob (Engine.Profile.vp_strategy prof 0) 0);
       Alcotest.check q "gain" Q.one (Defender.Gain.defender_gain prof)
   | Error f -> Alcotest.fail (Defender.Support_solver.failure_to_string f)
 
@@ -459,9 +461,9 @@ let test_support_search_c5_full_support_ne () =
   match Defender.Support_solver.search m ~candidate_tuples:candidates with
   | [ ne ] ->
       Alcotest.(check int) "full attacker support" 5
-        (List.length (Defender.Profile.vp_support_union ne));
+        (List.length (Engine.Profile.vp_support_union ne));
       Alcotest.(check int) "full defender support" 5
-        (List.length (Defender.Profile.tp_support ne));
+        (List.length (Engine.Profile.tp_support ne));
       let minimax = (Defender.Minimax.solve g).Defender.Minimax.value in
       Alcotest.check q "gain = nu * minimax value"
         (Q.mul_int minimax nu)

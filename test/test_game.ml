@@ -1,7 +1,7 @@
 (* The functorized game layer: the Induced enumerator against a
    brute-force oracle, the subgraph instance's kernel against the naive
    support-rescanning oracle (exact Q equality, fresh and after patch
-   chains), the cycle-rotation equilibrium, the versioned Profile_io
+   chains), the cycle-rotation equilibrium, the versioned profile I/O
    game tag (v1 = tuple stays byte-stable, v2 carries the tag, cross-
    game loads are rejected), and the game field on the experiment
    wire format. *)
@@ -10,6 +10,7 @@ open Netgraph
 module Q = Exact.Q
 module SG = Defender.Subgraph_game
 module Engine = Defender.Subgraph_instance.Engine
+module TEngine = Defender.Tuple_instance.Engine
 
 let q = Alcotest.testable Q.pp Q.equal
 
@@ -217,23 +218,23 @@ let test_subgraph_space_size () =
     (Q.binomial 6 3)
     (SG.space_size (SG.make ~graph:(Gen.complete 6) ~nu:1 ~lambda:3))
 
-(* --- Profile_io: versioned game tag --- *)
+(* --- Io: versioned game tag --- *)
 
 let test_io_tuple_v1 () =
   let g = Gen.path 4 in
   let m = Defender.Model.make ~graph:g ~nu:2 ~k:1 in
   let prof =
-    Defender.Profile.uniform m ~vp_support:[ 0; 1; 2; 3 ]
+    TEngine.Profile.uniform m ~vp_support:[ 0; 1; 2; 3 ]
       ~tp_support:[ Defender.Tuple.of_list g [ 0 ]; Defender.Tuple.of_list g [ 2 ] ]
   in
-  let text = Defender.Profile_io.to_string prof in
+  let text = TEngine.Io.to_string prof in
   Alcotest.(check bool) "v1 header" true
     (String.length text >= 42
     && String.sub text 0 42 = "# defender mixed configuration\nprofile v1\n");
-  let back = Defender.Profile_io.of_string m text in
+  let back = TEngine.Io.of_string m text in
   Alcotest.check q "round-trip gain"
-    (Defender.Profit.expected_tp prof)
-    (Defender.Profit.expected_tp back)
+    (TEngine.Profit.expected_tp prof)
+    (TEngine.Profit.expected_tp back)
 
 let test_io_subgraph_v2 () =
   let g = Gen.cycle 6 in
@@ -272,12 +273,12 @@ let test_io_cross_game_rejected () =
   Alcotest.check_raises "subgraph profile into tuple model"
     (Invalid_argument
        "Profile_io: profile is for game subgraph, model is game tuple")
-    (fun () -> ignore (Defender.Profile_io.of_string m sub_text));
+    (fun () -> ignore (TEngine.Io.of_string m sub_text));
   let tuple_prof =
-    Defender.Profile.uniform m ~vp_support:[ 0; 1 ]
+    TEngine.Profile.uniform m ~vp_support:[ 0; 1 ]
       ~tp_support:[ Defender.Tuple.of_list g [ 0; 3 ] ]
   in
-  let tuple_text = Defender.Profile_io.to_string tuple_prof in
+  let tuple_text = TEngine.Io.to_string tuple_prof in
   Alcotest.check_raises "tuple v1 profile into subgraph model"
     (Invalid_argument
        "Profile_io: v1 profile is a tuple-game profile, model is game subgraph")

@@ -5,7 +5,9 @@
 
 open Netgraph
 module Q = Exact.Q
-module V = Defender.Verify
+module Engine = Defender.Tuple_instance.Engine
+module Sim_tuple = Sim.Sim_instance.Tuple
+module V = Engine.Verify
 
 let q = Alcotest.testable Q.pp Q.equal
 
@@ -38,11 +40,11 @@ let test_full_pipeline_random_bipartite () =
     Alcotest.(check bool) "characterization" true
       (Defender.Characterization.holds V.Certificate prof);
     (* 4. Monte-Carlo agreement *)
-    let stats = Sim.Engine.play (Prng.Rng.create 55) prof ~rounds:8000 in
+    let stats = Sim_tuple.Engine.play (Prng.Rng.create 55) prof ~rounds:8000 in
     Alcotest.(check bool) "simulation agrees" true
-      (Sim.Engine.agrees_with_analytic stats prof);
+      (Sim_tuple.Engine.agrees_with_analytic stats prof);
     (* 5. gain law *)
-    let is_size = List.length (Defender.Profile.vp_support_union prof) in
+    let is_size = List.length (Engine.Profile.vp_support_union prof) in
     Alcotest.check q "gain = k*nu/|IS|"
       (Q.make (k * nu) is_size)
       (Defender.Gain.defender_gain prof)
@@ -55,7 +57,7 @@ let test_power_of_the_defender_sweep () =
   let nu = 7 in
   let m1 = Defender.Model.make ~graph:g ~nu ~k:1 in
   let edge_prof = ok (Defender.Matching_nash.solve_auto m1) in
-  let is_size = List.length (Defender.Profile.vp_support_union edge_prof) in
+  let is_size = List.length (Engine.Profile.vp_support_union edge_prof) in
   let base = Defender.Gain.defender_gain edge_prof in
   let points = ref [] in
   for k = 1 to is_size do
@@ -84,16 +86,17 @@ let test_pure_ne_boundary_triangulated () =
       Alcotest.(check bool)
         (Printf.sprintf "C%d k=%d exists" n k)
         true (Defender.Pure_nash.exists m);
-      Alcotest.(check bool) "brute agrees" true (Defender.Pure_nash.exists_brute_force m);
+      Alcotest.(check bool) "brute agrees" true (Engine.Pure.exists_brute_force m);
       Alcotest.(check bool) "dynamics converge" true
-        (Sim.Dynamics.is_converged (Sim.Dynamics.run (Prng.Rng.create 3) m ~max_steps:5000));
+        (Sim_tuple.Dynamics.is_converged
+           (Sim_tuple.Dynamics.run (Prng.Rng.create 3) m ~max_steps:5000));
       (* One fewer edge of power: no pure NE (rho = n/2 > k-1). *)
       if k > 1 then begin
         let m' = Defender.Model.make ~graph:g ~nu:2 ~k:(k - 1) in
         Alcotest.(check bool) "below rho: none" false (Defender.Pure_nash.exists m');
         Alcotest.(check bool) "dynamics churn" false
-          (Sim.Dynamics.is_converged
-             (Sim.Dynamics.run (Prng.Rng.create 3) m' ~max_steps:2000))
+          (Sim_tuple.Dynamics.is_converged
+             (Sim_tuple.Dynamics.run (Prng.Rng.create 3) m' ~max_steps:2000))
       end
     end
   done
@@ -110,8 +113,8 @@ let test_serialization_roundtrip_equilibrium () =
   in
   let a = solve g and b = solve g' in
   Alcotest.(check (list int)) "same attacker support"
-    (Defender.Profile.vp_support_union a)
-    (Defender.Profile.vp_support_union b);
+    (Engine.Profile.vp_support_union a)
+    (Engine.Profile.vp_support_union b);
   Alcotest.check q "same gain" (Defender.Gain.defender_gain a)
     (Defender.Gain.defender_gain b)
 
@@ -124,11 +127,11 @@ let test_edge_model_end_to_end () =
   let prof = ok (Defender.Matching_nash.solve_auto m) in
   (* star: IS = 8 leaves, each support edge = spoke; gain = nu/8. *)
   Alcotest.check q "gain nu/8" (Q.make nu 8) (Defender.Gain.defender_gain prof);
-  let stats = Sim.Engine.play (Prng.Rng.create 77) prof ~rounds:30_000 in
+  let stats = Sim_tuple.Engine.play (Prng.Rng.create 77) prof ~rounds:30_000 in
   Alcotest.(check bool) "simulation agrees" true
-    (Sim.Engine.agrees_with_analytic stats prof);
+    (Sim_tuple.Engine.agrees_with_analytic stats prof);
   for i = 0 to nu - 1 do
-    let rate = Sim.Engine.escape_rate stats i in
+    let rate = Sim_tuple.Engine.escape_rate stats i in
     Alcotest.(check bool)
       (Printf.sprintf "escape rate of vp%d near 7/8" i)
       true
@@ -142,15 +145,15 @@ let test_defense_ablation () =
   let m = Defender.Model.make ~graph:g ~nu:4 ~k:2 in
   let prof = ok (Defender.Tuple_nash.a_tuple_auto m) in
   let ne_attacker =
-    Sim.Workload.Attacker_fixed (Defender.Profile.vp_strategy prof 0)
+    Sim_tuple.Workload.Attacker_fixed (Engine.Profile.vp_strategy prof 0)
   in
   let run defender =
-    (Sim.Workload.run (Prng.Rng.create 31) m ~attacker:ne_attacker ~defender
+    (Sim_tuple.Workload.run (Prng.Rng.create 31) m ~attacker:ne_attacker ~defender
        ~rounds:15_000)
-      .Sim.Workload.mean_caught
+      .Sim_tuple.Workload.mean_caught
   in
-  let ne_gain = run (Sim.Workload.Defender_fixed (Defender.Profile.tp_strategy prof)) in
-  let uniform_gain = run Sim.Workload.Defender_uniform_tuple in
+  let ne_gain = run (Sim_tuple.Workload.Defender_fixed (Engine.Profile.tp_strategy prof)) in
+  let uniform_gain = run Sim_tuple.Workload.Defender_uniform_tuple in
   let analytic = Q.to_float (Defender.Gain.defender_gain prof) in
   Alcotest.(check bool)
     (Printf.sprintf "NE empirical %.3f matches analytic %.3f" ne_gain analytic)
@@ -180,14 +183,14 @@ let test_a_tuple_equals_reduction_lift () =
   let via_reduction = ok (Defender.Reduction.edge_to_tuple ~k edge_prof) in
   let via_a_tuple = ok (Defender.Tuple_nash.a_tuple mk partition) in
   Alcotest.(check (list int)) "same attacker support"
-    (Defender.Profile.vp_support_union via_reduction)
-    (Defender.Profile.vp_support_union via_a_tuple);
+    (Engine.Profile.vp_support_union via_reduction)
+    (Engine.Profile.vp_support_union via_a_tuple);
   Alcotest.(check (list int)) "same defender edges"
-    (Defender.Profile.tp_support_edges via_reduction)
-    (Defender.Profile.tp_support_edges via_a_tuple);
+    (Defender.Tuple.edge_union (Engine.Profile.tp_support via_reduction))
+    (Defender.Tuple.edge_union (Engine.Profile.tp_support via_a_tuple));
   Alcotest.(check int) "same tuple count"
-    (List.length (Defender.Profile.tp_support via_reduction))
-    (List.length (Defender.Profile.tp_support via_a_tuple))
+    (List.length (Engine.Profile.tp_support via_reduction))
+    (List.length (Engine.Profile.tp_support via_a_tuple))
 
 let () =
   Alcotest.run "integration"

@@ -2,6 +2,7 @@
 
 open Netgraph
 module Q = Exact.Q
+module Engine = Defender.Tuple_instance.Engine
 
 let q = Alcotest.testable Q.pp Q.equal
 
@@ -299,7 +300,7 @@ let test_weighted_loads () =
   Alcotest.check q "total weight" (Q.make 13 2) (Defender.Weighted.total_weight w);
   (* all three attackers as point masses on distinct vertices *)
   let prof =
-    Defender.Profile.make_mixed m
+    Engine.Profile.make_mixed m
       ~vp:[ Dist.Finite.point 1; Dist.Finite.point 3; Dist.Finite.point 5 ]
       ~tp:[ (Defender.Tuple.of_list (Defender.Model.graph m) [ 0; 2 ], Q.one) ]
   in
@@ -316,7 +317,7 @@ let test_weighted_k_matching_is_ne () =
   let partition = Option.get (Defender.Matching_nash.find_partition g) in
   let prof = ok (Defender.Weighted.a_tuple w partition) in
   Alcotest.(check bool) "weighted NE verified" true
-    (Defender.Verify.verdict_is_confirmed (Defender.Weighted.verify_ne w prof));
+    (Engine.Verify.verdict_is_confirmed (Defender.Weighted.verify_ne w prof));
   (* gain law generalizes: k*W/|IS| = 2 * (13/2) / 3 = 13/3 *)
   let is_size = List.length partition.Defender.Matching_nash.is in
   Alcotest.check q "weighted gain law"
@@ -330,15 +331,15 @@ let test_weighted_detects_bad_defense () =
   (* Defender ignores the heavy attacker's whereabouts: put all attackers
      on vertex 1 but scan only the far end. *)
   let prof =
-    Defender.Profile.make_mixed m
+    Engine.Profile.make_mixed m
       ~vp:[ Dist.Finite.point 1; Dist.Finite.point 1; Dist.Finite.point 1 ]
       ~tp:[ (Defender.Tuple.of_list g [ 3; 4 ], Q.one) ]
   in
   match Defender.Weighted.verify_ne w prof with
-  | Defender.Verify.Refuted _ -> ()
+  | Engine.Verify.Refuted _ -> ()
   | v ->
       Alcotest.fail
-        ("expected weighted refutation: " ^ Defender.Verify.verdict_to_string v)
+        ("expected weighted refutation: " ^ Engine.Verify.verdict_to_string v)
 
 let test_weighted_reduces_to_unweighted () =
   (* Unit weights recover the ordinary profit. *)
@@ -347,10 +348,10 @@ let test_weighted_reduces_to_unweighted () =
   let w = Defender.Weighted.make m ~weights:(List.init 4 (fun _ -> Q.one)) in
   let prof = ok (Defender.Tuple_nash.a_tuple_auto m) in
   Alcotest.check q "weighted = unweighted at unit weights"
-    (Defender.Profit.expected_tp prof)
+    (Engine.Profit.expected_tp prof)
     (Defender.Weighted.expected_tp w prof);
   Alcotest.(check bool) "verified" true
-    (Defender.Verify.verdict_is_confirmed (Defender.Weighted.verify_ne w prof))
+    (Engine.Verify.verdict_is_confirmed (Defender.Weighted.verify_ne w prof))
 
 let weighted_props =
   let setup_gen =
@@ -373,13 +374,13 @@ let weighted_props =
         match Defender.Tuple_nash.a_tuple_auto m with
         | Error _ -> QCheck.assume_fail ()
         | Ok prof ->
-            Defender.Verify.verdict_is_confirmed (Defender.Weighted.verify_ne w prof));
+            Engine.Verify.verdict_is_confirmed (Defender.Weighted.verify_ne w prof));
     QCheck.Test.make ~name:"weighted gain law k*W/|IS|" ~count:40 setup_gen
       (fun (m, w) ->
         match Defender.Tuple_nash.a_tuple_auto m with
         | Error _ -> QCheck.assume_fail ()
         | Ok prof ->
-            let is_size = List.length (Defender.Profile.vp_support_union prof) in
+            let is_size = List.length (Engine.Profile.vp_support_union prof) in
             Q.equal
               (Defender.Weighted.predicted_gain w ~is_size)
               (Defender.Weighted.expected_tp w prof));

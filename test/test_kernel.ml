@@ -7,8 +7,9 @@
 
 open Netgraph
 module Q = Exact.Q
-module Profile = Defender.Profile
-module K = Defender.Payoff_kernel
+module Engine = Defender.Tuple_instance.Engine
+module K = Engine.Kernel
+module Sim_tuple = Sim.Sim_instance.Tuple
 
 let q = Alcotest.testable Q.pp Q.equal
 
@@ -48,7 +49,7 @@ let random_model_profile rng =
   let m = Defender.Model.make ~graph:g ~nu ~k in
   let vp = List.init nu (fun _ -> random_finite rng g) in
   let tp = random_tp rng g k in
-  (m, Profile.make_mixed m ~vp ~tp)
+  (m, Engine.Profile.make_mixed m ~vp ~tp)
 
 let random_tuple rng g k =
   let edge_ids = Array.init (Graph.m g) Fun.id in
@@ -57,30 +58,30 @@ let random_tuple rng g k =
 
 (* Assert every kernel query on [prof] equals the naive oracle exactly. *)
 let check_kernel_vs_naive ?(label = "") rng prof =
-  let m = Profile.model prof in
+  let m = Engine.Profile.instance prof in
   let g = Defender.Model.graph m in
   for v = 0 to Graph.n g - 1 do
     Alcotest.check q
       (Printf.sprintf "%shit_prob %d" label v)
-      (Profile.hit_prob ~naive:true prof v)
-      (Profile.hit_prob prof v);
+      (Engine.Profile.hit_prob ~naive:true prof v)
+      (Engine.Profile.hit_prob prof v);
     Alcotest.check q
       (Printf.sprintf "%sexpected_load %d" label v)
-      (Profile.expected_load ~naive:true prof v)
-      (Profile.expected_load prof v)
+      (Engine.Profile.expected_load ~naive:true prof v)
+      (Engine.Profile.expected_load prof v)
   done;
   for id = 0 to Graph.m g - 1 do
     Alcotest.check q
       (Printf.sprintf "%sexpected_load_edge %d" label id)
-      (Profile.expected_load_edge ~naive:true prof id)
-      (Profile.expected_load_edge prof id)
+      (Engine.Profile.expected_load_edge ~naive:true prof id)
+      (Engine.Profile.expected_load_edge prof id)
   done;
   for _ = 1 to 3 do
     let t = random_tuple rng g (Defender.Model.k m) in
     Alcotest.check q
       (Printf.sprintf "%sexpected_load_tuple" label)
-      (Profile.expected_load_tuple ~naive:true prof t)
-      (Profile.expected_load_tuple prof t)
+      (Engine.Profile.expected_load_strategy ~naive:true prof t)
+      (Engine.Profile.expected_load_strategy prof t)
   done
 
 (* Assert the kernel of [prof] has the same tables as a kernel built from
@@ -89,15 +90,15 @@ let check_kernel_vs_naive ?(label = "") rng prof =
    the table level). *)
 let check_kernel_vs_fresh ?(label = "") prof =
   let fresh =
-    Profile.make_mixed (Profile.model prof)
-      ~vp:(Array.to_list (Profile.vp_strategies prof))
-      ~tp:(Profile.tp_strategy prof)
+    Engine.Profile.make_mixed (Engine.Profile.instance prof)
+      ~vp:(Array.to_list (Engine.Profile.vp_strategies prof))
+      ~tp:(Engine.Profile.tp_strategy prof)
   in
   let tables k =
     ( K.hit_table_copy k, K.load_table_copy k, K.edge_load_table_copy k )
   in
-  let h1, l1, e1 = tables (Profile.kernel prof) in
-  let h2, l2, e2 = tables (Profile.kernel fresh) in
+  let h1, l1, e1 = tables (Engine.Profile.kernel prof) in
+  let h2, l2, e2 = tables (Engine.Profile.kernel fresh) in
   let eq name a b =
     Alcotest.(check bool)
       (Printf.sprintf "%s%s table = fresh rebuild" label name)
@@ -128,7 +129,7 @@ let test_replace_vp_chain () =
     let prof = ref prof in
     for step = 1 to 8 do
       let player = Prng.Rng.int rng nu in
-      prof := Profile.replace_vp !prof player (random_finite rng g);
+      prof := Engine.Profile.replace_vp !prof player (random_finite rng g);
       let label = Printf.sprintf "vp chain %d step %d: " i step in
       check_kernel_vs_naive ~label rng !prof;
       check_kernel_vs_fresh ~label !prof
@@ -145,7 +146,7 @@ let test_replace_tp_chain () =
     let k = Defender.Model.k m in
     let prof = ref prof in
     for step = 1 to 5 do
-      prof := Profile.replace_tp !prof (random_tp rng g k);
+      prof := Engine.Profile.replace_tp !prof (random_tp rng g k);
       let label = Printf.sprintf "tp chain %d step %d: " i step in
       check_kernel_vs_naive ~label rng !prof;
       check_kernel_vs_fresh ~label !prof
@@ -165,8 +166,8 @@ let test_interleaved_chain () =
     for step = 1 to 10 do
       (if Prng.Rng.int rng 2 = 0 then
          let player = Prng.Rng.int rng nu in
-         prof := Profile.replace_vp !prof player (random_finite rng g)
-       else prof := Profile.replace_tp !prof (random_tp rng g k));
+         prof := Engine.Profile.replace_vp !prof player (random_finite rng g)
+       else prof := Engine.Profile.replace_tp !prof (random_tp rng g k));
       let label = Printf.sprintf "mixed chain %d step %d: " i step in
       check_kernel_vs_naive ~label rng !prof;
       check_kernel_vs_fresh ~label !prof
@@ -180,23 +181,23 @@ let test_consumers_agree () =
   for _ = 1 to 20 do
     let _, prof = random_model_profile rng in
     Alcotest.check q "vp_best_value naive = kernel"
-      (Defender.Best_response.vp_best_value ~naive:true prof)
-      (Defender.Best_response.vp_best_value prof);
+      (Engine.Best_response.vp_best_value ~naive:true prof)
+      (Engine.Best_response.vp_best_value prof);
     Alcotest.check q "tp_best_value naive = kernel"
-      (Defender.Best_response.tp_best_value_exhaustive ~naive:true prof)
-      (Defender.Best_response.tp_best_value_exhaustive prof);
+      (Engine.Best_response.tp_best_value_exhaustive ~naive:true prof)
+      (Engine.Best_response.tp_best_value_exhaustive prof);
     Alcotest.check q "expected_tp naive = kernel"
-      (Defender.Profit.expected_tp ~naive:true prof)
-      (Defender.Profit.expected_tp prof);
-    let exhaustive = Defender.Verify.Exhaustive 500_000 in
+      (Engine.Profit.expected_tp ~naive:true prof)
+      (Engine.Profit.expected_tp prof);
+    let exhaustive = Engine.Verify.Exhaustive 500_000 in
     Alcotest.(check bool) "characterization naive = kernel" true
       (Defender.Characterization.holds ~naive:true exhaustive prof
       = Defender.Characterization.holds exhaustive prof);
     Alcotest.(check bool) "mixed_ne naive = kernel" true
-      (Defender.Verify.verdict_is_confirmed
-         (Defender.Verify.mixed_ne ~naive:true exhaustive prof)
-      = Defender.Verify.verdict_is_confirmed
-          (Defender.Verify.mixed_ne exhaustive prof))
+      (Engine.Verify.verdict_is_confirmed
+         (Engine.Verify.mixed_ne ~naive:true exhaustive prof)
+      = Engine.Verify.verdict_is_confirmed
+          (Engine.Verify.mixed_ne exhaustive prof))
   done
 
 (* --- kernel primitives --- *)
@@ -205,19 +206,19 @@ let test_vertex_incidence_sums () =
   (* P4: edges e0=(0,1), e1=(1,2), e2=(2,3); weights 1/2, 1/3, 1/5. *)
   let g = Gen.path 4 in
   let w = [| Q.make 1 2; Q.make 1 3; Q.make 1 5 |] in
-  let sums = K.vertex_incidence_sums g w in
+  let sums = Defender.Minimax.vertex_incidence_sums g w in
   Alcotest.check q "v0" (Q.make 1 2) sums.(0);
   Alcotest.check q "v1" (Q.add (Q.make 1 2) (Q.make 1 3)) sums.(1);
   Alcotest.check q "v2" (Q.add (Q.make 1 3) (Q.make 1 5)) sums.(2);
   Alcotest.check q "v3" (Q.make 1 5) sums.(3);
   Alcotest.check_raises "length mismatch"
     (Invalid_argument "Payoff_kernel.vertex_incidence_sums: need one weight per edge")
-    (fun () -> ignore (K.vertex_incidence_sums g [| Q.one |]))
+    (fun () -> ignore (Defender.Minimax.vertex_incidence_sums g [| Q.one |]))
 
 (* --- fictitious play: incremental vs history-rescanning naive mode --- *)
 
 let fictitious_results_equal a b =
-  let open Sim.Fictitious in
+  let open Sim_tuple.Fictitious in
   a.rounds = b.rounds
   && a.avg_gain = b.avg_gain
   && a.tail_avg_gain = b.tail_avg_gain
@@ -237,10 +238,10 @@ let test_fictitious_naive_identical () =
     (fun (g, nu, k, rounds) ->
       let m = Defender.Model.make ~graph:g ~nu ~k in
       let incremental =
-        Sim.Fictitious.run (Prng.Rng.create 99) m ~rounds
+        Sim_tuple.Fictitious.run (Prng.Rng.create 99) m ~rounds
       in
       let naive =
-        Sim.Fictitious.run ~naive:true (Prng.Rng.create 99) m ~rounds
+        Sim_tuple.Fictitious.run ~naive:true (Prng.Rng.create 99) m ~rounds
       in
       Alcotest.(check bool)
         (Printf.sprintf "n=%d bit-for-bit identical" (Graph.n g))
@@ -251,28 +252,31 @@ let test_fictitious_naive_identical () =
 (* --- greedy_response guard regressions --- *)
 
 let test_greedy_response_guards () =
+  let greedy_response =
+    Defender.Tuple_game.greedy_edges ~err:"Fictitious.greedy_response"
+  in
   let g = Gen.path 3 in
   (* m = 2 edges.  k out of range raises instead of looping/crashing. *)
   Alcotest.check_raises "k = 0"
     (Invalid_argument "Fictitious.greedy_response: k = 0 outside [1, m = 2]")
-    (fun () -> ignore (Sim.Fictitious.greedy_response g 0 [| 0; 0; 0 |]));
+    (fun () -> ignore (greedy_response g 0 [| 0; 0; 0 |]));
   Alcotest.check_raises "k > m"
     (Invalid_argument "Fictitious.greedy_response: k = 3 outside [1, m = 2]")
-    (fun () -> ignore (Sim.Fictitious.greedy_response g 3 [| 0; 0; 0 |]));
+    (fun () -> ignore (greedy_response g 3 [| 0; 0; 0 |]));
   (* All-zero loads: every pick ties at gain 0, still a valid k-tuple. *)
-  let t = Sim.Fictitious.greedy_response g 2 [| 0; 0; 0 |] in
+  let t = greedy_response g 2 [| 0; 0; 0 |] in
   Alcotest.(check int) "zero loads: full tuple" 2
     (List.length (Defender.Tuple.to_list t));
   (* Negative loads: every gain is below the -1 sentinel, so the old code
      indexed Graph.edge g (-1); the fallback must pick remaining edges. *)
-  let t = Sim.Fictitious.greedy_response g 2 [| -5; -5; -5 |] in
+  let t = greedy_response g 2 [| -5; -5; -5 |] in
   Alcotest.(check int) "negative loads: full tuple" 2
     (List.length (Defender.Tuple.to_list t));
   (* Second pass of k=2 on a star: after the first pick covers the hub,
      remaining gains are all 0 (> -1), fine; with negative leaf loads the
      sentinel path triggers on the second pick. *)
   let s = Gen.star 4 in
-  let t = Sim.Fictitious.greedy_response s 2 [| 10; -3; -3; -3 |] in
+  let t = greedy_response s 2 [| 10; -3; -3; -3 |] in
   Alcotest.(check int) "sentinel on second pick: full tuple" 2
     (List.length (Defender.Tuple.to_list t))
 

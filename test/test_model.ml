@@ -2,6 +2,7 @@
 
 open Netgraph
 module Q = Exact.Q
+module Engine = Defender.Tuple_instance.Engine
 
 let q = Alcotest.testable Q.pp Q.equal
 
@@ -125,14 +126,14 @@ let test_pure_profile () =
   let g = p4 () in
   let m = model ~nu:2 ~k:1 g in
   let t = Defender.Tuple.of_list g [ 1 ] in
-  let p = Defender.Profile.make_pure m ~vp_choices:[ 0; 2 ] ~tp_choice:t in
-  Alcotest.(check int) "stored choices" 2 (Array.length p.Defender.Profile.vp_choices);
+  let p = Engine.Profile.make_pure m ~vp_choices:[ 0; 2 ] ~tp_choice:t in
+  Alcotest.(check int) "stored choices" 2 (Array.length p.Engine.Profile.vp_choices);
   Alcotest.check_raises "arity" (Invalid_argument "Profile.make_pure: wrong number of vertex-player choices")
-    (fun () -> ignore (Defender.Profile.make_pure m ~vp_choices:[ 0 ] ~tp_choice:t));
+    (fun () -> ignore (Engine.Profile.make_pure m ~vp_choices:[ 0 ] ~tp_choice:t));
   Alcotest.check_raises "tuple size" (Invalid_argument "Profile: tuple size 2, expected k = 1")
     (fun () ->
       ignore
-        (Defender.Profile.make_pure m ~vp_choices:[ 0; 2 ]
+        (Engine.Profile.make_pure m ~vp_choices:[ 0; 2 ]
            ~tp_choice:(Defender.Tuple.of_list g [ 0; 1 ])))
 
 let test_mixed_profile_validation () =
@@ -142,70 +143,72 @@ let test_mixed_profile_validation () =
   Alcotest.check_raises "bad tuple total"
     (Invalid_argument "Profile.make_mixed: tuple probabilities sum to 3/4") (fun () ->
       ignore
-        (Defender.Profile.make_mixed m
+        (Engine.Profile.make_mixed m
            ~vp:[ Dist.Finite.point 0 ]
            ~tp:[ (t0, Q.make 1 2); (t1, Q.make 1 4) ]));
   Alcotest.check_raises "duplicate tuple"
     (Invalid_argument "Profile.make_mixed: duplicate tuple in support") (fun () ->
       ignore
-        (Defender.Profile.make_mixed m
+        (Engine.Profile.make_mixed m
            ~vp:[ Dist.Finite.point 0 ]
            ~tp:[ (t0, Q.make 1 2); (t0, Q.make 1 2) ]));
   Alcotest.check_raises "empty tp"
     (Invalid_argument "Profile.make_mixed: empty tuple-player strategy") (fun () ->
-      ignore (Defender.Profile.make_mixed m ~vp:[ Dist.Finite.point 0 ] ~tp:[]))
+      ignore (Engine.Profile.make_mixed m ~vp:[ Dist.Finite.point 0 ] ~tp:[]))
 
 let test_uniform_profile () =
   let g = p4 () in
   let m = model ~nu:2 ~k:1 g in
   let tuples = List.map (fun id -> Defender.Tuple.of_list g [ id ]) [ 0; 2 ] in
-  let prof = Defender.Profile.uniform m ~vp_support:[ 1; 3 ] ~tp_support:tuples in
-  Alcotest.(check (list int)) "vp support" [ 1; 3 ] (Defender.Profile.vp_support prof 0);
-  Alcotest.(check (list int)) "vp union" [ 1; 3 ] (Defender.Profile.vp_support_union prof);
-  Alcotest.(check (list int)) "tp edges" [ 0; 2 ] (Defender.Profile.tp_support_edges prof);
+  let prof = Engine.Profile.uniform m ~vp_support:[ 1; 3 ] ~tp_support:tuples in
+  Alcotest.(check (list int)) "vp support" [ 1; 3 ] (Engine.Profile.vp_support prof 0);
+  Alcotest.(check (list int)) "vp union" [ 1; 3 ] (Engine.Profile.vp_support_union prof);
+  Alcotest.(check (list int)) "tp edges" [ 0; 2 ]
+    (Defender.Tuple.edge_union (Engine.Profile.tp_support prof));
   List.iter
     (fun (_, p) -> Alcotest.check q "uniform tuple prob" (Q.make 1 2) p)
-    (Defender.Profile.tp_strategy prof)
+    (Engine.Profile.tp_strategy prof)
 
 let test_hit_and_load () =
   let g = p4 () in
   let m = model ~nu:2 ~k:1 g in
   let tuples = List.map (fun id -> Defender.Tuple.of_list g [ id ]) [ 0; 2 ] in
-  let prof = Defender.Profile.uniform m ~vp_support:[ 1; 3 ] ~tp_support:tuples in
+  let prof = Engine.Profile.uniform m ~vp_support:[ 1; 3 ] ~tp_support:tuples in
   (* Hit(0) = P(tuple {0}) = 1/2; Hit(1) = 1/2; Hit(2) = 1/2; Hit(3) = 1/2 *)
-  Alcotest.check q "hit 0" (Q.make 1 2) (Defender.Profile.hit_prob prof 0);
-  Alcotest.check q "hit 3" (Q.make 1 2) (Defender.Profile.hit_prob prof 3);
+  Alcotest.check q "hit 0" (Q.make 1 2) (Engine.Profile.hit_prob prof 0);
+  Alcotest.check q "hit 3" (Q.make 1 2) (Engine.Profile.hit_prob prof 3);
   (* loads: each player uniform on {1,3}: m(1) = m(3) = 1 *)
-  Alcotest.check q "load 1" Q.one (Defender.Profile.expected_load prof 1);
-  Alcotest.check q "load 0" Q.zero (Defender.Profile.expected_load prof 0);
+  Alcotest.check q "load 1" Q.one (Engine.Profile.expected_load prof 1);
+  Alcotest.check q "load 0" Q.zero (Engine.Profile.expected_load prof 0);
   (* edge 0 = (0,1): load = 1 *)
-  Alcotest.check q "edge load" Q.one (Defender.Profile.expected_load_edge prof 0);
+  Alcotest.check q "edge load" Q.one (Engine.Profile.expected_load_edge prof 0);
   let t02 = Defender.Tuple.of_list g [ 0; 2 ] in
-  Alcotest.check q "tuple load" (Q.of_int 2) (Defender.Profile.expected_load_tuple prof t02)
+  Alcotest.check q "tuple load" (Q.of_int 2) (Engine.Profile.expected_load_strategy prof t02)
 
 let test_tuples_hitting () =
   let g = p4 () in
   let m = model ~nu:1 ~k:1 g in
   let tuples = List.map (fun id -> Defender.Tuple.of_list g [ id ]) [ 0; 1; 2 ] in
-  let prof = Defender.Profile.uniform m ~vp_support:[ 0 ] ~tp_support:tuples in
+  let prof = Engine.Profile.uniform m ~vp_support:[ 0 ] ~tp_support:tuples in
   Alcotest.(check int) "vertex 1 hit by edges 0,1" 2
-    (List.length (Defender.Profile.tuples_hitting prof 1));
+    (List.length (Engine.Profile.tuples_hitting prof 1));
   Alcotest.(check int) "vertex 0 hit by edge 0" 1
-    (List.length (Defender.Profile.tuples_hitting prof 0))
+    (List.length (Engine.Profile.tuples_hitting prof 0))
 
 let test_replace () =
   let g = p4 () in
   let m = model ~nu:2 ~k:1 g in
   let tuples = List.map (fun id -> Defender.Tuple.of_list g [ id ]) [ 0 ] in
-  let prof = Defender.Profile.uniform m ~vp_support:[ 3 ] ~tp_support:tuples in
-  let prof' = Defender.Profile.replace_vp prof 0 (Dist.Finite.point 2) in
-  Alcotest.(check (list int)) "player 0 moved" [ 2 ] (Defender.Profile.vp_support prof' 0);
-  Alcotest.(check (list int)) "player 1 unchanged" [ 3 ] (Defender.Profile.vp_support prof' 1);
+  let prof = Engine.Profile.uniform m ~vp_support:[ 3 ] ~tp_support:tuples in
+  let prof' = Engine.Profile.replace_vp prof 0 (Dist.Finite.point 2) in
+  Alcotest.(check (list int)) "player 0 moved" [ 2 ] (Engine.Profile.vp_support prof' 0);
+  Alcotest.(check (list int)) "player 1 unchanged" [ 3 ] (Engine.Profile.vp_support prof' 1);
   let prof'' =
-    Defender.Profile.replace_tp prof [ (Defender.Tuple.of_list g [ 2 ], Q.one) ]
+    Engine.Profile.replace_tp prof [ (Defender.Tuple.of_list g [ 2 ], Q.one) ]
   in
-  Alcotest.(check (list int)) "tp moved" [ 2 ] (Defender.Profile.tp_support_edges prof'');
-  Alcotest.(check bool) "purity" true (Defender.Profile.is_pure prof'')
+  Alcotest.(check (list int)) "tp moved" [ 2 ]
+    (Defender.Tuple.edge_union (Engine.Profile.tp_support prof''));
+  Alcotest.(check bool) "purity" true (Engine.Profile.is_pure prof'')
 
 (* --- Profit --- *)
 
@@ -214,44 +217,44 @@ let test_pure_profits () =
   let m = model ~nu:3 ~k:1 g in
   let t = Defender.Tuple.of_list g [ 1 ] in
   (* covers vertices 1 and 2 *)
-  let p = Defender.Profile.make_pure m ~vp_choices:[ 0; 1; 2 ] ~tp_choice:t in
-  Alcotest.(check int) "vp0 escapes" 1 (Defender.Profit.pure_vp m p 0);
-  Alcotest.(check int) "vp1 caught" 0 (Defender.Profit.pure_vp m p 1);
-  Alcotest.(check int) "vp2 caught" 0 (Defender.Profit.pure_vp m p 2);
-  Alcotest.(check int) "tp catches 2" 2 (Defender.Profit.pure_tp m p)
+  let p = Engine.Profile.make_pure m ~vp_choices:[ 0; 1; 2 ] ~tp_choice:t in
+  Alcotest.(check int) "vp0 escapes" 1 (Engine.Profit.pure_vp m p 0);
+  Alcotest.(check int) "vp1 caught" 0 (Engine.Profit.pure_vp m p 1);
+  Alcotest.(check int) "vp2 caught" 0 (Engine.Profit.pure_vp m p 2);
+  Alcotest.(check int) "tp catches 2" 2 (Engine.Profit.pure_tp m p)
 
 let test_expected_profits_degenerate () =
   (* Point masses must reproduce the pure profits. *)
   let g = p4 () in
   let m = model ~nu:2 ~k:1 g in
   let t = Defender.Tuple.of_list g [ 0 ] in
-  let pure = Defender.Profile.make_pure m ~vp_choices:[ 1; 3 ] ~tp_choice:t in
-  let mixed = Defender.Profile.of_pure m pure in
-  Alcotest.check q "vp0 expected = pure" (Q.of_int (Defender.Profit.pure_vp m pure 0))
-    (Defender.Profit.expected_vp mixed 0);
-  Alcotest.check q "tp expected = pure" (Q.of_int (Defender.Profit.pure_tp m pure))
-    (Defender.Profit.expected_tp mixed)
+  let pure = Engine.Profile.make_pure m ~vp_choices:[ 1; 3 ] ~tp_choice:t in
+  let mixed = Engine.Profile.of_pure m pure in
+  Alcotest.check q "vp0 expected = pure" (Q.of_int (Engine.Profit.pure_vp m pure 0))
+    (Engine.Profit.expected_vp mixed 0);
+  Alcotest.check q "tp expected = pure" (Q.of_int (Engine.Profit.pure_tp m pure))
+    (Engine.Profit.expected_tp mixed)
 
 let test_expected_profit_equation1 () =
   (* Equation (1): IP_i = sum_v P(v) (1 - Hit(v)). *)
   let g = p4 () in
   let m = model ~nu:1 ~k:1 g in
   let tuples = List.map (fun id -> Defender.Tuple.of_list g [ id ]) [ 0; 1 ] in
-  let prof = Defender.Profile.uniform m ~vp_support:[ 0; 3 ] ~tp_support:tuples in
+  let prof = Engine.Profile.uniform m ~vp_support:[ 0; 3 ] ~tp_support:tuples in
   (* Hit(0) = 1/2 (edge 0), Hit(3) = 0; IP = 1/2*(1/2) + 1/2*1 = 3/4 *)
-  Alcotest.check q "equation (1)" (Q.make 3 4) (Defender.Profit.expected_vp prof 0)
+  Alcotest.check q "equation (1)" (Q.make 3 4) (Engine.Profit.expected_vp prof 0)
 
 let test_expected_profit_equation2 () =
   (* Equation (2): IP_tp = sum_t P(t) m(t). *)
   let g = p4 () in
   let m = model ~nu:2 ~k:1 g in
   let tuples = List.map (fun id -> Defender.Tuple.of_list g [ id ]) [ 0; 1 ] in
-  let prof = Defender.Profile.uniform m ~vp_support:[ 1 ] ~tp_support:tuples in
+  let prof = Engine.Profile.uniform m ~vp_support:[ 1 ] ~tp_support:tuples in
   (* both players on vertex 1: m(1) = 2; each support edge covers vertex 1:
      IP_tp = 1/2*2 + 1/2*2 = 2 *)
-  Alcotest.check q "equation (2)" (Q.of_int 2) (Defender.Profit.expected_tp prof);
+  Alcotest.check q "equation (2)" (Q.of_int 2) (Engine.Profit.expected_tp prof);
   Alcotest.check q "payoff of tuple" (Q.of_int 2)
-    (Defender.Profit.tp_payoff_of_tuple prof (Defender.Tuple.of_list g [ 1 ]))
+    (Engine.Profit.tp_payoff_of_strategy prof (Defender.Tuple.of_list g [ 1 ]))
 
 (* --- Profile serialization --- *)
 
@@ -263,19 +266,19 @@ let test_profile_io_roundtrip () =
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
-  let text = Defender.Profile_io.to_string prof in
-  let reloaded = Defender.Profile_io.of_string m text in
+  let text = Engine.Io.to_string prof in
+  let reloaded = Engine.Io.of_string m text in
   Alcotest.(check (list int)) "vp support preserved"
-    (Defender.Profile.vp_support_union prof)
-    (Defender.Profile.vp_support_union reloaded);
+    (Engine.Profile.vp_support_union prof)
+    (Engine.Profile.vp_support_union reloaded);
   Alcotest.(check (list int)) "tp edges preserved"
-    (Defender.Profile.tp_support_edges prof)
-    (Defender.Profile.tp_support_edges reloaded);
-  Alcotest.check q "gain preserved exactly" (Defender.Profit.expected_tp prof)
-    (Defender.Profit.expected_tp reloaded);
+    (Defender.Tuple.edge_union (Engine.Profile.tp_support prof))
+    (Defender.Tuple.edge_union (Engine.Profile.tp_support reloaded));
+  Alcotest.check q "gain preserved exactly" (Engine.Profit.expected_tp prof)
+    (Engine.Profit.expected_tp reloaded);
   (* non-uniform probabilities survive too *)
   let custom =
-    Defender.Profile.make_mixed (model ~nu:1 ~k:1 (p4 ()))
+    Engine.Profile.make_mixed (model ~nu:1 ~k:1 (p4 ()))
       ~vp:[ Dist.Finite.make [ (0, Q.make 1 3); (2, Q.make 2 3) ] ]
       ~tp:
         [
@@ -284,23 +287,23 @@ let test_profile_io_roundtrip () =
         ]
   in
   let m14 = model ~nu:1 ~k:1 (p4 ()) in
-  let back = Defender.Profile_io.of_string m14 (Defender.Profile_io.to_string custom) in
+  let back = Engine.Io.of_string m14 (Engine.Io.to_string custom) in
   Alcotest.check q "non-uniform prob preserved" (Q.make 6 7)
     (List.assoc
        (Defender.Tuple.of_list (p4 ()) [ 2 ])
-       (List.map (fun (t, p) -> (t, p)) (Defender.Profile.tp_strategy back)))
+       (List.map (fun (t, p) -> (t, p)) (Engine.Profile.tp_strategy back)))
 
 let test_profile_io_rejects () =
   let m = model ~nu:1 ~k:1 (p4 ()) in
   Alcotest.check_raises "bad header" (Invalid_argument "Profile_io: bad header")
-    (fun () -> ignore (Defender.Profile_io.of_string m "nonsense\nnu 1 k 1\n"));
+    (fun () -> ignore (Engine.Io.of_string m "nonsense\nnu 1 k 1\n"));
   Alcotest.check_raises "wrong nu/k"
     (Invalid_argument "Profile_io: profile does not match the model (nu or k)")
     (fun () ->
-      ignore (Defender.Profile_io.of_string m "profile v1\nnu 2 k 1\ntp 0:1/1\n"));
+      ignore (Engine.Io.of_string m "profile v1\nnu 2 k 1\ntp 0:1/1\n"));
   Alcotest.check_raises "missing tp" (Invalid_argument "Profile_io: missing tp line")
     (fun () ->
-      ignore (Defender.Profile_io.of_string m "profile v1\nnu 1 k 1\nvp 0 0:1/1\n"))
+      ignore (Engine.Io.of_string m "profile v1\nnu 1 k 1\nvp 0 0:1/1\n"))
 
 (* vp payoffs + profit conservation property *)
 let props =
@@ -328,37 +331,37 @@ let props =
                       (Prng.Rng.sample_without_replacement r ~count:k edge_ids)))
              |> List.sort_uniq Defender.Tuple.compare
            in
-           Defender.Profile.uniform m ~vp_support ~tp_support:tuples)
+           Engine.Profile.uniform m ~vp_support ~tp_support:tuples)
          QCheck.Gen.int)
   in
   [
     QCheck.Test.make ~name:"hit probabilities within [0,1]" ~count:100 scenario_gen
       (fun prof ->
-        let g = Defender.Model.graph (Defender.Profile.model prof) in
+        let g = Defender.Model.graph (Engine.Profile.instance prof) in
         List.for_all
           (fun v ->
-            let h = Defender.Profile.hit_prob prof v in
+            let h = Engine.Profile.hit_prob prof v in
             Q.( >= ) h Q.zero && Q.( <= ) h Q.one)
           (List.init (Graph.n g) Fun.id));
     QCheck.Test.make ~name:"total load equals nu" ~count:100 scenario_gen (fun prof ->
-        let model = Defender.Profile.model prof in
+        let model = Engine.Profile.instance prof in
         let g = Defender.Model.graph model in
         Q.equal
           (Q.of_int (Defender.Model.nu model))
-          (Q.sum (List.map (Defender.Profile.expected_load prof) (List.init (Graph.n g) Fun.id))));
+          (Q.sum (List.map (Engine.Profile.expected_load prof) (List.init (Graph.n g) Fun.id))));
     QCheck.Test.make ~name:"defender profit bounded by nu" ~count:100 scenario_gen
       (fun prof ->
-        let nu = Defender.Model.nu (Defender.Profile.model prof) in
-        let ip = Defender.Profit.expected_tp prof in
+        let nu = Defender.Model.nu (Engine.Profile.instance prof) in
+        let ip = Engine.Profit.expected_tp prof in
         Q.( >= ) ip Q.zero && Q.( <= ) ip (Q.of_int nu));
     QCheck.Test.make ~name:"vp profit = 1 - hit on support" ~count:100 scenario_gen
       (fun prof ->
         List.for_all
           (fun v ->
             Q.equal
-              (Defender.Profit.vp_payoff_of_vertex prof v)
-              (Q.sub Q.one (Defender.Profile.hit_prob prof v)))
-          (Defender.Profile.vp_support prof 0));
+              (Engine.Profit.vp_payoff_of_vertex prof v)
+              (Q.sub Q.one (Engine.Profile.hit_prob prof v)))
+          (Engine.Profile.vp_support prof 0));
   ]
 
 let () =

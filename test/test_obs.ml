@@ -13,8 +13,8 @@ module E = Harness.Experiment
 module R = Harness.Registry
 module Obs = Harness.Obs
 module Q = Exact.Q
-module Profile = Defender.Profile
-module BR = Defender.Best_response
+module Engine = Defender.Tuple_instance.Engine
+module BR = Engine.Best_response
 
 (* Obs state is process-global: force a level for one test and restore
    it (tests would otherwise leak recording into each other). *)
@@ -150,11 +150,14 @@ let kernel_exp id ~n =
     let t1 = Defender.Tuple.of_list g [ 0; 1 ] in
     let t2 = Defender.Tuple.of_list g [ 2; 3 ] in
     let prof =
-      Profile.uniform m ~vp_support:[ 0; 1; 2 ] ~tp_support:[ t1; t2 ]
+      Engine.Profile.uniform m ~vp_support:[ 0; 1; 2 ] ~tp_support:[ t1; t2 ]
     in
     let v1 = BR.vp_best_value prof in
-    let prof' = Profile.replace_vp prof 0 (Dist.Finite.point 1) in
-    let v2 = BR.tp_greedy_value prof' in
+    let prof' = Engine.Profile.replace_vp prof 0 (Dist.Finite.point 1) in
+    let v2 =
+      Defender.Tuple_game.tp_greedy_value (Engine.Profile.instance prof')
+        ~load:(Engine.Profile.expected_load prof')
+    in
     ignore (E.check ctx ~label:"best-response values positive"
               (Q.compare v1 Q.zero > 0 && Q.compare v2 Q.zero >= 0));
     let b = Matching.Blossom.max_matching g in

@@ -1,8 +1,9 @@
 (* Tests for the persistent worker pool (Harness.Pool) and the shared
-   pipe machinery (Harness.Wire): EINTR-hardened pipe I/O under a signal
-   storm, worker respawn with one retry, timeouts and the deadline-race
-   rule, graceful drain, worker signal dispositions, and registry sweeps
-   at worker counts and fault paths beyond those in test_experiment.ml. *)
+   pipe machinery (Harness.Wire): a seeded fuzz of the frame decoder,
+   EINTR-hardened pipe I/O under a signal storm, worker respawn with one
+   retry, timeouts and the deadline-race rule, graceful drain, worker
+   signal dispositions, and registry sweeps at worker counts and fault
+   paths beyond those in test_experiment.ml. *)
 
 module J = Harness.Json
 module E = Harness.Experiment
@@ -86,6 +87,136 @@ let test_wire_frame_roundtrip () =
       Unix.close wr;
       Alcotest.(check bool) "EOF is None" true
         (Harness.Wire.read_frame rd = None))
+
+(* --- Wire: decoder fuzz --- *)
+
+(* Seeded random streams: well-formed frames (some over the payload
+   limit) interleaved with corrupt headers, digit runs and raw random
+   bytes.  Three properties, checked on every stream:
+   - the decoder never raises, whatever the bytes and split points;
+   - no Ok payload exceeds [max_payload];
+   - once a header error is reported, no later call returns Ok.
+   Payload sizes are measured exactly from a byte-at-a-time reference
+   run, where each result comes out on the byte that completes it; a
+   random-split run must then report the same result sequence. *)
+
+let fuzz_limit = 24
+
+let is_header_error msg =
+  List.exists
+    (fun prefix -> String.starts_with ~prefix msg)
+    [ "frame header too long"; "bad frame header"; "frame payload of" ]
+
+let fuzz_stream rng =
+  let module Rng = Prng.Rng in
+  let buf = Buffer.create 256 in
+  let letters n = String.init n (fun _ -> Char.chr (97 + Rng.int rng 26)) in
+  let add_frame payload =
+    Buffer.add_string buf (string_of_int (String.length payload));
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf payload
+  in
+  let alphabet = "0123456789\n{}[]\",:-+ ax_" in
+  for _ = 1 to Rng.int_in_range rng ~lo:1 ~hi:12 do
+    match Rng.int rng 6 with
+    | 0 | 1 ->
+        add_frame
+          (J.to_string (J.String (letters (Rng.int rng (2 * fuzz_limit)))))
+    | 2 -> add_frame (J.to_string (J.List [ J.Int (Rng.int rng 1000) ]))
+    | 3 ->
+        (* a valid header whose payload is cut short or overrun *)
+        Buffer.add_string buf (string_of_int (Rng.int rng (3 * fuzz_limit)));
+        Buffer.add_char buf '\n';
+        Buffer.add_string buf (letters (Rng.int rng 8))
+    | 4 ->
+        for _ = 1 to Rng.int rng 24 do
+          Buffer.add_char buf alphabet.[Rng.int rng (String.length alphabet)]
+        done
+    | _ ->
+        for _ = 1 to Rng.int rng 8 do
+          Buffer.add_char buf (Char.chr (Rng.int rng 256))
+        done
+  done;
+  Buffer.contents buf
+
+let fuzz_next label d =
+  match Harness.Wire.next_frame ~max_payload:fuzz_limit d with
+  | (None | Some (Ok _) | Some (Error _)) as r -> r
+  | exception e ->
+      Alcotest.failf "%s: next_frame raised %s" label (Printexc.to_string e)
+
+let fuzz_feed label d s pos len =
+  try Harness.Wire.feed d (Bytes.of_string (String.sub s pos len)) len
+  with e -> Alcotest.failf "%s: feed raised %s" label (Printexc.to_string e)
+
+(* Feed [stream] in [chunks]; the results in order, draining after each
+   chunk, up to and including the first header error.  Past that point
+   the remaining chunks are still fed and polled, and must yield no Ok.
+   [on_result] sees each result with the stream offset fed so far. *)
+let fuzz_decode label stream chunks ~on_result =
+  let d = Harness.Wire.decoder () in
+  let results = ref [] and poisoned = ref false and fed = ref 0 in
+  List.iter
+    (fun len ->
+      fuzz_feed label d stream !fed len;
+      fed := !fed + len;
+      if !poisoned then (
+        match fuzz_next label d with
+        | Some (Ok _) ->
+            Alcotest.failf "%s: Ok after a header error (offset %d)" label !fed
+        | None | Some (Error _) -> ())
+      else
+        let rec drain () =
+          match fuzz_next label d with
+          | None -> ()
+          | Some r ->
+              results := r :: !results;
+              on_result !fed r;
+              (match r with
+              | Error msg when is_header_error msg -> poisoned := true
+              | Ok _ | Error _ -> drain ())
+        in
+        drain ())
+    chunks;
+  List.rev !results
+
+let test_wire_decoder_fuzz () =
+  let rng = Prng.Rng.create 4242 in
+  for i = 1 to 300 do
+    let stream = fuzz_stream rng in
+    let n = String.length stream in
+    let label = Printf.sprintf "stream %d (%d bytes)" i n in
+    (* Reference run, one byte at a time: a frame's result comes out on
+       the byte that completes it, so [start] (where the frame began)
+       and the offset fed so far bound its payload exactly. *)
+    let start = ref 0 in
+    let reference =
+      fuzz_decode label stream (List.init n (fun _ -> 1))
+        ~on_result:(fun fed r ->
+          match r with
+          | Ok _ ->
+              let nl = String.index_from stream !start '\n' in
+              let payload = fed - nl - 1 in
+              if payload > fuzz_limit then
+                Alcotest.failf "%s: Ok payload of %d bytes over limit %d"
+                  label payload fuzz_limit;
+              start := fed
+          | Error msg -> if not (is_header_error msg) then start := fed)
+    in
+    (* Random split points must not change what comes out. *)
+    let rec split left =
+      if left = 0 then []
+      else
+        let len = Prng.Rng.int_in_range rng ~lo:1 ~hi:(min left 40) in
+        len :: split (left - len)
+    in
+    let chunked =
+      fuzz_decode label stream (split n) ~on_result:(fun _ _ -> ())
+    in
+    Alcotest.(check bool)
+      (label ^ ": random splits decode like byte-at-a-time")
+      true (chunked = reference)
+  done
 
 (* --- signal storms: EINTR on every pipe path --- *)
 
@@ -684,6 +815,7 @@ let () =
           Alcotest.test_case "decoder bad header" `Quick
             test_wire_decoder_bad_header;
           Alcotest.test_case "frame roundtrip" `Quick test_wire_frame_roundtrip;
+          Alcotest.test_case "decoder fuzz" `Quick test_wire_decoder_fuzz;
         ] );
       ( "eintr",
         [

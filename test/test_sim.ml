@@ -4,6 +4,8 @@
 open Netgraph
 module Rng = Prng.Rng
 module Q = Exact.Q
+module Engine = Defender.Tuple_instance.Engine
+module Sim_tuple = Sim.Sim_instance.Tuple
 
 let model ~g ~nu ~k = Defender.Model.make ~graph:g ~nu ~k
 
@@ -20,28 +22,28 @@ let ne_profile () =
 
 let test_engine_basic_counts () =
   let prof = ne_profile () in
-  let stats = Sim.Engine.play (Rng.create 1) prof ~rounds:500 in
-  Alcotest.(check int) "rounds" 500 stats.Sim.Engine.rounds;
+  let stats = Sim_tuple.Engine.play (Rng.create 1) prof ~rounds:500 in
+  Alcotest.(check int) "rounds" 500 stats.Sim_tuple.Engine.rounds;
   Alcotest.(check bool) "caught within [0, nu*rounds]" true
-    (stats.Sim.Engine.total_caught >= 0 && stats.Sim.Engine.total_caught <= 4 * 500);
+    (stats.Sim_tuple.Engine.total_caught >= 0 && stats.Sim_tuple.Engine.total_caught <= 4 * 500);
   Alcotest.(check int) "per-player stats arity" 4
-    (Array.length stats.Sim.Engine.per_player_escapes);
+    (Array.length stats.Sim_tuple.Engine.per_player_escapes);
   Array.iteri
     (fun i esc ->
       Alcotest.(check bool)
         (Printf.sprintf "player %d escapes bounded" i)
         true
         (esc >= 0 && esc <= 500))
-    stats.Sim.Engine.per_player_escapes
+    stats.Sim_tuple.Engine.per_player_escapes
 
 let test_engine_matches_analytic () =
   let prof = ne_profile () in
-  let stats = Sim.Engine.play (Rng.create 7) prof ~rounds:20_000 in
+  let stats = Sim_tuple.Engine.play (Rng.create 7) prof ~rounds:20_000 in
   Alcotest.(check bool) "empirical mean within CI of exact value" true
-    (Sim.Engine.agrees_with_analytic stats prof);
+    (Sim_tuple.Engine.agrees_with_analytic stats prof);
   (* escape rates near 1 - k/|IS| = 1/3 *)
   for i = 0 to 3 do
-    let rate = Sim.Engine.escape_rate stats i in
+    let rate = Sim_tuple.Engine.escape_rate stats i in
     Alcotest.(check bool)
       (Printf.sprintf "player %d escape rate near 1/3" i)
       true
@@ -53,40 +55,40 @@ let test_engine_deterministic_profile () =
   let g = Gen.path 2 in
   let m = model ~g ~nu:2 ~k:1 in
   let prof =
-    Defender.Profile.of_pure m
-      (Defender.Profile.make_pure m ~vp_choices:[ 0; 1 ]
+    Engine.Profile.of_pure m
+      (Engine.Profile.make_pure m ~vp_choices:[ 0; 1 ]
          ~tp_choice:(Defender.Tuple.of_list g [ 0 ]))
   in
-  let stats = Sim.Engine.play (Rng.create 3) prof ~rounds:100 in
-  Alcotest.(check int) "everyone caught always" 200 stats.Sim.Engine.total_caught;
-  Alcotest.(check (float 1e-9)) "zero variance" 0.0 stats.Sim.Engine.stddev_caught;
+  let stats = Sim_tuple.Engine.play (Rng.create 3) prof ~rounds:100 in
+  Alcotest.(check int) "everyone caught always" 200 stats.Sim_tuple.Engine.total_caught;
+  Alcotest.(check (float 1e-9)) "zero variance" 0.0 stats.Sim_tuple.Engine.stddev_caught;
   Alcotest.(check bool) "agrees with analytic" true
-    (Sim.Engine.agrees_with_analytic stats prof)
+    (Sim_tuple.Engine.agrees_with_analytic stats prof)
 
 let test_engine_record () =
   let prof = ne_profile () in
   let recorded = ref 0 in
-  let check_round (r : Sim.Engine.round) =
+  let check_round (r : Sim_tuple.Engine.round) =
     incr recorded;
-    Alcotest.(check int) "choices arity" 4 (Array.length r.Sim.Engine.choices);
+    Alcotest.(check int) "choices arity" 4 (Array.length r.Sim_tuple.Engine.choices);
     Alcotest.(check bool) "caught consistent" true
-      (r.Sim.Engine.caught >= 0 && r.Sim.Engine.caught <= 4)
+      (r.Sim_tuple.Engine.caught >= 0 && r.Sim_tuple.Engine.caught <= 4)
   in
-  ignore (Sim.Engine.play ~record:check_round (Rng.create 5) prof ~rounds:50);
+  ignore (Sim_tuple.Engine.play ~record:check_round (Rng.create 5) prof ~rounds:50);
   Alcotest.(check int) "all rounds recorded" 50 !recorded
 
 let test_engine_reproducible () =
   let prof = ne_profile () in
-  let a = Sim.Engine.play (Rng.create 11) prof ~rounds:1000 in
-  let b = Sim.Engine.play (Rng.create 11) prof ~rounds:1000 in
-  Alcotest.(check int) "same totals for same seed" a.Sim.Engine.total_caught
-    b.Sim.Engine.total_caught
+  let a = Sim_tuple.Engine.play (Rng.create 11) prof ~rounds:1000 in
+  let b = Sim_tuple.Engine.play (Rng.create 11) prof ~rounds:1000 in
+  Alcotest.(check int) "same totals for same seed" a.Sim_tuple.Engine.total_caught
+    b.Sim_tuple.Engine.total_caught
 
 let test_engine_validation () =
   let prof = ne_profile () in
   Alcotest.check_raises "zero rounds"
     (Invalid_argument "Engine.play: rounds must be positive") (fun () ->
-      ignore (Sim.Engine.play (Rng.create 1) prof ~rounds:0))
+      ignore (Sim_tuple.Engine.play (Rng.create 1) prof ~rounds:0))
 
 (* --- Workload --- *)
 
@@ -96,10 +98,10 @@ let test_workload_ne_defense_is_uniform_over_attackers () =
   let g = Gen.path 6 in
   let m = model ~g ~nu:4 ~k:2 in
   let prof = ok (Defender.Tuple_nash.a_tuple_auto m) in
-  let ne_def = Sim.Workload.Defender_fixed (Defender.Profile.tp_strategy prof) in
-  let adaptive = Sim.Workload.Attacker_adaptive { epsilon = 0.1 } in
+  let ne_def = Sim_tuple.Workload.Defender_fixed (Engine.Profile.tp_strategy prof) in
+  let adaptive = Sim_tuple.Workload.Attacker_adaptive { epsilon = 0.1 } in
   let outcome =
-    Sim.Workload.run (Rng.create 2) m ~attacker:adaptive ~defender:ne_def
+    Sim_tuple.Workload.run (Rng.create 2) m ~attacker:adaptive ~defender:ne_def
       ~rounds:20_000
   in
   (* equilibrium floor: with the NE defense, ANY attacker behaviour yields
@@ -110,38 +112,38 @@ let test_workload_ne_defense_is_uniform_over_attackers () =
      minimum-hit vertices: k/|IS| * nu = 8/3 per round / nu. *)
   let ne_value = Q.to_float (Defender.Gain.defender_gain prof) in
   Alcotest.(check bool)
-    (Printf.sprintf "mean %.3f >= NE value %.3f - slack" outcome.Sim.Workload.mean_caught
+    (Printf.sprintf "mean %.3f >= NE value %.3f - slack" outcome.Sim_tuple.Workload.mean_caught
        ne_value)
     true
-    (outcome.Sim.Workload.mean_caught >= ne_value -. 0.15)
+    (outcome.Sim_tuple.Workload.mean_caught >= ne_value -. 0.15)
 
 let test_workload_policies_run () =
   let g = Gen.grid 2 3 in
   let m = model ~g ~nu:3 ~k:2 in
   let attackers =
     [
-      Sim.Workload.Attacker_uniform;
-      Sim.Workload.Attacker_fixed (Dist.Finite.uniform [ 0; 5 ]);
-      Sim.Workload.Attacker_hotspot { targets = [ 0; 1 ]; concentration = 0.8 };
-      Sim.Workload.Attacker_adaptive { epsilon = 0.2 };
+      Sim_tuple.Workload.Attacker_uniform;
+      Sim_tuple.Workload.Attacker_fixed (Dist.Finite.uniform [ 0; 5 ]);
+      Sim_tuple.Workload.Attacker_hotspot { targets = [ 0; 1 ]; concentration = 0.8 };
+      Sim_tuple.Workload.Attacker_adaptive { epsilon = 0.2 };
     ]
   in
   let defenders =
     [
-      Sim.Workload.Defender_uniform_tuple;
-      Sim.Workload.Defender_greedy { epsilon = 0.1 };
-      Sim.Workload.Defender_round_robin;
+      Sim_tuple.Workload.Defender_uniform_tuple;
+      Sim_tuple.Workload.Defender_greedy { epsilon = 0.1 };
+      Sim_tuple.Workload.Defender_round_robin;
     ]
   in
   List.iter
     (fun attacker ->
       List.iter
         (fun defender ->
-          let o = Sim.Workload.run (Rng.create 9) m ~attacker ~defender ~rounds:300 in
+          let o = Sim_tuple.Workload.run (Rng.create 9) m ~attacker ~defender ~rounds:300 in
           Alcotest.(check int) "series length" 300
-            (Array.length o.Sim.Workload.caught_series);
+            (Array.length o.Sim_tuple.Workload.caught_series);
           Alcotest.(check bool) "mean bounded" true
-            (o.Sim.Workload.mean_caught >= 0.0 && o.Sim.Workload.mean_caught <= 3.0))
+            (o.Sim_tuple.Workload.mean_caught >= 0.0 && o.Sim_tuple.Workload.mean_caught <= 3.0))
         defenders)
     attackers
 
@@ -151,22 +153,22 @@ let test_workload_greedy_beats_uniform_on_hotspot () =
   let g = Gen.grid 2 3 in
   let m = model ~g ~nu:3 ~k:1 in
   let attacker =
-    Sim.Workload.Attacker_hotspot { targets = [ 0; 1 ]; concentration = 0.95 }
+    Sim_tuple.Workload.Attacker_hotspot { targets = [ 0; 1 ]; concentration = 0.95 }
   in
   let greedy =
-    Sim.Workload.run (Rng.create 21) m ~attacker
-      ~defender:(Sim.Workload.Defender_greedy { epsilon = 0.05 })
+    Sim_tuple.Workload.run (Rng.create 21) m ~attacker
+      ~defender:(Sim_tuple.Workload.Defender_greedy { epsilon = 0.05 })
       ~rounds:4000
   in
   let uniform =
-    Sim.Workload.run (Rng.create 21) m ~attacker
-      ~defender:Sim.Workload.Defender_uniform_tuple ~rounds:4000
+    Sim_tuple.Workload.run (Rng.create 21) m ~attacker
+      ~defender:Sim_tuple.Workload.Defender_uniform_tuple ~rounds:4000
   in
   Alcotest.(check bool)
-    (Printf.sprintf "greedy %.2f > uniform %.2f" greedy.Sim.Workload.mean_caught
-       uniform.Sim.Workload.mean_caught)
+    (Printf.sprintf "greedy %.2f > uniform %.2f" greedy.Sim_tuple.Workload.mean_caught
+       uniform.Sim_tuple.Workload.mean_caught)
     true
-    (greedy.Sim.Workload.mean_caught > uniform.Sim.Workload.mean_caught)
+    (greedy.Sim_tuple.Workload.mean_caught > uniform.Sim_tuple.Workload.mean_caught)
 
 let test_workload_flaky_degrades_linearly () =
   (* Failure injection: a flaky NE defense loses exactly the failed
@@ -174,14 +176,14 @@ let test_workload_flaky_degrades_linearly () =
   let g = Gen.path 6 in
   let m = model ~g ~nu:4 ~k:2 in
   let prof = ok (Defender.Tuple_nash.a_tuple_auto m) in
-  let attacker = Sim.Workload.Attacker_fixed (Defender.Profile.vp_strategy prof 0) in
+  let attacker = Sim_tuple.Workload.Attacker_fixed (Engine.Profile.vp_strategy prof 0) in
   let gain_at f =
-    let base = Sim.Workload.Defender_fixed (Defender.Profile.tp_strategy prof) in
+    let base = Sim_tuple.Workload.Defender_fixed (Engine.Profile.tp_strategy prof) in
     let defender =
-      if f = 0.0 then base else Sim.Workload.Defender_flaky { base; failure_rate = f }
+      if f = 0.0 then base else Sim_tuple.Workload.Defender_flaky { base; failure_rate = f }
     in
-    (Sim.Workload.run (Rng.create 77) m ~attacker ~defender ~rounds:30_000)
-      .Sim.Workload.mean_caught
+    (Sim_tuple.Workload.run (Rng.create 77) m ~attacker ~defender ~rounds:30_000)
+      .Sim_tuple.Workload.mean_caught
   in
   let full = gain_at 0.0 in
   let analytic = Q.to_float (Defender.Gain.defender_gain prof) in
@@ -197,17 +199,17 @@ let test_workload_flaky_degrades_linearly () =
         (abs_float (measured -. predicted) < 0.06))
     [ 0.25; 0.5; 0.75 ];
   Alcotest.(check string) "policy name" "flaky(fixed/NE, f=0.50)"
-    (Sim.Workload.policy_name
-       (Sim.Workload.Defender_flaky
-          { base = Sim.Workload.Defender_fixed (Defender.Profile.tp_strategy prof);
+    (Sim_tuple.Workload.policy_name
+       (Sim_tuple.Workload.Defender_flaky
+          { base = Sim_tuple.Workload.Defender_fixed (Engine.Profile.tp_strategy prof);
             failure_rate = 0.5 }));
   Alcotest.check_raises "failure rate validated"
     (Invalid_argument "Workload.run: failure_rate outside [0, 1)") (fun () ->
       ignore
-        (Sim.Workload.run (Rng.create 1) m ~attacker
+        (Sim_tuple.Workload.run (Rng.create 1) m ~attacker
            ~defender:
-             (Sim.Workload.Defender_flaky
-                { base = Sim.Workload.Defender_uniform_tuple; failure_rate = 1.5 })
+             (Sim_tuple.Workload.Defender_flaky
+                { base = Sim_tuple.Workload.Defender_uniform_tuple; failure_rate = 1.5 })
            ~rounds:10))
 
 let test_workload_validation () =
@@ -216,14 +218,14 @@ let test_workload_validation () =
   Alcotest.check_raises "wrong tuple size"
     (Invalid_argument "Workload.run: fixed defender tuple size <> k") (fun () ->
       ignore
-        (Sim.Workload.run (Rng.create 1) m ~attacker:Sim.Workload.Attacker_uniform
+        (Sim_tuple.Workload.run (Rng.create 1) m ~attacker:Sim_tuple.Workload.Attacker_uniform
            ~defender:
-             (Sim.Workload.Defender_fixed [ (Defender.Tuple.of_list g [ 0 ], Q.one) ])
+             (Sim_tuple.Workload.Defender_fixed [ (Defender.Tuple.of_list g [ 0 ], Q.one) ])
            ~rounds:10));
   Alcotest.(check string) "policy names" "greedy"
-    (Sim.Workload.policy_name (Sim.Workload.Defender_greedy { epsilon = 0.1 }));
+    (Sim_tuple.Workload.policy_name (Sim_tuple.Workload.Defender_greedy { epsilon = 0.1 }));
   Alcotest.(check string) "attacker names" "adaptive"
-    (Sim.Workload.attacker_name (Sim.Workload.Attacker_adaptive { epsilon = 0.1 }))
+    (Sim_tuple.Workload.attacker_name (Sim_tuple.Workload.Attacker_adaptive { epsilon = 0.1 }))
 
 (* --- Dynamics --- *)
 
@@ -231,19 +233,19 @@ let test_dynamics_converges_when_pure_ne_exists () =
   (* K4 with k = 2: an edge cover of size 2 exists, dynamics must converge. *)
   let g = Gen.complete 4 in
   let m = model ~g ~nu:2 ~k:2 in
-  match Sim.Dynamics.run (Rng.create 13) m ~max_steps:10_000 with
-  | Sim.Dynamics.Converged { profile; _ } ->
+  match Sim_tuple.Dynamics.run (Rng.create 13) m ~max_steps:10_000 with
+  | Sim_tuple.Dynamics.Converged { profile; _ } ->
       Alcotest.(check bool) "converged profile is pure NE" true
-        (Defender.Pure_nash.is_pure_ne m profile)
-  | Sim.Dynamics.Cycling _ -> Alcotest.fail "K4 k=2 dynamics should converge"
+        (Engine.Pure.is_pure_ne m profile)
+  | Sim_tuple.Dynamics.Cycling _ -> Alcotest.fail "K4 k=2 dynamics should converge"
 
 let test_dynamics_cycles_when_no_pure_ne () =
   (* P6 with k = 1: n = 6 >= 3 = 2k+1, no pure NE, dynamics churn forever. *)
   let g = Gen.path 6 in
   let m = model ~g ~nu:2 ~k:1 in
-  match Sim.Dynamics.run (Rng.create 17) m ~max_steps:3000 with
-  | Sim.Dynamics.Cycling { steps } -> Alcotest.(check int) "budget exhausted" 3000 steps
-  | Sim.Dynamics.Converged _ -> Alcotest.fail "P6 k=1 has no pure NE"
+  match Sim_tuple.Dynamics.run (Rng.create 17) m ~max_steps:3000 with
+  | Sim_tuple.Dynamics.Cycling { steps } -> Alcotest.(check int) "budget exhausted" 3000 steps
+  | Sim_tuple.Dynamics.Converged _ -> Alcotest.fail "P6 k=1 has no pure NE"
 
 let test_dynamics_agrees_with_theorem31_on_atlas () =
   List.iter
@@ -252,7 +254,8 @@ let test_dynamics_agrees_with_theorem31_on_atlas () =
         let k = 2 in
         let m = model ~g ~nu:2 ~k in
         let converged =
-          Sim.Dynamics.is_converged (Sim.Dynamics.run (Rng.create 19) m ~max_steps:4000)
+          Sim_tuple.Dynamics.is_converged
+            (Sim_tuple.Dynamics.run (Rng.create 19) m ~max_steps:4000)
         in
         Alcotest.(check bool)
           (Printf.sprintf "%s: dynamics converge iff pure NE exists" name)
@@ -264,12 +267,12 @@ let test_dynamics_record () =
   let g = Gen.path 5 in
   let m = model ~g ~nu:1 ~k:1 in
   let steps = ref 0 in
-  let record (r : Sim.Dynamics.step_record) =
+  let record (r : Sim_tuple.Dynamics.step_record) =
     incr steps;
     Alcotest.(check bool) "caught in range" true
-      (r.Sim.Dynamics.caught_after >= 0 && r.Sim.Dynamics.caught_after <= 1)
+      (r.Sim_tuple.Dynamics.caught_after >= 0 && r.Sim_tuple.Dynamics.caught_after <= 1)
   in
-  ignore (Sim.Dynamics.run ~record (Rng.create 23) m ~max_steps:200);
+  ignore (Sim_tuple.Dynamics.run ~record (Rng.create 23) m ~max_steps:200);
   Alcotest.(check bool) "steps recorded" true (!steps > 0)
 
 (* --- Convergence traces --- *)

@@ -3,7 +3,9 @@
    with: oracle-vs-enumeration properties, rediscovery of the paper's
    matching NEs (rational equality, zero oracle gap), agreement with the
    Minimax LP at k=1, verified equilibria on instances with no closed
-   form, warm seeding, determinism, and the do.* Obs counters. *)
+   form, warm seeding, determinism, the do.* Obs counters, and a seeded
+   differential check against the fully enumerated matrix game on
+   random small instances of both games. *)
 
 open Netgraph
 module Q = Exact.Q
@@ -12,6 +14,7 @@ module SG = Defender.Subgraph_game
 module DO = Solver.Instances.Tuple
 module DOS = Solver.Instances.Subgraph
 module SEngine = Defender.Subgraph_instance.Engine
+module Engine = Defender.Tuple_instance.Engine
 
 let q = Alcotest.testable Q.pp Q.equal
 let model ~g ~nu ~k = Defender.Model.make ~graph:g ~nu ~k
@@ -101,14 +104,14 @@ let test_rediscovers_matching_ne () =
           Alcotest.(check bool)
             (Printf.sprintf "%s k=%d: NE (exhaustive)" name k)
             true
-            (Defender.Verify.verdict_is_confirmed
-               (Defender.Verify.mixed_ne (Defender.Verify.Exhaustive 200_000)
+            (Engine.Verify.verdict_is_confirmed
+               (Engine.Verify.mixed_ne (Engine.Verify.Exhaustive 200_000)
                   prof));
           Alcotest.(check bool)
             (Printf.sprintf "%s k=%d: NE (oracle mode)" name k)
             true
-            (Defender.Verify.verdict_is_confirmed
-               (Defender.Verify.mixed_ne Defender.Verify.Oracle prof)))
+            (Engine.Verify.verdict_is_confirmed
+               (Engine.Verify.mixed_ne Engine.Verify.Oracle prof)))
         ks)
     [
       ("P6", Gen.path 6, 2, [ 1; 2; 3 ]);
@@ -148,13 +151,13 @@ let test_no_closed_form_instances () =
       Alcotest.(check bool)
         (Printf.sprintf "%s: NE (oracle mode)" name)
         true
-        (Defender.Verify.verdict_is_confirmed
-           (Defender.Verify.mixed_ne Defender.Verify.Oracle prof));
+        (Engine.Verify.verdict_is_confirmed
+           (Engine.Verify.mixed_ne Engine.Verify.Oracle prof));
       Alcotest.(check bool)
         (Printf.sprintf "%s: NE (exhaustive)" name)
         true
-        (Defender.Verify.verdict_is_confirmed
-           (Defender.Verify.mixed_ne (Defender.Verify.Exhaustive 200_000) prof));
+        (Engine.Verify.verdict_is_confirmed
+           (Engine.Verify.mixed_ne (Engine.Verify.Exhaustive 200_000) prof));
       Alcotest.check q
         (Printf.sprintf "%s: gain = nu*value" name)
         (Q.mul_int r.DO.value nu)
@@ -203,13 +206,13 @@ let test_warm_seed_one_iteration () =
   in
   let r =
     DO.solve m
-      ~init_vertices:(Defender.Profile.vp_support char 0)
-      ~init_strategies:(List.map fst (Defender.Profile.tp_strategy char))
+      ~init_vertices:(Engine.Profile.vp_support char 0)
+      ~init_strategies:(List.map fst (Engine.Profile.tp_strategy char))
   in
   Alcotest.(check int) "one iteration" 1 r.DO.stats.DO.iterations;
   Alcotest.(check string) "byte-identical to characterization profile"
-    (Defender.Profile_io.to_string char)
-    (Defender.Profile_io.to_string (DO.profile m r))
+    (Engine.Io.to_string char)
+    (Engine.Io.to_string (DO.profile m r))
 
 let test_iteration_reports () =
   let m = model ~g:(Gen.petersen ()) ~nu:2 ~k:2 in
@@ -235,8 +238,8 @@ let test_deterministic () =
   let m = model ~g:(Gen.petersen ()) ~nu:2 ~k:2 in
   let r1 = DO.solve m and r2 = DO.solve m in
   Alcotest.(check string) "same profile bytes"
-    (Defender.Profile_io.to_string (DO.profile m r1))
-    (Defender.Profile_io.to_string (DO.profile m r2));
+    (Engine.Io.to_string (DO.profile m r1))
+    (Engine.Io.to_string (DO.profile m r2));
   Alcotest.(check int) "same iterations" r1.DO.stats.DO.iterations
     r2.DO.stats.DO.iterations
 
@@ -259,6 +262,72 @@ let test_do_counters () =
     (Dist.Finite.support_size r.DO.sigma + List.length r.DO.tp)
     (get "do.support_size")
 
+(* --- differential: double-oracle vs the fully enumerated matrix game --- *)
+
+(* One game's differential check: the double-oracle value must equal,
+   exactly, the value of the full strategies x vertices interception
+   matrix solved by Lp.Matrix_game; the double-oracle profile must pass
+   exhaustive verification; and its Io round trip must keep the
+   defender's expected profit at nu * value. *)
+module Differential (G : Defender.Game.S) = struct
+  module Engine = Defender.Game_engine.Make (G)
+  module DO = Solver.Double_oracle.Make (G)
+
+  let full_matrix_value inst =
+    let n = Graph.n (G.graph inst) in
+    let rows =
+      G.fold_strategies inst ~init:[] ~f:(fun acc d ->
+          Array.init n (fun v -> if G.covers inst d v then Q.one else Q.zero)
+          :: acc)
+    in
+    (Lp.Matrix_game.solve (Array.of_list (List.rev rows))).Lp.Matrix_game.value
+
+  let check ~label inst =
+    let r = DO.solve inst in
+    Alcotest.check q (label ^ ": DO value = full matrix game value")
+      (full_matrix_value inst) r.DO.value;
+    let prof = DO.profile inst r in
+    Alcotest.(check bool)
+      (label ^ ": DO profile verified (exhaustive)")
+      true
+      (Engine.Verify.verdict_is_confirmed
+         (Engine.Verify.mixed_ne (Engine.Verify.Exhaustive 200_000) prof));
+    let back = Engine.Io.of_string inst (Engine.Io.to_string prof) in
+    let gain = Q.mul_int r.DO.value (G.nu inst) in
+    Alcotest.check q (label ^ ": Io round trip keeps the defender profit")
+      gain
+      (Engine.Profit.expected_tp back);
+    gain
+end
+
+module Diff_tuple = Differential (Defender.Tuple_game)
+module Diff_subgraph = Differential (Defender.Subgraph_game)
+
+let test_differential () =
+  let rng = Prng.Rng.create 2024 in
+  for i = 1 to 40 do
+    let n = Prng.Rng.int_in_range rng ~lo:3 ~hi:7 in
+    let g = Gen.gnp_connected rng ~n ~p:0.45 in
+    let size = min (1 + Prng.Rng.int rng 2) (Graph.m g) in
+    let nu = 1 + Prng.Rng.int rng 2 in
+    let label game =
+      Printf.sprintf "#%d %s n=%d m=%d nu=%d size=%d" i game n (Graph.m g) nu
+        size
+    in
+    let m = model ~g ~nu ~k:size in
+    let gain = Diff_tuple.check ~label:(label "tuple") m in
+    (match Defender.Tuple_nash.a_tuple_auto m with
+    | Ok char ->
+        Alcotest.check q
+          (label "tuple" ^ ": A_tuple profit = DO defender value")
+          gain
+          (Engine.Profit.expected_tp char)
+    | Error _ -> ());
+    ignore
+      (Diff_subgraph.check ~label:(label "subgraph")
+         (SG.make ~graph:g ~nu ~lambda:size))
+  done
+
 let () =
   Alcotest.run "solver"
     [
@@ -279,6 +348,11 @@ let () =
           Alcotest.test_case "subgraph game on C6" `Quick test_subgraph_cycle;
           Alcotest.test_case "subgraph game on Petersen" `Quick
             test_subgraph_no_closed_form;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "double-oracle = full matrix game, both games"
+            `Quick test_differential;
         ] );
       ( "loop",
         [

@@ -7,7 +7,8 @@ open Netgraph
 module Q = Exact.Q
 module MN = Defender.Matching_nash
 module TN = Defender.Tuple_nash
-module V = Defender.Verify
+module Engine = Defender.Tuple_instance.Engine
+module V = Engine.Verify
 
 let q = Alcotest.testable Q.pp Q.equal
 let exhaustive = V.Exhaustive 500_000
@@ -228,13 +229,13 @@ let test_k_matching_rejects_violations () =
      edge 0 appears twice, 2 and 4 once. *)
   let t1 = Defender.Tuple.of_list g [ 0; 2 ] in
   let t2 = Defender.Tuple.of_list g [ 0; 4 ] in
-  let prof = Defender.Profile.uniform m ~vp_support:[ 1; 3; 5 ] ~tp_support:[ t1; t2 ] in
+  let prof = Engine.Profile.uniform m ~vp_support:[ 1; 3; 5 ] ~tp_support:[ t1; t2 ] in
   Alcotest.(check bool) "multiplicity violated" false
     (TN.is_k_matching_configuration prof);
   (* Dependent attacker support. *)
   let t3 = Defender.Tuple.of_list g [ 0; 2 ] and t4 = Defender.Tuple.of_list g [ 2; 4 ] in
   ignore t4;
-  let prof2 = Defender.Profile.uniform m ~vp_support:[ 0; 1 ] ~tp_support:[ t3 ] in
+  let prof2 = Engine.Profile.uniform m ~vp_support:[ 0; 1 ] ~tp_support:[ t3 ] in
   Alcotest.(check bool) "dependent support" false (TN.is_k_matching_configuration prof2)
 
 (* --- Reduction (Theorem 4.5) --- *)
@@ -246,7 +247,7 @@ let test_reduction_forward () =
   let prof = ok (TN.a_tuple_auto m) in
   let edge_prof = Defender.Reduction.tuple_to_edge prof in
   Alcotest.(check int) "edge model k" 1
-    (Defender.Model.k (Defender.Profile.model edge_prof));
+    (Defender.Model.k (Engine.Profile.instance edge_prof));
   Alcotest.(check bool) "matching configuration" true
     (MN.is_matching_configuration edge_prof);
   Alcotest.(check bool) "verified NE" true
@@ -258,7 +259,7 @@ let test_reduction_backward () =
   let m1 = model ~g ~nu:4 ~k:1 in
   let edge_prof = ok (MN.solve_auto m1) in
   let lifted = ok (Defender.Reduction.edge_to_tuple ~k:3 edge_prof) in
-  Alcotest.(check int) "lifted k" 3 (Defender.Model.k (Defender.Profile.model lifted));
+  Alcotest.(check int) "lifted k" 3 (Defender.Model.k (Engine.Profile.instance lifted));
   Alcotest.(check bool) "k-matching NE support" true
     (TN.is_k_matching_ne_support lifted);
   Alcotest.(check bool) "verified" true
@@ -278,7 +279,7 @@ let test_reduction_rejects_bad_input () =
   let m = model ~g ~nu:1 ~k:1 in
   (* Not a matching configuration: dependent support. *)
   let bad =
-    Defender.Profile.uniform m ~vp_support:[ 0; 1 ]
+    Engine.Profile.uniform m ~vp_support:[ 0; 1 ]
       ~tp_support:[ Defender.Tuple.of_list g [ 0 ] ]
   in
   Alcotest.(check bool) "edge_to_tuple rejects" true
@@ -308,7 +309,7 @@ let test_gain_linear_in_k () =
   let m1 = model ~g ~nu ~k:1 in
   let edge_prof = ok (MN.solve_auto m1) in
   let base_gain = Defender.Gain.defender_gain edge_prof in
-  let is_size = List.length (Defender.Profile.vp_support_union edge_prof) in
+  let is_size = List.length (Engine.Profile.vp_support_union edge_prof) in
   for k = 1 to is_size do
     let lifted = ok (Defender.Reduction.edge_to_tuple ~k edge_prof) in
     let gain = Defender.Gain.defender_gain lifted in
@@ -316,7 +317,7 @@ let test_gain_linear_in_k () =
       (Printf.sprintf "IP_tp(k=%d) = k * IP_tp(1)" k)
       (Q.mul_int base_gain k) gain;
     Alcotest.check q "matches prediction"
-      (Defender.Gain.predicted_gain (Defender.Profile.model lifted) ~is_size)
+      (Defender.Gain.predicted_gain (Engine.Profile.instance lifted) ~is_size)
       gain;
     Alcotest.check q "ratio is k" (Q.of_int k)
       (Defender.Gain.gain_ratio lifted edge_prof)
@@ -326,7 +327,7 @@ let test_escape_probability () =
   let g = Gen.path 6 in
   let m = model ~g ~nu:4 ~k:2 in
   let prof = ok (TN.a_tuple_auto m) in
-  let is_size = List.length (Defender.Profile.vp_support_union prof) in
+  let is_size = List.length (Engine.Profile.vp_support_union prof) in
   let predicted = Defender.Gain.predicted_escape_probability m ~is_size in
   for i = 0 to 3 do
     Alcotest.check q
@@ -412,7 +413,7 @@ let props =
         match MN.solve_auto m1 with
         | Error _ -> false
         | Ok edge_prof -> (
-            let is_size = List.length (Defender.Profile.vp_support_union edge_prof) in
+            let is_size = List.length (Engine.Profile.vp_support_union edge_prof) in
             QCheck.assume (is_size >= 2);
             let k = 1 + (Graph.n g mod is_size) in
             match Defender.Reduction.edge_to_tuple ~k edge_prof with
