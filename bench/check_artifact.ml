@@ -12,8 +12,9 @@
    contains no degraded or crashed verdict and no failed check; exit 1
    with a diagnostic otherwise.  Per-experiment "metrics" objects (only
    present on --metrics/--trace sweeps) are shape-checked too, including
-   that known scheduling-dependent counters (pool steals, pipe bytes)
-   never appear in the deterministic "counters" section.  --strip
+   that known scheduling-dependent counters (pipe bytes, and the steals
+   of the pool's retired work-stealing scheduler) never appear in the
+   deterministic "counters" section.  --strip
    prints the artifact with every nondeterministic field removed
    (Registry.strip_timings: wall clocks, Timer cells, float measures,
    span durations and volatile counters — deterministic counters stay),
@@ -29,13 +30,13 @@ module J = Harness.Json
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("check_artifact: " ^ s); exit 1) fmt
 
 (* Counters whose value depends on scheduling, buffering or completion
-   order rather than on the computation alone.  They are registered
-   [Obs.volatile] at their definition sites (pool.ml; pipe_bytes
-   belonged to the retired fork-per-job runner and still appears in
-   committed artifacts such as BENCH_4.json); an artifact carrying one
-   in the deterministic "counters" section was built against a
-   miscategorized registration and would flakily break the stripped
-   normal form that --same-stripped gates. *)
+   order rather than on the computation alone.  Both were registered
+   [Obs.volatile] while their code lived: pipe_bytes belonged to the
+   retired fork-per-job runner (committed artifacts such as BENCH_4.json
+   still carry it) and pool.steals to the pool's retired work-stealing
+   scheduler.  An artifact carrying one in the deterministic "counters"
+   section was built against a miscategorized registration and would
+   flakily break the stripped normal form that --same-stripped gates. *)
 let scheduling_dependent = [ "parallel.pipe_bytes"; "pool.steals" ]
 
 let member_exn key json ~ctx =

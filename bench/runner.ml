@@ -154,8 +154,8 @@ let run opts =
         Fun.protect ~finally:(fun () -> Obs.set_level ambient) @@ fun () ->
         (* In forked mode the parent performs no experiment work, so its
            own delta is exactly the orchestration-side story (pool
-           dispatches, respawns, steals) — worth a table row.  In
-           the in-process sequential run the same delta would merely
+           dispatches, respawns) — worth a table row.  In the
+           in-process sequential run the same delta would merely
            double-count every experiment, so it is not collected. *)
         let forked =
           opts.jobs > 1 || opts.timeout <> None || opts.force_crash <> []

@@ -1,4 +1,4 @@
-(* Batch-query daemon: a socket front-end over a service Pool with a
+(* Batch-query daemon: a socket front-end over a worker Pool with a
    canonical-instance response cache.  See daemon.mli for the protocol. *)
 
 (* Mirrored into Obs so a traced serve run surfaces them alongside the
@@ -68,7 +68,7 @@ let serve ~address ~workers ?timeout ?(max_inflight = 64)
      workers reset SIGTERM/SIGINT to lethal defaults anyway: a signal to
      the whole process group kills the workers outright while the parent
      merely flips [draining] and finishes what it owes. *)
-  let pool = Pool.create_service ~workers ?timeout handler in
+  let pool = Pool.create ~workers ?timeout handler in
   let draining = ref false in
   let drain_handler = Sys.Signal_handle (fun _ -> draining := true) in
   let install s =

@@ -1,5 +1,5 @@
 (** Batch-query daemon: a Unix/TCP socket server that dispatches JSON
-    requests to a service {!Pool} and answers repeated questions from a
+    requests to a worker {!Pool} and answers repeated questions from a
     canonical-instance cache.
 
     The daemon is the transport and policy layer only — it knows nothing
@@ -65,7 +65,7 @@ type stats = { requests : int; cache_hits : int; busy_rejects : int }
     [{"ok":false, "error":"…"}] — it should catch its own exceptions,
     since an escaped one costs a worker respawn and (after one retry)
     surfaces as a ["worker crashed"] error.  [timeout] is the per-request
-    budget in seconds, enforced by the pool ({!Pool.create_service}).
+    budget in seconds, enforced by the pool ({!Pool.create}).
     [on_ready] is called with the bound socket address after [listen]
     succeeds and before the first [accept] — the hook tests and the CLI
     use to learn the actual port of [Tcp (_, 0)] and to signal

@@ -12,24 +12,18 @@
     a corrupt or truncated response is a detectable {!Crashed} outcome,
     not a segfault in the reader.
 
-    Two front-ends share one scheduling core:
+    One front-end: {!create} forks the workers around [f : Json.t ->
+    Json.t]; {!submit} queues a job carrying a JSON payload; the caller
+    owns the select loop — it collects {!resp_fds}, selects, and hands
+    the readable descriptors to {!step}, which returns whatever
+    completions materialized.  The parent keeps one shared FIFO backlog
+    and each worker holds one job in flight: the next idle worker takes
+    the head of the backlog, so one slow job never strands the work
+    queued behind it.  The {!Daemon} runs this loop; so does the one-call
+    batch {!run}, the experiment registry's engine, whose payload is the
+    job index.
 
-    - the {b batch} API ({!create} + {!run_batch}, or the one-call
-      {!run}): a job is an integer id, the worker computes [f id], and
-      the call blocks until every job settles.  Dispatch is least-loaded
-      with work stealing: the batch is dealt round-robin into per-worker
-      queues, each worker holds one job in flight, and a worker that
-      drains its own queue steals the next job from the longest
-      remaining queue — so one slow job cannot strand the work dealt
-      behind it.  This is the experiment registry's engine.
-    - the {b service} API ({!create_service} + {!submit} + {!step}): a
-      job carries a JSON request payload, the worker computes
-      [f payload], and the caller owns the select loop — it collects
-      {!resp_fds}, selects, and hands the readable descriptors to
-      {!step}, which returns whatever completions materialized.  This is
-      the {!Daemon}'s engine.
-
-    {b Fault tolerance} (both front-ends).  A worker that dies mid-job
+    {b Fault tolerance}.  A worker that dies mid-job
     (signal, OOM kill, nonzero exit, corrupt response stream) is
     respawned and the job is retried once on a fresh worker before being
     reported {!Crashed}.  A worker past the per-job [timeout] is
@@ -49,10 +43,8 @@
     {b Counters} (recorded in the parent, so they surface as the
     driver's orchestration-side metrics, never inside an experiment's
     own delta): [pool.dispatches] (jobs sent to workers, retries
-    included — deterministic), [pool.respawns] (workers replaced after a
-    death — deterministic when the crashes are), and [pool.steals]
-    (volatile: how many dispatches crossed queues depends on completion
-    timing, so it may legitimately differ between identical runs). *)
+    included — deterministic) and [pool.respawns] (workers replaced
+    after a death — deterministic when the crashes are). *)
 
 (** How one job settled. *)
 type outcome =
@@ -66,20 +58,13 @@ type outcome =
 type t
 
 (** [create ~workers ?timeout f] forks [workers] persistent worker
-    processes around [f].  [f] runs in the workers: state it mutates
-    there is invisible to the parent and survives {e across jobs within
-    one worker} (warm caches are the point), but never crosses workers.
+    processes around [f]; {!submit} with [~arg:req] makes some worker
+    compute [f req].  [f] runs in the workers: state it mutates there is
+    invisible to the parent and survives {e across jobs within one
+    worker} (warm caches are the point), but never crosses workers.
     [timeout] is the per-job budget in seconds.
     @raise Invalid_argument when [workers < 1] or [timeout <= 0]. *)
-val create : workers:int -> ?timeout:float -> (int -> Json.t) -> t
-
-(** [create_service ~workers ?timeout f] forks a pool whose jobs carry a
-    JSON payload: {!submit} with [?arg:req] makes some worker compute
-    [f req].  Service pools are driven through {!submit}/{!step}
-    ({!run_batch} rejects them).
-    @raise Invalid_argument when [workers < 1] or [timeout <= 0]. *)
-val create_service :
-  workers:int -> ?timeout:float -> (Json.t -> Json.t) -> t
+val create : workers:int -> ?timeout:float -> (Json.t -> Json.t) -> t
 
 val worker_count : t -> int
 
@@ -88,25 +73,18 @@ val worker_count : t -> int
 val worker_pids : t -> int list
 
 (** Liveness snapshot without worker I/O: a non-blocking [waitpid] per
-    worker.  A worker found dead is reaped and marked (the next batch
+    worker.  A worker found dead is reaped and marked (the next {!step}
     respawns it). *)
 val alive : t -> bool list
 
-(** Active health check, valid between batches: each live idle worker is
-    sent a ping frame and must answer the matching pong within
-    [timeout_s] (default 5) seconds.  A worker that fails the check is
-    killed, reaped and marked dead (the next batch respawns it). *)
+(** Active health check: each live idle worker is sent a ping frame and
+    must answer the matching pong within [timeout_s] (default 5)
+    seconds; a busy worker gets the {!alive} check only.  A worker that
+    fails the check is killed, reaped and marked dead (the next {!step}
+    respawns it). *)
 val ping : ?timeout_s:float -> t -> bool list
 
-(** [run_batch t ids] runs job id [i] as [f i] for each listed id across
-    the pool and returns [(id, outcome)] in the argument order.  Dead
-    workers are respawned first; crashes and timeouts follow the rules
-    above.  Ids need not be distinct (each occurrence is its own job).
-    @raise Invalid_argument after {!shutdown}, on a service pool, or
-    while submitted service jobs are still in flight. *)
-val run_batch : t -> int list -> (int * outcome) list
-
-(** {2 Asynchronous service interface}
+(** {2 Driving the pool}
 
     The caller owns the event loop.  Each iteration: {!submit} any new
     work, build a select set from {!resp_fds} (plus the caller's own
@@ -115,12 +93,11 @@ val run_batch : t -> int list -> (int * outcome) list
     dispatches backlog and enforces deadlines, so it must be called
     periodically even when nothing was readable (a select timeout). *)
 
-(** [submit t ~arg ticket] queues one job.  [ticket] is an opaque caller
-    id echoed back with the outcome — the pool never interprets it, and
-    duplicates are the caller's own affair.  [arg] is required on
-    service pools and forbidden on batch pools.
-    @raise Invalid_argument after {!shutdown} or on an arg mismatch. *)
-val submit : t -> ?arg:Json.t -> int -> unit
+(** [submit t ~arg ticket] queues one job computing [f arg].  [ticket]
+    is an opaque caller id echoed back with the outcome — the pool never
+    interprets it, and duplicates are the caller's own affair.
+    @raise Invalid_argument after {!shutdown}. *)
+val submit : t -> arg:Json.t -> int -> unit
 
 (** Jobs submitted but not yet returned by {!step}. *)
 val pending : t -> int
@@ -147,13 +124,15 @@ val step : t -> readable:Unix.file_descr list -> (int * outcome) list
 
 (** Graceful drain, idempotent: close every request pipe — a worker
     reads EOF at its next frame boundary and exits 0 — then reap all
-    workers.  Workers still busy (only possible if a batch raised or a
-    service job is in flight) are killed rather than waited for. *)
+    workers.  Workers still busy (a submitted job is in flight) are
+    killed rather than waited for. *)
 val shutdown : t -> unit
 
 (** [run ~jobs ?timeout count f] runs jobs [0 .. count-1] as one batch
-    on a transient pool of [min jobs count] workers, drains it, and
-    returns the outcome of [f i] indexed by [i].  [timeout] is per job,
+    on a transient pool of [min jobs count] workers — it submits each
+    index as a payload and runs the {!step} loop until nothing is
+    pending — drains it, and returns the outcome of [f i] indexed by
+    [i].  [timeout] is per job,
     in seconds.  [f] runs in the workers: state it mutates is invisible
     to the parent.
     @raise Invalid_argument when [jobs < 1], [timeout <= 0] or

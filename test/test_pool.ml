@@ -288,6 +288,30 @@ let test_pool_run_basics () =
     (Invalid_argument "Pool.run: timeout must be positive") (fun () ->
       ignore (P.run ~jobs:1 ~timeout:(-1.0) 1 (fun _ -> J.Null)))
 
+(* Drive a pool's submit/step cycle the way the daemon does: select on
+   resp_fds, hand the readable set to step, collect settlements until
+   nothing is pending. *)
+let drive ?(budget = 30.0) p =
+  let deadline = Unix.gettimeofday () +. budget in
+  let out = ref [] in
+  while P.pending p > 0 do
+    if Unix.gettimeofday () > deadline then
+      Alcotest.fail "pool did not settle in time";
+    let fds = P.resp_fds p in
+    let readable, _, _ =
+      try Unix.select fds [] [] 0.2
+      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+    in
+    out := !out @ P.step p ~readable
+  done;
+  !out
+
+(* One batch on a live pool: job [i] gets payload [Int i] and ticket
+   [i]; the settlements come back sorted by ticket. *)
+let run_jobs p ids =
+  List.iter (fun i -> P.submit p ~arg:(J.Int i) i) ids;
+  List.sort (fun (a, _) (b, _) -> compare a b) (drive p)
+
 (* Workers persist across jobs and batches: every job on a 1-worker pool
    reports the same worker pid, across two separate batches.  This is
    the property fork-per-job cannot have, and the whole point of the
@@ -304,7 +328,7 @@ let test_pool_workers_persist () =
             match outcome with
             | P.Completed (J.Int pid) -> pid
             | _ -> Alcotest.fail "job did not complete")
-          (P.run_batch p batch))
+          (run_jobs p batch))
       [ [ 0; 1; 2 ]; [ 3; 4 ] ]
   in
   Alcotest.(check int) "five answers" 5 (List.length pids);
@@ -408,60 +432,61 @@ let test_pool_timeout () =
   Alcotest.(check bool) "timeout not retried: dispatches = jobs" true
     (List.assoc_opt "pool.dispatches" d.Obs.counters = Some 3)
 
-(* --- work stealing --- *)
+(* --- the shared backlog --- *)
 
-(* 2 workers, 12 jobs dealt round-robin, job 0 sleeps: worker 1 drains
-   its own six fast jobs and must steal from worker 0's queue, so the
-   batch finishes long before the sleeper alone would let worker 0's
-   share.  The steal count is timing-dependent by nature — which is
-   exactly why pool.steals is a volatile counter — but under a 0.6 s
-   head start at least one steal is certain. *)
-let test_pool_work_stealing () =
+(* 2 workers, 12 jobs, job 0 sleeps: the first step hands job 0 to one
+   worker and job 1 to the other, and with a 0.6 s head start the free
+   worker drains all eleven fast jobs from the shared backlog before the
+   sleeper's worker is idle again — one slow job strands nothing queued
+   behind it.  Each job answers with its index and its worker's pid. *)
+let test_pool_shared_backlog () =
   let module Obs = Harness.Obs in
   let ambient = Obs.level () in
   Obs.set_level Obs.Counters;
   Fun.protect ~finally:(fun () -> Obs.set_level ambient) @@ fun () ->
   let snap = Obs.snapshot () in
-  let p =
-    P.create ~workers:2 (fun i ->
+  let out =
+    P.run ~jobs:2 12 (fun i ->
         if i = 0 then ignore (Unix.select [] [] [] 0.6);
-        J.Int i)
+        J.List [ J.Int i; J.Int (Unix.getpid ()) ])
   in
-  Fun.protect ~finally:(fun () -> P.shutdown p) @@ fun () ->
-  let results = P.run_batch p (List.init 12 Fun.id) in
-  Alcotest.(check (list int)) "argument order kept" (List.init 12 Fun.id)
-    (List.map fst results);
-  List.iter
-    (fun (i, outcome) ->
-      match outcome with
-      | P.Completed (J.Int v) ->
-          Alcotest.(check int) (Printf.sprintf "job %d" i) i v
-      | _ -> Alcotest.failf "job %d crashed" i)
-    results;
+  let pids =
+    Array.mapi
+      (fun i outcome ->
+        match outcome with
+        | P.Completed (J.List [ J.Int v; J.Int pid ]) ->
+            Alcotest.(check int)
+              (Printf.sprintf "job %d in argument order" i)
+              i v;
+            pid
+        | _ -> Alcotest.failf "job %d crashed" i)
+      out
+  in
+  Alcotest.(check int) "all jobs answered" 12 (Array.length pids);
+  let fast = Array.to_list (Array.sub pids 1 11) in
+  Alcotest.(check bool) "fast jobs all served by the other worker" true
+    (List.for_all (fun pid -> pid = List.hd fast && pid <> pids.(0)) fast);
   let d = Obs.delta snap in
   Alcotest.(check bool) "dispatches deterministic" true
     (List.assoc_opt "pool.dispatches" d.Obs.counters = Some 12);
-  Alcotest.(check bool) "at least one steal, recorded volatile" true
-    (match List.assoc_opt "pool.steals" d.Obs.volatile with
-    | Some n -> n >= 1
-    | None -> false);
-  Alcotest.(check bool) "steals never in the deterministic section" true
-    (not (List.mem_assoc "pool.steals" d.Obs.counters))
+  Alcotest.(check bool) "no steal counter in either section" true
+    ((not (List.mem_assoc "pool.steals" d.Obs.counters))
+    && not (List.mem_assoc "pool.steals" d.Obs.volatile))
 
 (* --- health checks and drain --- *)
 
 let test_pool_alive_ping_shutdown () =
   let p =
-    P.create ~workers:2 (fun i ->
+    P.create ~workers:2 (fun arg ->
         (* Job 0 arms a time bomb: the worker answers normally, then the
            default SIGALRM disposition kills it ~1 s later while idle. *)
-        if i = 0 then ignore (Unix.alarm 1);
-        J.Int i)
+        if arg = J.Int 0 then ignore (Unix.alarm 1);
+        arg)
   in
   Fun.protect ~finally:(fun () -> P.shutdown p) @@ fun () ->
   Alcotest.(check (list bool)) "all alive at start" [ true; true ] (P.alive p);
   Alcotest.(check (list bool)) "all answer ping" [ true; true ] (P.ping p);
-  let b1 = P.run_batch p [ 0; 1 ] in
+  let b1 = run_jobs p [ 0; 1 ] in
   Alcotest.(check int) "first batch done" 2 (List.length b1);
   ignore (Unix.select [] [] [] 1.3);
   (* The bomb went off while the worker sat idle: liveness sees it. *)
@@ -469,7 +494,7 @@ let test_pool_alive_ping_shutdown () =
     (P.alive p);
   Alcotest.(check (list bool)) "ping agrees" [ false; true ] (P.ping p);
   (* The next batch respawns the dead slot and completes on both. *)
-  let b2 = P.run_batch p [ 5; 6 ] in
+  let b2 = run_jobs p [ 5; 6 ] in
   List.iter
     (fun (i, outcome) ->
       match outcome with
@@ -481,33 +506,15 @@ let test_pool_alive_ping_shutdown () =
   P.shutdown p;
   P.shutdown p (* idempotent *);
   Alcotest.(check (list bool)) "drained" [ false; false ] (P.alive p);
-  Alcotest.check_raises "run_batch after shutdown"
-    (Invalid_argument "Pool.run_batch: pool is shut down") (fun () ->
-      ignore (P.run_batch p [ 1 ]))
+  Alcotest.check_raises "submit after shutdown"
+    (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
+      P.submit p ~arg:(J.Int 1) 1)
 
-(* --- asynchronous service interface --- *)
-
-(* Drive a service pool's submit/step cycle the way the daemon does:
-   select on resp_fds, hand the readable set to step, collect
-   settlements until nothing is pending. *)
-let drive ?(budget = 30.0) p =
-  let deadline = Unix.gettimeofday () +. budget in
-  let out = ref [] in
-  while P.pending p > 0 do
-    if Unix.gettimeofday () > deadline then
-      Alcotest.fail "service pool did not settle in time";
-    let fds = P.resp_fds p in
-    let readable, _, _ =
-      try Unix.select fds [] [] 0.2
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-    in
-    out := !out @ P.step p ~readable
-  done;
-  !out
+(* --- the submit/step interface --- *)
 
 let test_pool_service_submit_step () =
   let p =
-    P.create_service ~workers:2 (fun arg ->
+    P.create ~workers:2 (fun arg ->
         match J.member "x" arg with
         | Some (J.Int x) -> J.Obj [ ("ok", J.Bool true); ("y", J.Int (x * x)) ]
         | _ -> J.Obj [ ("ok", J.Bool false) ])
@@ -530,23 +537,11 @@ let test_pool_service_submit_step () =
       | Some (P.Crashed { reason; _ }) ->
           Alcotest.failf "ticket %d crashed: %s" t reason
       | None -> Alcotest.failf "ticket %d never settled" t)
-    [ 0; 1; 2; 3; 4 ];
-  (* arg-handler pairing is validated both ways, batch mode is locked. *)
-  Alcotest.check_raises "submit without payload"
-    (Invalid_argument "Pool.submit: this pool's handler needs a payload")
-    (fun () -> P.submit p 9);
-  Alcotest.check_raises "run_batch on a service pool"
-    (Invalid_argument "Pool.run_batch: service pools take jobs through submit")
-    (fun () -> ignore (P.run_batch p [ 1 ]));
-  let batch = P.create ~workers:1 (fun i -> J.Int i) in
-  Fun.protect ~finally:(fun () -> P.shutdown batch) @@ fun () ->
-  Alcotest.check_raises "payload on a batch pool"
-    (Invalid_argument "Pool.submit: this pool's handler takes no payload")
-    (fun () -> P.submit batch ~arg:J.Null 1)
+    [ 0; 1; 2; 3; 4 ]
 
 let test_pool_service_crash_and_deadline () =
   let p =
-    P.create_service ~workers:2 ~timeout:0.3 (fun arg ->
+    P.create ~workers:2 ~timeout:0.3 (fun arg ->
         match J.member "op" arg with
         | Some (J.String "crash") -> Unix._exit 9
         | Some (J.String "hang") ->
@@ -590,7 +585,7 @@ let test_pool_service_crash_and_deadline () =
 let test_pool_service_deadline_race () =
   let budget = 0.05 in
   let p =
-    P.create_service ~workers:1 ~timeout:budget (fun arg ->
+    P.create ~workers:1 ~timeout:budget (fun arg ->
         J.Obj [ ("echo", arg) ])
   in
   Fun.protect ~finally:(fun () -> P.shutdown p) @@ fun () ->
@@ -676,7 +671,7 @@ let poll_until_gone ?(budget = 5.0) pids =
 let test_pool_worker_dies_on_direct_sigterm () =
   let old = Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> ())) in
   Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigterm old) @@ fun () ->
-  let p = P.create ~workers:2 (fun i -> J.Int i) in
+  let p = P.create ~workers:2 Fun.id in
   Fun.protect ~finally:(fun () -> P.shutdown p) @@ fun () ->
   let pids = P.worker_pids p in
   Alcotest.(check int) "two workers" 2 (List.length pids);
@@ -700,7 +695,7 @@ let test_pool_orphans_reaped_on_parent_kill () =
   | 0 ->
       Unix.close r;
       (try
-         let p = P.create ~workers:2 (fun i -> J.Int i) in
+         let p = P.create ~workers:2 Fun.id in
          Harness.Wire.write_frame w
            (J.List (List.map (fun pid -> J.Int pid) (P.worker_pids p)));
          (* hold the pool open until the parent kills us *)
@@ -831,7 +826,7 @@ let () =
           Alcotest.test_case "persistent crash" `Quick
             test_pool_persistent_crash;
           Alcotest.test_case "timeout" `Quick test_pool_timeout;
-          Alcotest.test_case "work stealing" `Quick test_pool_work_stealing;
+          Alcotest.test_case "shared backlog" `Quick test_pool_shared_backlog;
           Alcotest.test_case "alive/ping/shutdown" `Quick
             test_pool_alive_ping_shutdown;
         ] );
