@@ -15,17 +15,14 @@
 
 module Q = Exact.Q
 
+type warm = { lp : Simplex.solution; rows : int; cols : int; shift : Q.t }
+
 type solution = {
   value : Q.t;
   row_strategy : Q.t array;
   col_strategy : Q.t array;
-  basis : int array;
+  warm : warm;
 }
-
-type warm = { w_basis : int array; w_rows : int; w_cols : int }
-
-let warm ~rows ~cols (sol : solution) =
-  { w_basis = sol.basis; w_rows = rows; w_cols = cols }
 
 let check_shape m =
   let rows = Array.length m in
@@ -39,17 +36,6 @@ let check_shape m =
     m;
   (rows, cols)
 
-(* Remap a basis recorded on a rows×cols0 problem to the current
-   rows×cols one: structural indices are stable, slack indices shift by
-   the number of appended columns.  Only column growth is remappable —
-   a changed row count changes the basis length itself. *)
-let remap_warm ~rows ~cols = function
-  | Some { w_basis; w_rows; w_cols }
-    when w_rows = rows && w_cols <= cols && Array.length w_basis = rows ->
-      Some
-        (Array.map (fun j -> if j < w_cols then j else j - w_cols + cols) w_basis)
-  | _ -> None
-
 let solve ?warm m =
   let rows, cols = check_shape m in
   let lo =
@@ -58,22 +44,27 @@ let solve ?warm m =
       m.(0).(0) m
   in
   let shift = if Q.( < ) lo Q.one then Q.sub Q.one lo else Q.zero in
-  let a =
-    Array.map (fun row -> Array.map (fun v -> Q.add v shift) row) m
-  in
-  let b = Array.make rows Q.one in
-  let c = Array.make cols Q.one in
+  let shifted v = Q.add v shift in
   let outcome =
-    match remap_warm ~rows ~cols warm with
-    | Some warm_start -> Simplex.maximize_warm ~warm_start ~a ~b ~c
-    | None -> Simplex.maximize ~a ~b ~c
+    match warm with
+    | Some w when w.rows = rows && w.cols <= cols && Q.equal w.shift shift ->
+        (* Same rows, same shift: the old tableau is the LP's optimum
+           with the appended columns at 0, so price them into it.  A
+           changed shift rewrites every old column, so it solves cold. *)
+        let k = cols - w.cols in
+        let appended row = Array.init k (fun j -> shifted row.(w.cols + j)) in
+        Simplex.extend w.lp ~a:(Array.map appended m) ~c:(Array.make k Q.one)
+    | _ ->
+        Simplex.maximize
+          ~a:(Array.map (Array.map shifted) m)
+          ~b:(Array.make rows Q.one) ~c:(Array.make cols Q.one)
   in
   match outcome with
   | Simplex.Unbounded ->
       (* Impossible: every entry of [a] is >= 1, so sum w <= 1 over any
          single constraint row. *)
       assert false
-  | Simplex.Optimal { objective; x = w; dual = u; basis } ->
+  | Simplex.Optimal ({ objective; x = w; dual = u; _ } as lp) ->
       (* objective = 1/v' > 0 since v' is finite and positive. *)
       assert (Q.( > ) objective Q.zero);
       let usum = Array.fold_left Q.add Q.zero u in
@@ -82,7 +73,7 @@ let solve ?warm m =
       let value = Q.sub (Q.inv objective) shift in
       let col_strategy = Array.map (fun wj -> Q.div wj objective) w in
       let row_strategy = Array.map (fun ui -> Q.div ui objective) u in
-      { value; row_strategy; col_strategy; basis }
+      { value; row_strategy; col_strategy; warm = { lp; rows; cols; shift } }
 
 let is_distribution p =
   Array.for_all (fun v -> Q.( >= ) v Q.zero) p

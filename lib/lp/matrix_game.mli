@@ -13,39 +13,39 @@
 
     This is the restricted-game kernel of the double-oracle solver
     ({!Solver.Double_oracle}), which re-solves a slowly growing matrix
-    every iteration — hence the warm-restart support threading the
-    previous simplex basis through column growth. *)
+    every iteration.  Each solution carries its optimal simplex tableau
+    as a {!warm} token; a later solve of the same rows with columns
+    appended prices only the newcomers into that tableau
+    ({!Simplex.extend}) instead of starting the simplex over. *)
 
 module Q = Exact.Q
+
+type warm
+(** A warm-restart token: the optimal simplex tableau of a {!solve},
+    with the matrix shape and payoff shift it was computed for. *)
 
 type solution = {
   value : Q.t;  (** the game value, payoff to the row maximizer *)
   row_strategy : Q.t array;  (** maximizer mix over rows; sums to 1 *)
   col_strategy : Q.t array;  (** minimizer mix over columns; sums to 1 *)
-  basis : int array;  (** simplex basis certificate, for {!warm} *)
+  warm : warm;  (** this solve's tableau, for a later [solve ~warm] *)
 }
-
-type warm
-(** A warm-restart token: the basis of a previous {!solve} plus the
-    shape it was computed for. *)
-
-(** [warm ~rows ~cols sol] packages [sol] (obtained on a [rows]×[cols]
-    matrix) for reuse by a later {!solve}. *)
-val warm : rows:int -> cols:int -> solution -> warm
 
 (** [solve ?warm m] computes value and optimal mixed strategies of the
     zero-sum game with row-maximizer payoff matrix [m] (m×n, m,n ≥ 1).
 
-    When [?warm] is given and the new matrix extends the old one by
-    appended columns only (same row count, [cols' ≥ cols], earlier
-    columns unchanged in meaning), the previous basis is remapped and
-    reused — appended columns enter at weight 0, so the old optimum
-    stays feasible and the simplex merely prices the newcomers.  Any
-    shape mismatch, or a basis the new data rejects, falls back to a
-    cold solve.  Either way the result is an exact equilibrium at the
-    unique game value; in degenerate games with several optimal bases
-    the warm and cold paths may return different (equally optimal)
-    strategies.
+    When [?warm] is given, the new matrix has the token's row count and
+    at least its column count, and the payoff shift is unchanged, [m] is
+    taken to extend the token's matrix by appended columns only (earlier
+    columns unchanged in meaning — the caller's promise): the old
+    tableau is extended with the new columns, which enter at weight 0,
+    so the old optimum stays feasible and the simplex merely prices the
+    newcomers.  Otherwise — a different row count, fewer columns, or a
+    shift that moved because the minimum entry fell — the solve is cold.
+    Either way the result is an exact equilibrium at the unique game
+    value; in degenerate games with several optimal bases the warm and
+    cold paths may return different (equally optimal) strategies.  The
+    token is not consumed: it can warm any number of solves.
     @raise Invalid_argument on an empty or ragged matrix. *)
 val solve : ?warm:warm -> Q.t array array -> solution
 

@@ -8,9 +8,20 @@
     phase-1 is needed; this covers the fractional covering/packing duals
     the defender analysis requires (see {!Defender.Minimax}) and the
     restricted matrix games of {!Matrix_game}.  All arithmetic is exact,
-    so returned optima are certificates, not approximations. *)
+    so returned optima are certificates, not approximations.
+
+    An optimum keeps its tableau, and {!extend} re-solves the same rows
+    with columns appended by pricing the newcomers into that tableau —
+    the column-generation step of the double-oracle solver — instead of
+    starting over from the all-slack basis.  One pivot routine and one
+    Bland loop serve both entry points. *)
 
 module Q = Exact.Q
+
+type tableau
+(** The optimal simplex tableau of a solved problem.  Immutable from the
+    outside: {!extend} copies it, so one solution can be extended any
+    number of times. *)
 
 type solution = {
   objective : Q.t;
@@ -18,10 +29,7 @@ type solution = {
   dual : Q.t array;
       (** dual optimum (one multiplier per row), read off the slack
           reduced costs; certifies optimality by strong duality *)
-  basis : int array;
-      (** the optimal basis: one column index per row, structural
-          variables first ([0..n-1]), then slacks ([n..n+m-1]).  Feed it
-          back through [?warm_start] to re-solve a related problem. *)
+  tableau : tableau;  (** the optimal tableau, for {!extend} *)
 }
 
 type outcome =
@@ -34,22 +42,20 @@ type outcome =
     @raise Invalid_argument on ragged input or a negative entry in [b]. *)
 val maximize : a:Q.t array array -> b:Q.t array -> c:Q.t array -> outcome
 
-(** [maximize_warm ~warm_start ~a ~b ~c] is {!maximize} restarted from a
-    previously returned {!solution.basis}: the tableau is reconstructed
-    by Gauss-Jordan pivoting on the given columns, which prices out a
-    near-optimal start when the problem gained columns since the basis
-    was recorded.  A basis that is singular or primal-infeasible for the
-    current data (e.g. after new rows cut off the old optimum) silently
-    falls back to the cold start, so warm-started calls return exactly
-    what the cold call would — only faster when the basis still fits.
-    @raise Invalid_argument additionally on a malformed basis (wrong
-    length, out-of-range or duplicate index). *)
-val maximize_warm :
-  warm_start:int array ->
-  a:Q.t array array ->
-  b:Q.t array ->
-  c:Q.t array ->
-  outcome
+(** [extend sol ~a ~c] solves the problem [sol] is the optimum of with k
+    columns appended: [a] is the m×k block of new constraint columns
+    (one row of length k per constraint row) and [c] their k objective
+    coefficients; the rows and [b] are unchanged.  The old optimum stays
+    feasible with the new columns at 0, so Bland's rule starts from its
+    basis: each new column's tableau entries are B⁻¹a_j and its reduced
+    cost c_j − y·a_j, read off the slack block (B⁻¹) and the dual y.
+    The result is the solution {!maximize} would reach from that basis
+    on the grown problem; its objective equals the cold optimum, while
+    [x] and [dual] may be another optimal vertex when the optimum is
+    degenerate.  [sol] itself is left untouched.
+    @raise Invalid_argument if [a] does not have one row of length
+    [Array.length c] per constraint row. *)
+val extend : solution -> a:Q.t array array -> c:Q.t array -> outcome
 
 (** [feasible ~a ~b ~x]: does [x ≥ 0] satisfy [A x ≤ b]? *)
 val feasible : a:Q.t array array -> b:Q.t array -> x:Q.t array -> bool

@@ -6,8 +6,9 @@
      it.  Solving from the attacker side puts the defender's strategies
      in the LP columns, which is what makes warm restarts pay: the
      defender side is the one that grows on almost every iteration, and
-     appended columns keep the previous simplex basis feasible, while a
-     new attacker row invalidates it (Matrix_game then falls back cold).
+     an appended column leaves the previous optimal tableau valid, so
+     Matrix_game prices the newcomer into it instead of re-solving.  A
+     new attacker row changes the LP's rows, and that solve is cold.
    - At a restricted equilibrium every restricted vertex is hit with
      probability ≥ v* and every restricted strategy intercepts ≤ v*, so
      a strictly improving oracle answer is provably NOT in the
@@ -104,13 +105,13 @@ module Make (G : Defender.Game.S) = struct
       in
       let warm =
         match !prev with
-        | Some (sol, pr, pc) when pr = nr ->
+        | Some (sol, pr) when pr = nr ->
             incr warm_solves;
-            Some (Lp.Matrix_game.warm ~rows:pr ~cols:pc sol)
+            Some sol.Lp.Matrix_game.warm
         | _ -> None
       in
       let sol = Lp.Matrix_game.solve ?warm matrix in
-      prev := Some (sol, nr, nc);
+      prev := Some (sol, nr);
       let v_star = Q.sub Q.one sol.Lp.Matrix_game.value in
       (* Defender oracle: best pure interception against σ. *)
       let weight = Array.make n Q.zero in

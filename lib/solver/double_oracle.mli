@@ -13,7 +13,8 @@
     Kaźmierowski–Dziubiński, arXiv:2309.04288) never materializes the
     full matrix: it keeps RESTRICTED sets of attacker vertices and
     defender strategies, solves the restricted game exactly
-    ({!Lp.Matrix_game}, warm-restarted across column growth), then asks
+    ({!Lp.Matrix_game}; when only defender columns were added, by
+    extending the previous solve's optimal tableau), then asks
     each side's exact best-response oracle for a profitable deviation
     against the opponent's current mix — the attacker side by a linear
     scan of per-vertex hit probabilities, the defender side through
@@ -52,8 +53,9 @@ module Make (G : Defender.Game.S) : sig
     iterations : int;
     oracle_calls : int;  (** 2 per iteration: one per side *)
     warm_solves : int;
-        (** restricted solves entered with a reusable simplex basis
-            (row set unchanged since the previous solve) *)
+        (** restricted solves offered the previous solve's tableau (row
+            set unchanged since then); {!Lp.Matrix_game} still solves
+            one cold when the payoff shift moved *)
     final_rows : int;  (** attacker vertices in the final restricted game *)
     final_cols : int;  (** defender strategies in the final restricted game *)
   }

@@ -2,7 +2,8 @@
    the simplex robustness it rests on: equilibrium certificates on
    random matrices, agreement with the independently derived Minimax LP
    on single-edge covering games, degenerate shapes (duplicate rows,
-   dominated columns, 1×n), warm restarts, and anti-cycling regressions
+   dominated columns, 1×n), warm restarts that extend the previous
+   optimal tableau across column growth, and anti-cycling regressions
    (Beale's example) for the degenerate tableaux the double-oracle loop
    feeds the simplex repeatedly. *)
 
@@ -149,7 +150,7 @@ let test_warm_column_growth () =
   let base = matrix [ [ 1; 0 ]; [ 0; 1 ] ] in
   let sb = MG.solve base in
   let ext = matrix [ [ 1; 0; 1; 2 ]; [ 0; 1; 0; 2 ] ] in
-  let warm = MG.warm ~rows:2 ~cols:2 sb in
+  let warm = sb.MG.warm in
   let sw = MG.solve ~warm ext and sc = MG.solve ext in
   Alcotest.check q "warm value = cold value" sc.MG.value sw.MG.value;
   Alcotest.(check bool) "warm certificate" true (MG.is_equilibrium ext sw)
@@ -160,7 +161,7 @@ let test_warm_shape_mismatch_falls_back () =
   let base = matrix [ [ 1; 0 ]; [ 0; 1 ] ] in
   let sb = MG.solve base in
   let taller = matrix [ [ 1; 0 ]; [ 0; 1 ]; [ 1; 1 ] ] in
-  let warm = MG.warm ~rows:2 ~cols:2 sb in
+  let warm = sb.MG.warm in
   let sw = MG.solve ~warm taller in
   (* The new row intercepts both columns, so the value jumps to 1 —
      obtained despite the now-useless warm token. *)
@@ -176,7 +177,7 @@ let prop_warm_equals_cold =
     ~count:150
     (QCheck.pair arb_matrix (QCheck.make QCheck.Gen.(int_range 1 3)))
     (fun (m, extra) ->
-      let rows = Array.length m and cols = Array.length m.(0) in
+      let cols = Array.length m.(0) in
       let sb = MG.solve m in
       let ext =
         Array.mapi
@@ -185,7 +186,7 @@ let prop_warm_equals_cold =
               (Array.init extra (fun j -> m.(i).((j + i) mod cols))))
           m
       in
-      let warm = MG.warm ~rows ~cols sb in
+      let warm = sb.MG.warm in
       let sw = MG.solve ~warm ext and sc = MG.solve ext in
       Q.equal sw.MG.value sc.MG.value && MG.is_equilibrium ext sw)
 
@@ -222,28 +223,115 @@ let test_degenerate_duplicate_constraints () =
   | Lp.Simplex.Optimal { objective; _ } ->
       Alcotest.check q "duplicate constraints" Q.one objective
 
-let test_simplex_warm_basis_roundtrip () =
+let test_simplex_extend_roundtrip () =
   let a = [| [| Q.one; Q.one |]; [| Q.one; Q.zero |] |] in
   let b = [| qi 2; Q.one |] in
   let c = [| qi 3; Q.one |] in
-  let cold =
-    match Lp.Simplex.maximize ~a ~b ~c with
+  let optimal = function
     | Lp.Simplex.Optimal s -> s
     | Lp.Simplex.Unbounded -> Alcotest.fail "bounded"
   in
-  (match Lp.Simplex.maximize_warm ~warm_start:cold.Lp.Simplex.basis ~a ~b ~c with
-  | Lp.Simplex.Optimal s ->
-      Alcotest.check q "re-solve from own basis" cold.Lp.Simplex.objective
-        s.Lp.Simplex.objective
-  | Lp.Simplex.Unbounded -> Alcotest.fail "bounded");
-  Alcotest.check_raises "wrong basis length"
-    (Invalid_argument "Simplex.maximize: warm-start basis length <> rows")
-    (fun () ->
-      ignore (Lp.Simplex.maximize_warm ~warm_start:[| 0 |] ~a ~b ~c));
-  Alcotest.check_raises "duplicate basis index"
-    (Invalid_argument "Simplex.maximize: duplicate warm-start basis index")
-    (fun () ->
-      ignore (Lp.Simplex.maximize_warm ~warm_start:[| 1; 1 |] ~a ~b ~c))
+  let cold = optimal (Lp.Simplex.maximize ~a ~b ~c) in
+  let same = optimal (Lp.Simplex.extend cold ~a:[| [||]; [||] |] ~c:[||]) in
+  Alcotest.check q "no new columns: same optimum" cold.Lp.Simplex.objective
+    same.Lp.Simplex.objective;
+  (* A third column [2; 0] with objective 5 beats both old ones. *)
+  let grown =
+    optimal
+      (Lp.Simplex.extend cold ~a:[| [| qi 2 |]; [| Q.zero |] |] ~c:[| qi 5 |])
+  in
+  let a' = [| [| Q.one; Q.one; qi 2 |]; [| Q.one; Q.zero; Q.zero |] |] in
+  let c' = [| qi 3; Q.one; qi 5 |] in
+  let recold = optimal (Lp.Simplex.maximize ~a:a' ~b ~c:c') in
+  Alcotest.check q "extended = cold optimum" recold.Lp.Simplex.objective
+    grown.Lp.Simplex.objective;
+  Alcotest.(check bool) "extended optimum feasible" true
+    (Lp.Simplex.feasible ~a:a' ~b ~x:grown.Lp.Simplex.x);
+  Alcotest.check q "dual certifies it" grown.Lp.Simplex.objective
+    (Lp.Simplex.value ~c:b ~x:grown.Lp.Simplex.dual);
+  Alcotest.check_raises "wrong row count"
+    (Invalid_argument "Simplex.extend: |a| <> rows") (fun () ->
+      ignore (Lp.Simplex.extend cold ~a:[| [| Q.one |] |] ~c:[| Q.one |]));
+  Alcotest.check_raises "ragged columns"
+    (Invalid_argument "Simplex.extend: ragged columns") (fun () ->
+      ignore
+        (Lp.Simplex.extend cold ~a:[| [| Q.one |]; [||] |] ~c:[| Q.one |]))
+
+(* --- the warm token across column growth --- *)
+
+(* Appended columns are drawn no lower than the base's minimum entry, so
+   the payoff shift never moves and every round extends the previous
+   round's tableau rather than solving cold. *)
+let arb_growth =
+  QCheck.make
+    ~print:(fun (m, rounds) ->
+      Printf.sprintf "base %dx%d, rounds of %s" (Array.length m)
+        (Array.length m.(0))
+        (String.concat ","
+           (List.map (fun r -> string_of_int (Array.length r.(0))) rounds)))
+    QCheck.Gen.(
+      QCheck.gen arb_matrix >>= fun m ->
+      let rows = Array.length m in
+      let lo =
+        Array.fold_left (fun a r -> Array.fold_left Q.min a r) m.(0).(0) m
+      in
+      let round =
+        int_range 1 3 >>= fun k ->
+        list_repeat (rows * k) (map (fun v -> Q.add lo (qi v)) (int_range 0 10))
+        >>= fun es ->
+        let es = Array.of_list es in
+        return
+          (Array.init rows (fun i -> Array.init k (fun j -> es.((i * k) + j))))
+      in
+      int_range 1 4 >>= fun n ->
+      list_repeat n round >>= fun rounds -> return (m, rounds))
+
+let prop_chained_growth =
+  QCheck.Test.make ~name:"chained column growth: warm = cold value every round"
+    ~count:150 arb_growth (fun (m, rounds) ->
+      let _, ok =
+        List.fold_left
+          (fun ((m, (prev : MG.solution)), ok) block ->
+            let m = Array.mapi (fun i row -> Array.append row block.(i)) m in
+            let sw = MG.solve ~warm:prev.MG.warm m and sc = MG.solve m in
+            ( (m, sw),
+              ok && Q.equal sw.MG.value sc.MG.value && MG.is_equilibrium m sw ))
+          ((m, MG.solve m), true) rounds
+      in
+      ok)
+
+let prop_zero_columns =
+  QCheck.Test.make ~name:"warm solve with no new columns = the old solution"
+    ~count:150 arb_matrix (fun m ->
+      let sb = MG.solve m in
+      MG.solve ~warm:sb.MG.warm m = sb)
+
+let test_token_reuse () =
+  (* Extending must leave the token's tableau untouched. *)
+  let base = matrix [ [ 1; 0; 2 ]; [ 0; 2; 1 ]; [ 2; 1; 0 ] ] in
+  let ext = matrix [ [ 1; 0; 2; 1 ]; [ 0; 2; 1; 0 ]; [ 2; 1; 0; 1 ] ] in
+  let sb = MG.solve base in
+  let s1 = MG.solve ~warm:sb.MG.warm ext in
+  let s2 = MG.solve ~warm:sb.MG.warm ext in
+  Alcotest.(check bool) "same answer twice" true (s1 = s2);
+  Alcotest.(check bool) "base token still solves base" true
+    (MG.solve ~warm:sb.MG.warm base = sb);
+  Alcotest.check q "warm = cold value" (MG.solve ext).MG.value s1.MG.value
+
+let test_shift_change_solves_cold () =
+  (* An all-ones matrix has shift 0; a new column holding a 0 moves it
+     to 1, which rewrites every old column — the warm answer must be
+     the cold one exactly. *)
+  let base = matrix [ [ 1; 1 ]; [ 1; 1 ] ] in
+  let ext = matrix [ [ 1; 1; 0 ]; [ 1; 1; 1 ] ] in
+  let sb = MG.solve base in
+  let sw = MG.solve ~warm:sb.MG.warm ext and sc = MG.solve ext in
+  Alcotest.check q "value" sc.MG.value sw.MG.value;
+  Alcotest.(check (array q))
+    "row strategy" sc.MG.row_strategy sw.MG.row_strategy;
+  Alcotest.(check (array q))
+    "col strategy" sc.MG.col_strategy sw.MG.col_strategy;
+  Alcotest.(check bool) "structurally equal" true (sw = sc)
 
 let () =
   Alcotest.run "matrix_game"
@@ -265,19 +353,24 @@ let () =
           QCheck_alcotest.to_alcotest prop_random_equilibrium;
           QCheck_alcotest.to_alcotest prop_value_in_range;
           QCheck_alcotest.to_alcotest prop_warm_equals_cold;
+          QCheck_alcotest.to_alcotest prop_chained_growth;
+          QCheck_alcotest.to_alcotest prop_zero_columns;
         ] );
       ( "warm",
         [
           Alcotest.test_case "column growth" `Quick test_warm_column_growth;
           Alcotest.test_case "shape mismatch falls back" `Quick
             test_warm_shape_mismatch_falls_back;
+          Alcotest.test_case "token reuse" `Quick test_token_reuse;
+          Alcotest.test_case "shift change solves cold" `Quick
+            test_shift_change_solves_cold;
         ] );
       ( "simplex",
         [
           Alcotest.test_case "Beale anti-cycling" `Quick test_beale_cycling;
           Alcotest.test_case "degenerate duplicate constraints" `Quick
             test_degenerate_duplicate_constraints;
-          Alcotest.test_case "warm basis roundtrip" `Quick
-            test_simplex_warm_basis_roundtrip;
+          Alcotest.test_case "extend roundtrip" `Quick
+            test_simplex_extend_roundtrip;
         ] );
     ]

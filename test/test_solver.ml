@@ -3,9 +3,10 @@
    with: oracle-vs-enumeration properties, rediscovery of the paper's
    matching NEs (rational equality, zero oracle gap), agreement with the
    Minimax LP at k=1, verified equilibria on instances with no closed
-   form, warm seeding, determinism, the do.* Obs counters, and a seeded
+   form, warm seeding, determinism, the do.* Obs counters, a seeded
    differential check against the fully enumerated matrix game on
-   random small instances of both games. *)
+   random small instances of both games, and a digest pinning 30
+   double-oracle answers byte for byte. *)
 
 open Netgraph
 module Q = Exact.Q
@@ -306,9 +307,9 @@ module Diff_subgraph = Differential (Defender.Subgraph_game)
 let test_differential () =
   let rng = Prng.Rng.create 2024 in
   for i = 1 to 40 do
-    let n = Prng.Rng.int_in_range rng ~lo:3 ~hi:7 in
+    let n = Prng.Rng.int_in_range rng ~lo:3 ~hi:8 in
     let g = Gen.gnp_connected rng ~n ~p:0.45 in
-    let size = min (1 + Prng.Rng.int rng 2) (Graph.m g) in
+    let size = min (1 + Prng.Rng.int rng 3) (Graph.m g) in
     let nu = 1 + Prng.Rng.int rng 2 in
     let label game =
       Printf.sprintf "#%d %s n=%d m=%d nu=%d size=%d" i game n (Graph.m g) nu
@@ -327,6 +328,59 @@ let test_differential () =
       (Diff_subgraph.check ~label:(label "subgraph")
          (SG.make ~graph:g ~nu ~lambda:size))
   done
+
+(* --- pinned outputs: the double-oracle answers must not drift --- *)
+
+(* One line per instance: value, Io profile text, iterations,
+   warm_solves and the final restricted shape. *)
+let pinned_line ~label ~value ~profile ~iterations ~warm_solves ~rows ~cols =
+  Printf.sprintf "%s|%s|%s|%d|%d|%dx%d\n" label (Q.to_string value) profile
+    iterations warm_solves rows cols
+
+let pinned_transcript () =
+  let rng = Prng.Rng.create 1717 in
+  let buf = Buffer.create 4096 in
+  for i = 1 to 15 do
+    let n = Prng.Rng.int_in_range rng ~lo:10 ~hi:14 in
+    let g = Gen.gnp_connected rng ~n ~p:0.3 in
+    let nu = Prng.Rng.int_in_range rng ~lo:1 ~hi:3 in
+    let k = min (Prng.Rng.int_in_range rng ~lo:1 ~hi:3) (Graph.m g) in
+    let lambda = Prng.Rng.int_in_range rng ~lo:2 ~hi:3 in
+    let m = model ~g ~nu ~k in
+    let r = DO.solve m in
+    let s = r.DO.stats in
+    Buffer.add_string buf
+      (pinned_line
+         ~label:(Printf.sprintf "#%d tuple n=%d nu=%d k=%d" i n nu k)
+         ~value:r.DO.value
+         ~profile:(Engine.Io.to_string (DO.profile m r))
+         ~iterations:s.DO.iterations ~warm_solves:s.DO.warm_solves
+         ~rows:s.DO.final_rows ~cols:s.DO.final_cols);
+    let inst = SG.make ~graph:g ~nu ~lambda in
+    let r = DOS.solve inst in
+    let s = r.DOS.stats in
+    Buffer.add_string buf
+      (pinned_line
+         ~label:
+           (Printf.sprintf "#%d subgraph n=%d nu=%d lambda=%d" i n nu lambda)
+         ~value:r.DOS.value
+         ~profile:(SEngine.Io.to_string (DOS.profile inst r))
+         ~iterations:s.DOS.iterations ~warm_solves:s.DOS.warm_solves
+         ~rows:s.DOS.final_rows ~cols:s.DOS.final_cols)
+  done;
+  Buffer.contents buf
+
+(* The constant is the digest of [pinned_transcript ()] as computed by
+   the exact solver before the restricted LP kept its tableau across
+   column growth (when warm solves rebuilt the tableau from a basis).
+   Any change to a value, a profile byte, an iteration count, the warm
+   count or a final shape changes it. *)
+let pinned_digest = "96ba790126ed59324e029ba5985d5838"
+
+let test_pinned_outputs () =
+  Alcotest.(check string)
+    "digest of 30 double-oracle answers" pinned_digest
+    (Digest.to_hex (Digest.string (pinned_transcript ())))
 
 let () =
   Alcotest.run "solver"
@@ -362,5 +416,6 @@ let () =
             test_iteration_reports;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "do.* counters" `Quick test_do_counters;
+          Alcotest.test_case "pinned outputs" `Quick test_pinned_outputs;
         ] );
     ]
