@@ -7,6 +7,7 @@
      check_artifact.exe FILE.json             # gate one artifact
      check_artifact.exe --strip FILE.json     # print it timing-stripped
      check_artifact.exe --same-stripped A B   # equal modulo timings?
+     check_artifact.exe --compare OLD NEW     # timing regression gate
 
    The gate exits 0 when the artifact is well-formed, non-empty, and
    contains no degraded or crashed verdict and no failed check; exit 1
@@ -21,6 +22,14 @@
    the normal form under which sequential and --jobs N sweeps of the
    same registry must agree; --same-stripped asserts exactly that for
    two artifact files.
+
+   --compare is the cross-artifact timing gate, one fixed rule: for
+   every float measure named *ns_per_run or *ns_per_edge that both
+   artifacts carry it takes the ratio NEW/OLD, divides it by the
+   geometric mean of all those ratios (cancelling drift in the host's
+   overall speed), and exits 1 naming each measure whose normalized
+   ratio exceeds [max_slowdown].  Artifacts of different scales time
+   different instances and cannot be compared: exit 2.
 
    The field-by-field contract this program checks is documented in the
    "Artifact schema" section of EXPERIMENTS.md; keep the two in sync. *)
@@ -169,6 +178,81 @@ let strip file =
   print_endline
     (J.to_string ~pretty:true (Harness.Registry.strip_timings (load file)))
 
+(* On the committed artifacts, clean consecutive pairs peak at 1.29
+   and a real regression (B11 between BENCH_4 and BENCH_5) reads 3.08. *)
+let max_slowdown = 1.5
+
+let timings file json =
+  let experiments =
+    match member_exn "experiments" json ~ctx:file with
+    | J.List es -> es
+    | _ -> fail "%s: \"experiments\" is not a list" file
+  in
+  List.concat_map
+    (fun e ->
+      let id = as_string ~ctx:"experiment id" (member_exn "id" e ~ctx:file) in
+      match J.member "measures" e with
+      | Some (J.Obj ms) ->
+          List.filter_map
+            (fun (name, v) ->
+              match v with
+              | J.Float x
+                when x > 0.0
+                     && (String.ends_with ~suffix:"ns_per_run" name
+                        || String.ends_with ~suffix:"ns_per_edge" name) ->
+                  Some ((id, name), x)
+              | _ -> None)
+            ms
+      | _ -> [])
+    experiments
+
+let compare_timings old_file new_file =
+  let old_json = load old_file and new_json = load new_file in
+  let scale file json =
+    as_string ~ctx:"scale" (member_exn "scale" json ~ctx:file)
+  in
+  let old_scale = scale old_file old_json
+  and new_scale = scale new_file new_json in
+  if old_scale <> new_scale then begin
+    prerr_endline
+      (Printf.sprintf
+         "check_artifact: %s is %s scale but %s is %s scale: not comparable"
+         old_file old_scale new_file new_scale);
+    exit 2
+  end;
+  let fresh = timings new_file new_json in
+  let ratios =
+    List.filter_map
+      (fun (key, old) ->
+        Option.map (fun x -> (key, x /. old)) (List.assoc_opt key fresh))
+      (timings old_file old_json)
+  in
+  if ratios = [] then
+    fail "%s and %s share no ns_per_run/ns_per_edge measure" old_file new_file;
+  let drift =
+    exp
+      (List.fold_left (fun acc (_, r) -> acc +. log r) 0.0 ratios
+      /. float_of_int (List.length ratios))
+  in
+  let normalized = List.map (fun (key, r) -> (key, r /. drift)) ratios in
+  let show ((id, name), r) = Printf.sprintf "%s %s %.2fx" id name r in
+  match List.filter (fun (_, r) -> r > max_slowdown) normalized with
+  | [] ->
+      let worst =
+        List.fold_left
+          (fun a b -> if snd b > snd a then b else a)
+          (List.hd normalized) normalized
+      in
+      Printf.printf
+        "check_artifact: %s -> %s: %d timings, host drift %.2fx, slowest \
+         %s (bound %.2fx)\n"
+        old_file new_file (List.length normalized) drift (show worst)
+        max_slowdown
+  | slow ->
+      fail "%s -> %s: slower than the host drift (%.2fx) by more than %.2fx: %s"
+        old_file new_file drift max_slowdown
+        (String.concat ", " (List.map show slow))
+
 let same_stripped a b =
   let sa = Harness.Registry.strip_timings (load a) in
   let sb = Harness.Registry.strip_timings (load b) in
@@ -208,9 +292,11 @@ let () =
   | [| _; file |] -> gate file
   | [| _; "--strip"; file |] -> strip file
   | [| _; "--same-stripped"; a; b |] -> same_stripped a b
+  | [| _; "--compare"; a; b |] -> compare_timings a b
   | _ ->
       prerr_endline
         "usage: check_artifact.exe FILE.json\n\
         \       check_artifact.exe --strip FILE.json\n\
-        \       check_artifact.exe --same-stripped A.json B.json";
+        \       check_artifact.exe --same-stripped A.json B.json\n\
+        \       check_artifact.exe --compare OLD.json NEW.json";
       exit 2

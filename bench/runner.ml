@@ -1,8 +1,7 @@
-(* Driver logic shared by bench/main.exe and the CLI `experiments`
-   subcommand: registration, selection (legacy group selectors and
-   --only id lists), execution at either scale — sequentially or across
-   --jobs persistent pre-forked workers, with an optional
-   per-experiment --timeout — optional observability recording
+(* Driver logic of bench/main.exe: registration, selection (legacy
+   group selectors and --only id lists), execution at either scale —
+   sequentially or across --jobs persistent pre-forked workers, with an
+   optional per-experiment --timeout — optional observability recording
    (--metrics counters, --trace span durations: a metrics object per
    experiment in the artifact and a summed table after the summary),
    JSON artifact emission (with a parse round-trip so a malformed

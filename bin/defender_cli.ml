@@ -13,8 +13,11 @@
      paths     pure-NE thresholds for the path-constrained defender
      fp        fictitious-play learning dynamics
      census    enumerate symmetric equilibria of a tiny instance
-     experiments  run registered EXPERIMENTS.md experiments (same
-                  registry as bench/main.exe; JSON artifacts)
+     serve     run the batch-query daemon
+     query     send requests to a running daemon
+
+   The registered EXPERIMENTS.md experiments run through bench/main.exe,
+   not this CLI.
 
    Graphs are specified either with --file (edge-list format) or --family
    using a compact spec (see Netgraph.Family): path:6, cycle:8, star:5,
@@ -95,8 +98,7 @@ let handle f =
 
 (* Observability flags, shared by the compute-heavy subcommands: run the
    body with recording on and print the summed counter/span tables
-   afterwards.  The experiments subcommand instead threads the flags
-   through Runner.opts so the artifact carries per-experiment metrics. *)
+   afterwards. *)
 let metrics_arg =
   Arg.(
     value & flag
@@ -569,100 +571,6 @@ let dynamics_cmd =
         (const run $ file_arg $ family_arg $ seed_arg $ nu_arg $ k_arg $ game_arg
        $ lambda_arg $ steps_arg))
 
-(* experiments: drive the shared registry (same set as bench/main.exe) *)
-let experiments_cmd =
-  let list_arg =
-    Arg.(value & flag & info [ "list" ] ~doc:"List registered experiments and exit.")
-  in
-  let only_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "only" ] ~docv:"IDS"
-          ~doc:"Comma-separated experiment ids to run, e.g. T4,F2.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Write the JSON artifact to FILE.")
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ] ~doc:"Reduced-size sweep (same seeds, smaller instances).")
-  in
-  let quiet_arg =
-    Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress the text rendering.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Run experiments on a persistent pool of $(docv) pre-forked \
-             worker processes; results keep registration order, and a \
-             crashed worker is respawned and its experiment retried once \
-             before being reported crashed.  1 = in-process sequential run \
-             (on one pool worker when $(b,--timeout) or $(b,--force-crash) \
-             is given).")
-  in
-  let timeout_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "timeout" ] ~docv:"SECS"
-          ~doc:
-            "Per-experiment wall-clock budget; a worker past it is killed and \
-             its experiment reported as crashed.")
-  in
-  let force_crash_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "force-crash" ] ~docv:"IDS"
-          ~doc:
-            "Kill the worker running each listed experiment (fault-injection \
-             test hook for the crash-isolation path).")
-  in
-  let split_ids = function
-    | None -> []
-    | Some ids -> String.split_on_char ',' ids |> List.filter (fun x -> x <> "")
-  in
-  let run list only json smoke quiet jobs timeout force_crash metrics trace =
-    if list then `Ok (print_string (Experiments.Runner.list_text ()))
-    else
-      let opts =
-        {
-          Experiments.Runner.default_opts with
-          Experiments.Runner.scale =
-            (if smoke then Harness.Experiment.Smoke else Harness.Experiment.Full);
-          only = split_ids only;
-          json_out = json;
-          echo = not quiet;
-          jobs;
-          timeout;
-          force_crash = split_ids force_crash;
-          metrics;
-          trace;
-        }
-      in
-      match Experiments.Runner.run opts with
-      | 0 -> `Ok ()
-      | 1 -> `Error (false, "one or more experiments degraded or crashed")
-      | _ -> `Error (false, "experiment selection failed")
-  in
-  Cmd.v
-    (Cmd.info "experiments"
-       ~doc:
-         "Run the registered reproduction experiments (tables, figures, \
-          microbenchmarks) and optionally emit the JSON artifact.")
-    Term.(
-      ret
-        (const run $ list_arg $ only_arg $ json_arg $ smoke_arg $ quiet_arg
-       $ jobs_arg $ timeout_arg $ force_crash_arg $ metrics_arg
-       $ trace_arg))
-
 (* serve / query: the batch-query daemon (Harness.Daemon specialized by
    Service.Daemon_service) and its scriptable client. *)
 
@@ -916,7 +824,6 @@ let () =
             paths_cmd;
             fp_cmd;
             census_cmd;
-            experiments_cmd;
             serve_cmd;
             query_cmd;
           ]))

@@ -299,7 +299,10 @@ exception Budget_exhausted
 
 let encode_auto g = if Graph.n g <= 4096 then encode g else encode_sparse6 g
 
-let canonical ?(exact_bound = 64) g =
+(* Largest order searched exactly; above it the heuristic labels. *)
+let exact_bound = 64
+
+let canonical g =
   let n = Graph.n g in
   if n <= 1 then encode_auto g
   else begin

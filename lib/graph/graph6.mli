@@ -41,13 +41,13 @@ val decode_sparse6 : string -> Graph.t
 
     The labeling is found by iterated degree refinement (1-WL color
     refinement) and, when refinement alone does not separate all
-    vertices and [n <= exact_bound] (default 64), an
+    vertices and [n <= 64], an
     individualization-refinement search over the first ambiguous cell
     whose result is the lexicographically least leaf encoding — exact
-    canonicity on that range.  Past [exact_bound], or if the search
+    canonicity on that range.  Past 64 vertices, or if the search
     exceeds its internal node budget (refinement-resistant regular
     graphs), a deterministic heuristic completes the labeling; the
     result is then still a faithful encoding of an isomorphic graph —
     sound as a cache key, at worst missing a possible hit — but two
     relabelings are no longer guaranteed to agree. *)
-val canonical : ?exact_bound:int -> Graph.t -> string
+val canonical : Graph.t -> string

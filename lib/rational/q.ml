@@ -20,8 +20,8 @@ exception Division_by_zero
 (* Observability sits only on the cold paths: a native S×S operation
    that falls through to big arithmetic (a promotion), the big-path
    operations themselves, and successful demotions back to S.  The S×S
-   success path — the one B13 gates at ≤ 1.10× of the seed — records
-   nothing and gains no code. *)
+   success path — the one B13 times — records nothing and gains no
+   code. *)
 let c_promotions = Obs.counter "q.promotions"
 let c_big_ops = Obs.counter "q.big_ops"
 let c_demotions = Obs.counter "q.demotions"
@@ -116,8 +116,8 @@ let neg = function
 (* The three hot operations (add, mul, compare) detect overflow with
    branch predicates instead of try/with: installing an exception handler
    per operation costs a few percent against the seed's fixed-width
-   arithmetic, which B13 gates at <= 10%.  A predicate failing routes to
-   the big path exactly where the seed raised [Overflow]. *)
+   arithmetic.  A predicate failing routes to the big path exactly where
+   the seed raised [Overflow]. *)
 
 let add a b =
   match (a, b) with
