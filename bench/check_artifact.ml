@@ -11,7 +11,10 @@
 
    The gate exits 0 when the artifact is well-formed, non-empty, and
    contains no degraded or crashed verdict and no failed check; exit 1
-   with a diagnostic otherwise.  Per-experiment "metrics" objects (only
+   with a diagnostic otherwise.  Every experiment entry is decoded by
+   Experiment.result_of_json, the reader the worker pool uses for its
+   results, so the gate and --compare read one schema; the gate then
+   applies the semantic checks.  Per-experiment "metrics" objects (only
    present on --metrics/--trace sweeps) are shape-checked too, including
    that known scheduling-dependent counters (pipe bytes, and the steals
    of the pool's retired work-stealing scheduler) never appear in the
@@ -35,6 +38,7 @@
    "Artifact schema" section of EXPERIMENTS.md; keep the two in sync. *)
 
 module J = Harness.Json
+module E = Harness.Experiment
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("check_artifact: " ^ s); exit 1) fmt
 
@@ -73,68 +77,61 @@ let load file =
   | Ok j -> j
   | Error e -> fail "%s does not parse: %s" file e
 
+(* Every experiment entry, decoded by the reader the worker pool uses
+   for its results: the artifact's schema of an experiment is that
+   decoder's, checked in one place. *)
+let experiments file json =
+  match member_exn "experiments" json ~ctx:file with
+  | J.List es ->
+      List.mapi
+        (fun i e ->
+          match E.result_of_json e with
+          | Ok r -> r
+          | Error msg ->
+              let id =
+                match J.member "id" e with
+                | Some (J.String id) -> id
+                | _ -> Printf.sprintf "#%d" (i + 1)
+              in
+              fail "%s: experiment %s: %s" file id msg)
+        es
+  | _ -> fail "%s: \"experiments\" is not a list" file
+
 let gate file =
   let json = load file in
   let schema = as_string ~ctx:"schema" (member_exn "schema" json ~ctx:file) in
   if schema <> "defender-bench/v1" then
     fail "%s: unexpected schema %S (want \"defender-bench/v1\")" file schema;
   ignore (as_string ~ctx:"scale" (member_exn "scale" json ~ctx:file));
-  let experiments =
-    match member_exn "experiments" json ~ctx:file with
-    | J.List [] -> fail "%s: empty experiment list" file
-    | J.List es -> es
-    | _ -> fail "%s: \"experiments\" is not a list" file
-  in
+  let experiments = experiments file json in
+  if experiments = [] then fail "%s: empty experiment list" file;
   List.iter
-    (fun e ->
-      let id = as_string ~ctx:"experiment id" (member_exn "id" e ~ctx:file) in
-      let ctx = Printf.sprintf "%s: experiment %s" file id in
-      let verdict = as_string ~ctx (member_exn "verdict" e ~ctx) in
-      (match verdict with
-      | "pass" | "info" -> ()
-      | "degraded" -> fail "%s: degraded verdict" ctx
-      | "crashed" ->
+    (fun (r : E.result) ->
+      let ctx = Printf.sprintf "%s: experiment %s" file r.id in
+      (match r.verdict with
+      | E.Pass | E.Info -> ()
+      | E.Degraded -> fail "%s: degraded verdict" ctx
+      | E.Crashed ->
           let reason =
-            match J.member "checks" e with
-            | Some checks -> (
-                match J.member "failed_labels" checks with
-                | Some (J.List (J.String r :: _)) -> ": " ^ r
-                | _ -> "")
-            | None -> ""
+            match r.failed_labels with l :: _ -> ": " ^ l | [] -> ""
           in
-          fail "%s: crashed verdict (worker died)%s" ctx reason
-      | other -> fail "%s: unknown verdict %S" ctx other);
-      let checks = member_exn "checks" e ~ctx in
-      let failed = as_int ~ctx (member_exn "failed" checks ~ctx) in
-      if failed > 0 then fail "%s: %d failed check(s)" ctx failed;
-      (* Optional game tag: absent means the tuple game; when present it
-         must name a known GAME instance. *)
-      (match J.member "game" e with
-      | None -> ()
-      | Some (J.String ("tuple" | "subgraph")) -> ()
-      | Some (J.String g) -> fail "%s: unknown game tag %S" ctx g
-      | Some _ -> fail "%s: \"game\" is not a string" ctx);
-      ignore (member_exn "measures" e ~ctx);
-      ignore (member_exn "wall_s" e ~ctx);
-      (* Optional metrics object: three sections, positive integer
-         counters, spans with a positive "count" (and optionally a
-         "total_s" duration, present only on --trace sweeps). *)
-      match J.member "metrics" e with
-      | None -> ()
-      | Some m ->
-          let section k =
-            match J.member k m with
-            | Some (J.Obj fields) -> fields
-            | Some _ -> fail "%s: metrics.%s is not an object" ctx k
-            | None -> fail "%s: metrics is missing section %S" ctx k
-          in
+          fail "%s: crashed verdict (worker died)%s" ctx reason);
+      if r.checks_failed > 0 then
+        fail "%s: %d failed check(s)" ctx r.checks_failed;
+      (* The game tag: absent means the tuple game; when present it must
+         name a known GAME instance. *)
+      if not (List.mem r.game [ "tuple"; "subgraph" ]) then
+        fail "%s: unknown game tag %S" ctx r.game;
+      (* Optional metrics (--metrics/--trace sweeps): positive counters,
+         none of them scheduling-dependent in the deterministic section,
+         spans with a positive count. *)
+      Option.iter
+        (fun (m : E.metrics) ->
           List.iter
-            (fun (name, v) ->
-              match v with
-              | J.Int n when n > 0 -> ()
-              | J.Int _ -> fail "%s: metrics counter %s is not positive" ctx name
-              | _ -> fail "%s: metrics counter %s is not an integer" ctx name)
-            (section "counters" @ section "volatile");
+            (fun (name, n) ->
+              if n <= 0 then
+                fail "%s: metrics counter %s is not positive" ctx name)
+            (m.m_counters @ m.m_volatile);
           List.iter
             (fun (name, _) ->
               if List.mem name scheduling_dependent then
@@ -142,13 +139,13 @@ let gate file =
                   "%s: scheduling-dependent counter %s in the deterministic \
                    \"counters\" section (must be registered Obs.volatile)"
                   ctx name)
-            (section "counters");
+            m.m_counters;
           List.iter
-            (fun (name, v) ->
-              match J.member "count" v with
-              | Some (J.Int n) when n > 0 -> ()
-              | _ -> fail "%s: metrics span %s lacks a positive count" ctx name)
-            (section "spans"))
+            (fun (name, (sp : E.span_metric)) ->
+              if sp.calls <= 0 then
+                fail "%s: metrics span %s lacks a positive count" ctx name)
+            m.m_spans)
+        r.metrics)
     experiments;
   let summary = member_exn "summary" json ~ctx:file in
   let s_ctx = file ^ ": summary" in
@@ -183,28 +180,19 @@ let strip file =
 let max_slowdown = 1.5
 
 let timings file json =
-  let experiments =
-    match member_exn "experiments" json ~ctx:file with
-    | J.List es -> es
-    | _ -> fail "%s: \"experiments\" is not a list" file
-  in
   List.concat_map
-    (fun e ->
-      let id = as_string ~ctx:"experiment id" (member_exn "id" e ~ctx:file) in
-      match J.member "measures" e with
-      | Some (J.Obj ms) ->
-          List.filter_map
-            (fun (name, v) ->
-              match v with
-              | J.Float x
-                when x > 0.0
-                     && (String.ends_with ~suffix:"ns_per_run" name
-                        || String.ends_with ~suffix:"ns_per_edge" name) ->
-                  Some ((id, name), x)
-              | _ -> None)
-            ms
-      | _ -> [])
-    experiments
+    (fun (r : E.result) ->
+      List.filter_map
+        (fun (name, v) ->
+          match v with
+          | E.Float x
+            when x > 0.0
+                 && (String.ends_with ~suffix:"ns_per_run" name
+                    || String.ends_with ~suffix:"ns_per_edge" name) ->
+              Some ((r.id, name), x)
+          | _ -> None)
+        r.measures)
+    (experiments file json)
 
 let compare_timings old_file new_file =
   let old_json = load old_file and new_json = load new_file in

@@ -38,6 +38,10 @@ let parse_size line len pos =
     (!v, pos + 8)
   end
 
+let order line =
+  let pos = if String.length line > 0 && line.[0] = ':' then 1 else 0 in
+  fst (parse_size line (String.length line) pos)
+
 let add_size buf ~force_long n =
   if force_long || n > 258047 then begin
     Buffer.add_char buf '~';

@@ -21,6 +21,12 @@ val encode : ?force_long:bool -> Graph.t -> string
     @raise Invalid_argument on malformed input. *)
 val decode : string -> Graph.t
 
+(** [order line] is the vertex count a graph6 or sparse6 line declares,
+    read from its size header alone: no adjacency data is decoded and
+    nothing proportional to the count is allocated.
+    @raise Invalid_argument on a malformed or truncated header. *)
+val order : string -> int
+
 (** Encode in sparse6 format (size proportional to [m log n] rather
     than [n^2]), including nauty's padding rule for power-of-two vertex
     counts. *)

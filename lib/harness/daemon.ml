@@ -206,12 +206,8 @@ let serve ~address ~workers ?timeout ?(max_inflight = 64)
                 respond_error p.client ~req_id:p.req_id
                   "worker returned a malformed payload"))
   in
-  let read_client chunk c =
-    (match Unix.read c.fd chunk 0 (Bytes.length chunk) with
-    | 0 -> drop_client c
-    | k -> Wire.feed c.dec chunk k
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error _ -> drop_client c);
+  let read_client c =
+    if not (Wire.fill c.dec c.fd) then drop_client c;
     let continue = ref c.connected in
     while !continue do
       match Wire.next_frame ~max_payload:max_frame c.dec with
@@ -231,7 +227,6 @@ let serve ~address ~workers ?timeout ?(max_inflight = 64)
   (match on_ready with
   | Some f -> f (Unix.getsockname listen_fd)
   | None -> ());
-  let chunk = Bytes.create 65536 in
   let finally () =
     Hashtbl.iter (fun _ c -> drop_client c) (Hashtbl.copy clients);
     Wire.close_quietly listen_fd;
@@ -271,7 +266,7 @@ let serve ~address ~workers ?timeout ?(max_inflight = 64)
     List.iter
       (fun fd ->
         match Hashtbl.find_opt clients fd with
-        | Some c when List.mem fd readable -> read_client chunk c
+        | Some c when List.mem fd readable -> read_client c
         | _ -> ())
       client_fds;
     List.iter settle (Pool.step pool ~readable)
@@ -283,14 +278,14 @@ let serve ~address ~workers ?timeout ?(max_inflight = 64)
   }
 
 module Client = struct
-  type conn = { fd : Unix.file_descr }
+  type conn = { fd : Unix.file_descr; dec : Wire.decoder }
 
   let connect ?(retries = 0) ?(delay = 0.05) address =
     let sa = sockaddr_of address in
     let attempt () =
       let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
       match Unix.connect fd sa with
-      | () -> Ok { fd }
+      | () -> Ok { fd; dec = Wire.decoder () }
       | exception e ->
           Wire.close_quietly fd;
           Error e
@@ -312,7 +307,7 @@ module Client = struct
     | exception Unix.Unix_error (err, _, _) ->
         Error ("write failed: " ^ Unix.error_message err)
     | () -> (
-        match Wire.read_frame conn.fd with
+        match Wire.read_frame conn.dec conn.fd with
         | Some (Ok response) -> Ok response
         | Some (Error e) -> Error ("bad response frame: " ^ e)
         | None -> Error "connection closed by daemon")

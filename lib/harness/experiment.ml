@@ -269,7 +269,9 @@ let result_to_json (r : result) =
    carries: [Rat] comes back as [Str] holding the same "n/d" string and
    non-finite floats come back as nan, both of which re-render to the
    identical JSON bytes, so a re-assembled artifact matches a
-   sequentially produced one field for field (timing values aside). *)
+   sequentially produced one field for field (timing values aside).
+   The same decoder reads an artifact's experiment entries, which lack
+   only the text. *)
 
 let result_to_wire r =
   match result_to_json r with
@@ -280,7 +282,7 @@ exception Wire of string
 
 let wire_fail fmt = Printf.ksprintf (fun s -> raise (Wire s)) fmt
 
-let result_of_wire json =
+let result_of_json json =
   let field k =
     match Json.member k json with
     | Some v -> v
@@ -415,7 +417,11 @@ let result_of_wire json =
           (* Absent when the producing run recorded nothing; artifacts
              without the field decode and re-render identically. *)
           Option.map (metrics_of_json ~what:"metrics") (Json.member "metrics" json);
-        text = as_string ~what:"text" (field "text");
+        text =
+          (* only the worker envelope carries it; an artifact does not *)
+          (match Json.member "text" json with
+          | Some v -> as_string ~what:"text" v
+          | None -> "");
         wall = as_float ~what:"wall_s" (field "wall_s");
       }
   with Wire msg -> Error msg

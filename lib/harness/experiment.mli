@@ -153,8 +153,10 @@ val result_to_wire : result -> Json.t
 
 (** Inverse of {!result_to_wire}, up to value typing: [Rat] measures
     come back as [Str] with the same "n/d" content and non-finite floats
-    as nan, both of which re-render to identical artifact bytes. *)
-val result_of_wire : Json.t -> (result, string) Stdlib.result
+    as nan, both of which re-render to identical artifact bytes.  Also
+    reads {!result_to_json} output — an artifact's experiment entry —
+    whose missing ["text"] decodes as [""]. *)
+val result_of_json : Json.t -> (result, string) Stdlib.result
 
 val tag_to_string : tag -> string
 val verdict_to_string : verdict -> string

@@ -39,7 +39,7 @@ type state = Idle | Busy of job | Dead
 type worker = {
   index : int;
   mutable pid : int;
-  mutable req : Unix.file_descr;  (* parent writes job/ping frames *)
+  mutable req : Unix.file_descr;  (* parent writes job frames *)
   mutable resp : Unix.file_descr;  (* parent reads response frames *)
   mutable dec : Wire.decoder;
   mutable state : state;
@@ -53,7 +53,6 @@ type t = {
   backlog : job Queue.t;  (* submitted, not yet dispatched *)
   done_q : (int * outcome) Queue.t;  (* settled, not yet returned *)
   mutable unfinished : int;  (* submitted minus settled *)
-  chunk : Bytes.t;  (* the one read buffer for every response pipe *)
 }
 
 let worker_count t = Array.length t.ws
@@ -95,20 +94,16 @@ let worker_loop f ~req ~resp =
       try Sys.set_signal s Sys.Signal_default
       with Invalid_argument _ | Sys_error _ -> ())
     [ Sys.sigterm; Sys.sigint ];
+  let dec = Wire.decoder () in
   let rec loop () =
-    match Wire.read_frame req with
+    match Wire.read_frame dec req with
     | None -> Unix._exit 0 (* graceful drain *)
     | Some (Error _) -> Unix._exit 3
     | Some (Ok msg) -> (
-        match
-          (Json.member "job" msg, Json.member "arg" msg, Json.member "ping" msg)
-        with
-        | Some (Json.Int ticket), Some arg, _ ->
+        match (Json.member "job" msg, Json.member "arg" msg) with
+        | Some (Json.Int ticket), Some arg ->
             Wire.write_frame resp
               (Json.Obj [ ("job", Json.Int ticket); ("payload", f arg) ]);
-            loop ()
-        | None, None, Some token ->
-            Wire.write_frame resp (Json.Obj [ ("pong", token) ]);
             loop ()
         | _ -> Unix._exit 3)
   in
@@ -173,7 +168,6 @@ let create ~workers ?timeout f =
       backlog = Queue.create ();
       done_q = Queue.create ();
       unfinished = 0;
-      chunk = Bytes.create 65536;
       ws =
         Array.init workers (fun index ->
             {
@@ -227,17 +221,10 @@ let process_frames t w =
    on the backlog for one retry on the next idle worker, a second crash
    settles with the wait status's reason. *)
 let reap_dead t w =
-  (try
-     let eof = ref false in
-     while not !eof do
-       match Unix.read w.resp t.chunk 0 (Bytes.length t.chunk) with
-       | 0 -> eof := true
-       | k -> Wire.feed w.dec t.chunk k
-       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-       | exception Unix.Unix_error _ -> eof := true
-     done;
-     process_frames t w
-   with Desync _ -> ());
+  while Wire.fill w.dec w.resp do
+    ()
+  done;
+  (try process_frames t w with Desync _ -> ());
   let status = Wire.waitpid_retry w.pid in
   let pending = match w.state with Busy j -> Some j | Idle | Dead -> None in
   (match w.state with Busy _ -> w.state <- Idle | Idle | Dead -> ());
@@ -361,13 +348,10 @@ let step t ~readable =
   Array.iter
     (fun w ->
       if w.state <> Dead && List.mem w.resp readable then
-        match Unix.read w.resp t.chunk 0 (Bytes.length t.chunk) with
-        | 0 -> reap_dead t w
-        | k -> (
-            Wire.feed w.dec t.chunk k;
-            try process_frames t w
-            with Desync reason -> kill_desynced t w reason)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
+        if not (Wire.fill w.dec w.resp) then reap_dead t w
+        else
+          try process_frames t w
+          with Desync reason -> kill_desynced t w reason)
     t.ws;
   enforce_deadlines t;
   (* Workers freed by the settlements above take more backlog now, so a
@@ -399,62 +383,6 @@ let alive t =
                  w.state <- Idle;
                  mark_dead w;
                  false))
-       t.ws)
-
-let ping ?(timeout_s = 5.0) t =
-  let chunk = t.chunk in
-  let ping_idle w =
-    let ok =
-      match
-        Wire.with_sigpipe_ignored (fun () ->
-            Wire.write_frame w.req (Json.Obj [ ("ping", Json.Int w.index) ]))
-      with
-      | () ->
-          let stop = Timer.now () +. timeout_s in
-          let rec await () =
-            match Wire.next_frame w.dec with
-            | Some (Ok msg) -> Json.member "pong" msg <> None
-            | Some (Error _) -> false
-            | None -> (
-                let left = stop -. Timer.now () in
-                if left <= 0.0 then false
-                else
-                  match Unix.select [ w.resp ] [] [] left with
-                  | [], _, _ -> false
-                  | _ -> (
-                      match Unix.read w.resp chunk 0 (Bytes.length chunk) with
-                      | 0 -> false
-                      | k ->
-                          Wire.feed w.dec chunk k;
-                          await ()
-                      | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ())
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> await ())
-          in
-          await ()
-      | exception Unix.Unix_error _ -> false
-    in
-    if not ok then begin
-      (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Wire.waitpid_retry w.pid);
-      mark_dead w
-    end;
-    ok
-  in
-  Array.to_list
-    (Array.map
-       (fun w ->
-         match w.state with
-         | Dead -> false
-         | Busy _ -> (
-             (* Mid-job (a submitted job is in flight): liveness only,
-                the response stream is not ours to consume. *)
-             match Unix.waitpid [ Unix.WNOHANG ] w.pid with
-             | 0, _ -> true
-             | _ | (exception Unix.Unix_error (Unix.ECHILD, _, _)) ->
-                 w.state <- Idle;
-                 mark_dead w;
-                 false)
-         | Idle -> ping_idle w)
        t.ws)
 
 let shutdown t =

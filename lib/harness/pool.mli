@@ -4,11 +4,12 @@
     A pool forks its workers {e once}; each lives across jobs with
     whatever caches it has warmed, receives jobs as length-delimited
     {!Json} frames on a per-worker request pipe and answers on a
-    response pipe ({!Wire} owns the framing), and is reaped only at
-    {!shutdown}.  Process isolation, not OCaml domains, on purpose: a
-    worker that overflows its stack, trips the OOM killer or is
-    signalled dies alone, and the parent reaps a wait status instead of
-    sharing its fate.  Results come back as {!Json} (never [Marshal]), so
+    response pipe ({!Wire} owns the framing and does every read), and
+    is reaped only at {!shutdown}.  Job frames are the only traffic:
+    health is checked without worker I/O ({!alive}).  Process
+    isolation, not OCaml domains, on purpose: a worker that overflows
+    its stack, trips the OOM killer or is signalled dies alone, and the
+    parent reaps a wait status instead of sharing its fate.  Results come back as {!Json} (never [Marshal]), so
     a corrupt or truncated response is a detectable {!Crashed} outcome,
     not a segfault in the reader.
 
@@ -76,13 +77,6 @@ val worker_pids : t -> int list
     worker.  A worker found dead is reaped and marked (the next {!step}
     respawns it). *)
 val alive : t -> bool list
-
-(** Active health check: each live idle worker is sent a ping frame and
-    must answer the matching pong within [timeout_s] (default 5)
-    seconds; a busy worker gets the {!alive} check only.  A worker that
-    fails the check is killed, reaped and marked dead (the next {!step}
-    respawns it). *)
-val ping : ?timeout_s:float -> t -> bool list
 
 (** {2 Driving the pool}
 

@@ -189,7 +189,7 @@ let run_parallel ?(scale = Experiment.Full) ?(jobs = 1) ?timeout
              let e = arr.(i) in
              match outcome with
              | Pool.Completed json -> (
-                 match Experiment.result_of_wire json with
+                 match Experiment.result_of_json json with
                  | Ok r -> r
                  | Error msg ->
                      Experiment.crashed e

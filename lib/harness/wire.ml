@@ -62,59 +62,22 @@ let write_frame fd json =
   let payload = Json.to_string json in
   write_all fd (string_of_int (String.length payload) ^ "\n" ^ payload)
 
-let rec read_retry fd buf pos len =
-  try Unix.read fd buf pos len
-  with Unix.Unix_error (Unix.EINTR, _, _) -> read_retry fd buf pos len
-
-let read_frame fd =
-  let byte = Bytes.create 1 in
-  let header = Buffer.create 8 in
-  let rec read_header () =
-    if read_retry fd byte 0 1 = 0 then
-      if Buffer.length header = 0 then None
-      else Some (Error "EOF inside frame header")
-    else
-      let c = Bytes.get byte 0 in
-      if c = '\n' then
-        match int_of_string_opt (Buffer.contents header) with
-        | Some n when n >= 0 -> Some (Ok n)
-        | _ ->
-            Some
-              (Error
-                 (Printf.sprintf "bad frame header %S" (Buffer.contents header)))
-      else if Buffer.length header >= max_header_digits then
-        Some (Error "frame header too long")
-      else begin
-        Buffer.add_char header c;
-        read_header ()
-      end
-  in
-  match read_header () with
-  | None -> None
-  | Some (Error _ as e) -> Some e
-  | Some (Ok n) ->
-      let payload = Bytes.create n in
-      let rec fill off =
-        if off = n then true
-        else
-          match read_retry fd payload off (n - off) with
-          | 0 -> false
-          | k -> fill (off + k)
-      in
-      if not (fill 0) then Some (Error "EOF inside frame payload")
-      else Some (Json.of_string (Bytes.unsafe_to_string payload))
-
 type decoder = {
   mutable data : Bytes.t;
   mutable len : int; (* bytes buffered *)
   mutable pos : int; (* bytes consumed *)
 }
 
-let decoder () = { data = Bytes.create 4096; len = 0; pos = 0 }
+(* The most one read takes: a full Linux pipe buffer. *)
+let chunk = 65536
 
-let feed d chunk k =
-  (* Compact consumed bytes away first, growing only when the live tail
-     plus the new chunk genuinely does not fit. *)
+let decoder () = { data = Bytes.create chunk; len = 0; pos = 0 }
+
+(* Make room for [k] more bytes after the live tail: compact consumed
+   bytes away first, growing only when the live tail plus [k] genuinely
+   does not fit.  [fill] asks for one byte and reads into whatever is
+   free, so the buffer grows only under a frame larger than itself. *)
+let reserve d k =
   if d.pos > 0 then begin
     let live = d.len - d.pos in
     Bytes.blit d.data d.pos d.data 0 live;
@@ -125,9 +88,39 @@ let feed d chunk k =
     let grown = Bytes.create (max (2 * Bytes.length d.data) (d.len + k)) in
     Bytes.blit d.data 0 grown 0 d.len;
     d.data <- grown
-  end;
-  Bytes.blit chunk 0 d.data d.len k;
+  end
+
+let feed d bytes k =
+  reserve d k;
+  Bytes.blit bytes 0 d.data d.len k;
   d.len <- d.len + k
+
+let rec fill d fd =
+  reserve d 1;
+  match Unix.read fd d.data d.len (min chunk (Bytes.length d.data - d.len)) with
+  | 0 -> false
+  | k ->
+      d.len <- d.len + k;
+      true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill d fd
+  | exception Unix.Unix_error _ -> false
+
+(* The one header parser: ASCII digits and nothing else — no sign, no
+   underscore, no radix prefix — at least one of them, whose value fits
+   an int.  [next_frame]'s newline scan caps the length at
+   [max_header_digits]. *)
+let header_value b pos len =
+  let rec go i acc =
+    if i = pos + len then Some acc
+    else
+      match Bytes.get b i with
+      | '0' .. '9' as c ->
+          let digit = Char.code c - Char.code '0' in
+          if acc > (max_int - digit) / 10 then None
+          else go (i + 1) ((10 * acc) + digit)
+      | _ -> None
+  in
+  if len = 0 then None else go pos 0
 
 let next_frame ?max_payload d =
   let rec newline i =
@@ -140,9 +133,8 @@ let next_frame ?max_payload d =
   | -1 -> None (* header still incomplete *)
   | -2 -> Some (Error "frame header too long")
   | nl -> (
-      let header = Bytes.sub_string d.data d.pos (nl - d.pos) in
-      match int_of_string_opt header with
-      | Some n when n >= 0 -> (
+      match header_value d.data d.pos (nl - d.pos) with
+      | Some n -> (
           match max_payload with
           | Some limit when n > limit ->
               (* Reject from the header alone: an adversarial or corrupt
@@ -159,6 +151,18 @@ let next_frame ?max_payload d =
                 d.pos <- nl + 1 + n;
                 Some (Json.of_string payload)
               end)
-      | _ -> Some (Error (Printf.sprintf "bad frame header %S" header)))
+      | None ->
+          Some
+            (Error
+               (Printf.sprintf "bad frame header %S"
+                  (Bytes.sub_string d.data d.pos (nl - d.pos)))))
 
 let partial d = d.len > d.pos
+
+let rec read_frame d fd =
+  match next_frame d with
+  | Some _ as frame -> frame
+  | None ->
+      if fill d fd then read_frame d fd
+      else if partial d then Some (Error "EOF inside a frame")
+      else None

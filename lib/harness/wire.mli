@@ -6,12 +6,15 @@
     {!Daemon} speaks to its clients over sockets; both carry many
     documents in each direction on one descriptor, so each document is
     delimited explicitly as a frame.  The retry/guard fixes for
-    interrupted and short I/O live here, in exactly one place.
+    interrupted and short I/O live here, in exactly one place: this is
+    the only module that reads a descriptor ({!fill}) or parses a frame
+    ({!next_frame}); the blocking {!read_frame} is the two in a loop.
 
-    A frame is an ASCII decimal byte length, a single ['\n'], then
-    exactly that many bytes of compact {!Json}.  The length is written
-    first so the reader never has to parse speculatively: a corrupted
-    stream surfaces as a framing or JSON error, not as a blocked read. *)
+    A frame is a header of 1 to 19 ASCII digits (the byte length; no
+    sign, underscore or radix prefix), a single ['\n'], then exactly
+    that many bytes of compact {!Json}.  The length is written first so
+    the reader never has to parse speculatively: a corrupted stream
+    surfaces as a framing or JSON error, not as a blocked read. *)
 
 (** Close, swallowing errors — for teardown paths where the descriptor
     may already be gone. *)
@@ -49,20 +52,23 @@ val write_all : Unix.file_descr -> string -> unit
     {!write_all}. *)
 val write_frame : Unix.file_descr -> Json.t -> unit
 
-(** Blocking read of one frame.  [None] on EOF at a frame boundary (the
-    peer closed cleanly); [Some (Error _)] on a malformed header,
-    truncated payload or JSON parse failure.  Reads are restarted on
-    [EINTR].  This is the worker-side read loop primitive. *)
-val read_frame : Unix.file_descr -> (Json.t, string) result option
-
-(** Incremental frame decoder for the parent's select loop: bytes arrive
-    in arbitrary chunks; complete frames are handed out as they
-    materialize. *)
+(** Incremental frame decoder: bytes arrive in arbitrary chunks, from
+    {!fill} or {!feed}; complete frames are handed out by {!next_frame}
+    as they materialize.  A reader keeps one decoder per descriptor for
+    the descriptor's lifetime — bytes read past one frame belong to the
+    next. *)
 type decoder
 
 val decoder : unit -> decoder
 
-(** [feed d chunk len] appends the first [len] bytes of [chunk]. *)
+(** [fill d fd] reads once from [fd] into [d]'s own buffer, at most
+    64 KiB, restarting on [EINTR].  [false] means the peer is gone: EOF
+    or a read error.  On a descriptor a select reported readable it
+    does not block. *)
+val fill : decoder -> Unix.file_descr -> bool
+
+(** [feed d bytes len] appends the first [len] bytes of [bytes] — the
+    way to drive a decoder without a descriptor. *)
 val feed : decoder -> bytes -> int -> unit
 
 (** The next complete frame, if the buffered bytes contain one.
@@ -74,6 +80,12 @@ val feed : decoder -> bytes -> int -> unit
     adversarial length cannot make it buffer gigabytes before
     discovering the stream is garbage. *)
 val next_frame : ?max_payload:int -> decoder -> (Json.t, string) result option
+
+(** Blocking read of one frame: {!fill} until {!next_frame} yields.
+    [None] on EOF at a frame boundary (the peer closed cleanly);
+    [Some (Error _)] on a malformed header, EOF inside a frame or a JSON
+    parse failure. *)
+val read_frame : decoder -> Unix.file_descr -> (Json.t, string) result option
 
 (** [true] when the decoder holds buffered bytes that do not yet form a
     complete frame — after EOF, evidence of a truncated write. *)

@@ -18,10 +18,26 @@ let get_int ?default key msg =
       | Some d -> d
       | None -> invalid_arg (Printf.sprintf "missing integer field %S" key))
 
-let get_graph msg =
+(* The graph6 field, refused before any decode when it is a sparse6
+   line declaring more than 6 vertices per byte: decoding allocates in
+   proportion to the declared count, so a 9-byte line declaring 10^9
+   vertices would take gigabytes.  No valid instance is refused: both
+   games need an edge at every vertex, so m >= n/2, and each sparse6
+   edge costs at least 2 bits, so n <= 2m <= 6 x (data bytes) <= 6 x
+   (line bytes).  The parent's cache key and the workers' decode both
+   read the graph through here. *)
+let graph6_of msg =
   match get_string "graph6" msg with
-  | Some s -> Netgraph.Graph6.decode s
   | None -> invalid_arg "missing string field \"graph6\""
+  | Some s ->
+      if
+        String.starts_with ~prefix:":" s
+        && Netgraph.Graph6.order s > 6 * String.length s
+      then
+        invalid_arg "sparse6 line declares more than 6 vertices per byte"
+      else s
+
+let get_graph msg = Netgraph.Graph6.decode (graph6_of msg)
 
 let get_game msg =
   match get_string "game" msg with
@@ -63,11 +79,7 @@ let cache_key msg =
   match get_string "op" msg with
   | Some "solve" -> (
       try
-        let g6 =
-          match get_string "graph6" msg with
-          | Some s -> s
-          | None -> invalid_arg "missing string field \"graph6\""
-        in
+        let g6 = graph6_of msg in
         let game, power =
           match get_game msg with
           | `Tuple -> ("tuple", get_int "k" msg ~default:1)

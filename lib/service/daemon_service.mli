@@ -4,7 +4,9 @@
 
     {b Requests} (all fields beyond [op] and [graph6] optional, with
     defaults [k = 1], [nu = 1], [lambda = 1], [game = "tuple"],
-    [method = "characterization"]):
+    [method = "characterization"]; a sparse6 [graph6] declaring more
+    than 6 vertices per byte is refused before it is decoded — no valid
+    instance is that sparse):
 
     - [{"op":"solve", "graph6":G6, "k":K, "nu":NU}] — run the A_tuple
       solver; the result reports only isomorphism-invariant facts:

@@ -177,7 +177,7 @@ let test_byte_at_a_time_frames () =
   String.iter
     (fun c -> ignore (Unix.write fd (Bytes.make 1 c) 0 1))
     bytes;
-  match Harness.Wire.read_frame fd with
+  match Harness.Wire.read_frame (Harness.Wire.decoder ()) fd with
   | Some (Ok r) ->
       Alcotest.(check bool) "pong through fragmentation" true
         (J.member "result" r = Some (J.String "pong"))
@@ -191,7 +191,8 @@ let test_garbage_frame_rejected () =
   Unix.connect fd (Unix.ADDR_UNIX path);
   let junk = "not a frame at all\n" in
   ignore (Unix.write fd (Bytes.of_string junk) 0 (String.length junk));
-  (match Harness.Wire.read_frame fd with
+  let dec = Harness.Wire.decoder () in
+  (match Harness.Wire.read_frame dec fd with
   | Some (Ok r) ->
       Alcotest.(check bool) "error response" true (field "ok" r = J.Bool false);
       Alcotest.(check bool) "names the frame" true
@@ -201,7 +202,7 @@ let test_garbage_frame_rejected () =
   | _ -> Alcotest.fail "no diagnostic for garbage");
   (* the connection is closed after the diagnostic... *)
   Alcotest.(check bool) "connection closed" true
-    (Harness.Wire.read_frame fd = None);
+    (Harness.Wire.read_frame dec fd = None);
   Harness.Wire.close_quietly fd;
   (* ...but the server is fine *)
   let r = get path (J.Obj [ ("op", J.String "ping") ]) in
@@ -215,7 +216,8 @@ let test_oversized_frame_rejected () =
      from the header alone. *)
   let header = "10000000\n" in
   ignore (Unix.write fd (Bytes.of_string header) 0 (String.length header));
-  (match Harness.Wire.read_frame fd with
+  let dec = Harness.Wire.decoder () in
+  (match Harness.Wire.read_frame dec fd with
   | Some (Ok r) ->
       Alcotest.(check bool) "rejected from header" true
         (match field "error" r with
@@ -223,7 +225,7 @@ let test_oversized_frame_rejected () =
         | _ -> false)
   | _ -> Alcotest.fail "no diagnostic for oversized frame");
   Alcotest.(check bool) "connection closed" true
-    (Harness.Wire.read_frame fd = None);
+    (Harness.Wire.read_frame dec fd = None);
   Harness.Wire.close_quietly fd;
   let r = get path (J.Obj [ ("op", J.String "ping") ]) in
   Alcotest.(check bool) "server survived" true (field "ok" r = J.Bool true)
@@ -297,7 +299,7 @@ let test_busy_rejects () =
       Alcotest.(check bool) "not ok" true (field "ok" r = J.Bool false);
       Alcotest.(check int) "busy counted" 1 (metric "daemon.busy_rejects" r);
       (* the occupant still completes *)
-      (match Harness.Wire.read_frame fd with
+      (match Harness.Wire.read_frame (Harness.Wire.decoder ()) fd with
       | Some (Ok slow_r) ->
           Alcotest.(check bool) "sleeper completed" true
             (J.member "result" slow_r = Some (J.String "slept"))
@@ -608,6 +610,35 @@ let test_service_equilibrium_check_oracle_mode () =
   Alcotest.(check bool) "confirmed" true
     (J.member "confirmed" (field "result" r) = Some (J.Bool true))
 
+(* A 9-byte sparse6 line declaring 10^9 vertices: decoding it would
+   allocate gigabytes in the parent (the cache key) and in a worker.
+   The service refuses it from the size header alone, and the daemon
+   keeps answering.  A valid sparse6 instance still solves, with the
+   same answer as its graph6 form. *)
+let test_service_sparse6_bomb_refused () =
+  with_daemon ~workers:1 ~cache_key:Service.Daemon_service.cache_key
+    Service.Daemon_service.handle
+  @@ fun path ->
+  let solve g6 =
+    get path (J.Obj [ ("op", J.String "solve"); ("graph6", J.String g6) ])
+  in
+  let r = solve ":~~?zekg?" in
+  Alcotest.(check bool) "bomb refused" true (field "ok" r = J.Bool false);
+  Alcotest.(check bool) "names the bound" true
+    (match field "error" r with
+    | J.String e -> contains e "6 vertices per byte"
+    | _ -> false);
+  let ping = get path (J.Obj [ ("op", J.String "ping") ]) in
+  Alcotest.(check bool) "ping still answers" true
+    (field "result" ping = J.String "pong");
+  let g = Netgraph.Gen.cycle 6 in
+  let sparse = solve (Netgraph.Graph6.encode_sparse6 g) in
+  Alcotest.(check bool) "valid sparse6 solves" true
+    (field "ok" sparse = J.Bool true);
+  Alcotest.(check string) "same answer as graph6"
+    (J.to_string (field "result" (solve (Netgraph.Graph6.encode g))))
+    (J.to_string (field "result" sparse))
+
 let () =
   Alcotest.run "daemon"
     [
@@ -654,5 +685,7 @@ let () =
             test_service_double_oracle_method;
           Alcotest.test_case "oracle-mode equilibrium check" `Quick
             test_service_equilibrium_check_oracle_mode;
+          Alcotest.test_case "sparse6 memory bomb refused" `Quick
+            test_service_sparse6_bomb_refused;
         ] );
     ]

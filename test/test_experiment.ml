@@ -240,7 +240,7 @@ let test_wire_roundtrip () =
            E.record_timing ctx "step"
              { Harness.Timer.median = 0.25; min = 0.2; max = 0.3; runs = 5 }))
   in
-  match E.result_of_wire (E.result_to_wire r) with
+  match E.result_of_json (E.result_to_wire r) with
   | Error e -> Alcotest.failf "wire decode failed: %s" e
   | Ok r' ->
       Alcotest.(check string) "id" r.E.id r'.E.id;
@@ -260,9 +260,9 @@ let test_wire_roundtrip () =
 
 let test_wire_rejects_garbage () =
   Alcotest.(check bool) "non-object rejected" true
-    (Result.is_error (E.result_of_wire (J.Int 3)));
+    (Result.is_error (E.result_of_json (J.Int 3)));
   Alcotest.(check bool) "missing fields rejected" true
-    (Result.is_error (E.result_of_wire (J.Obj [ ("id", J.String "X") ])))
+    (Result.is_error (E.result_of_json (J.Obj [ ("id", J.String "X") ])))
 
 let test_crashed_constructor () =
   let t = descr ~id:"X9" (fun _ -> ()) in

@@ -302,7 +302,7 @@ let test_wire_game_field () =
   let check_roundtrip game =
     let r = E.run ~scale:E.Smoke (descr game) in
     Alcotest.(check string) "result carries game" game r.E.game;
-    match E.result_of_wire (E.result_to_wire r) with
+    match E.result_of_json (E.result_to_wire r) with
     | Ok r' -> Alcotest.(check string) "wire round-trip" game r'.E.game
     | Error e -> Alcotest.fail e
   in
@@ -323,7 +323,7 @@ let test_wire_game_field () =
   match wire with
   | J.Obj fields -> (
       let stripped = J.Obj (List.filter (fun (k, _) -> k <> "game") fields) in
-      match E.result_of_wire stripped with
+      match E.result_of_json stripped with
       | Ok r -> Alcotest.(check string) "absent field defaults" "tuple" r.E.game
       | Error e -> Alcotest.fail e)
   | _ -> Alcotest.fail "wire result is not an object"

@@ -117,7 +117,12 @@ let test_sparse6_huge_header () =
   let s = Graph6.encode_sparse6 g in
   Alcotest.(check bool) "36-bit header" true
     (String.length s >= 8 && s.[1] = '~' && s.[2] = '~');
-  Alcotest.(check bool) "roundtrip" true (Graph.equal g (Graph6.decode s))
+  Alcotest.(check bool) "roundtrip" true (Graph.equal g (Graph6.decode s));
+  (* [order] reads the size header alone, in every header form *)
+  Alcotest.(check int) "order, sparse6 36-bit" n (Graph6.order s);
+  Alcotest.(check int) "order, graph6 long form" 2 (Graph6.order "~~?????A_");
+  Alcotest.(check int) "order, no data decoded" 1_000_000_000
+    (Graph6.order ":~~?zekg?")
 
 let test_sparse6_rejects_malformed () =
   Alcotest.check_raises "graph6 passed to sparse6"

@@ -207,7 +207,7 @@ let test_trace_records_durations () =
 let test_wire_roundtrip_metrics () =
   with_level Obs.Counters @@ fun () ->
   let r = E.run ~scale:E.Smoke (kernel_exp "OBS_WIRE" ~n:6) in
-  match E.result_of_wire (E.result_to_wire r) with
+  match E.result_of_json (E.result_to_wire r) with
   | Error e -> Alcotest.failf "wire decode failed: %s" e
   | Ok r' ->
       Alcotest.(check bool) "metrics survive the worker pipe" true

@@ -66,10 +66,44 @@ let test_wire_decoder_bad_header () =
   let d2 = Harness.Wire.decoder () in
   let long = String.make 30 '1' in
   Harness.Wire.feed d2 (Bytes.of_string long) (String.length long);
-  match Harness.Wire.next_frame d2 with
+  (match Harness.Wire.next_frame d2 with
   | Some (Error e) ->
       Alcotest.(check bool) "overlong header rejected" true (contains e "too long")
-  | _ -> Alcotest.fail "overlong header accepted"
+  | _ -> Alcotest.fail "overlong header accepted");
+  (* A header is one or more ASCII digits and nothing else.  All but the
+     empty header read as a number to [int_of_string], and each is
+     followed by exactly that many bytes of JSON, valid where the length
+     is nonzero, so the header grammar must reject it — in the decoder
+     and in the blocking reader alike. *)
+  let header_error what = function
+    | Some (Error e) ->
+        Alcotest.(check bool) (what ^ " names the header") true
+          (contains e "bad frame header")
+    | _ -> Alcotest.failf "%s accepted" what
+  in
+  List.iter
+    (fun (header, payload) ->
+      let bytes = header ^ "\n" ^ payload in
+      let d = Harness.Wire.decoder () in
+      Harness.Wire.feed d (Bytes.of_string bytes) (String.length bytes);
+      header_error
+        (Printf.sprintf "next_frame %S" header)
+        (Harness.Wire.next_frame d);
+      let rd, wr = Unix.pipe () in
+      Harness.Wire.write_all wr bytes;
+      Unix.close wr;
+      let got = Harness.Wire.read_frame (Harness.Wire.decoder ()) rd in
+      Unix.close rd;
+      header_error (Printf.sprintf "read_frame %S" header) got)
+    [
+      ("0x10", "\"0123456789abcd\"");
+      ("+5", "\"abc\"");
+      ("1_0", "\"01234567\"");
+      ("-0", "");
+      ("0b11", "[1]");
+      ("0o7", "\"abcde\"");
+      ("", "{}");
+    ]
 
 let test_wire_frame_roundtrip () =
   let rd, wr = Unix.pipe () in
@@ -80,13 +114,14 @@ let test_wire_frame_roundtrip () =
     (fun () ->
       let msg = J.Obj [ ("s", J.String "n\xe2\x9c\x93l\n") ] in
       Harness.Wire.write_frame wr msg;
-      (match Harness.Wire.read_frame rd with
+      let dec = Harness.Wire.decoder () in
+      (match Harness.Wire.read_frame dec rd with
       | Some (Ok got) -> Alcotest.(check bool) "round-trips" true (got = msg)
       | Some (Error e) -> Alcotest.failf "frame failed: %s" e
       | None -> Alcotest.fail "unexpected EOF");
       Unix.close wr;
       Alcotest.(check bool) "EOF is None" true
-        (Harness.Wire.read_frame rd = None))
+        (Harness.Wire.read_frame dec rd = None))
 
 (* --- Wire: decoder fuzz --- *)
 
@@ -475,7 +510,7 @@ let test_pool_shared_backlog () =
 
 (* --- health checks and drain --- *)
 
-let test_pool_alive_ping_shutdown () =
+let test_pool_alive_shutdown () =
   let p =
     P.create ~workers:2 (fun arg ->
         (* Job 0 arms a time bomb: the worker answers normally, then the
@@ -485,14 +520,12 @@ let test_pool_alive_ping_shutdown () =
   in
   Fun.protect ~finally:(fun () -> P.shutdown p) @@ fun () ->
   Alcotest.(check (list bool)) "all alive at start" [ true; true ] (P.alive p);
-  Alcotest.(check (list bool)) "all answer ping" [ true; true ] (P.ping p);
   let b1 = run_jobs p [ 0; 1 ] in
   Alcotest.(check int) "first batch done" 2 (List.length b1);
   ignore (Unix.select [] [] [] 1.3);
   (* The bomb went off while the worker sat idle: liveness sees it. *)
   Alcotest.(check (list bool)) "dead worker detected" [ false; true ]
     (P.alive p);
-  Alcotest.(check (list bool)) "ping agrees" [ false; true ] (P.ping p);
   (* The next batch respawns the dead slot and completes on both. *)
   let b2 = run_jobs p [ 5; 6 ] in
   List.iter
@@ -671,13 +704,22 @@ let poll_until_gone ?(budget = 5.0) pids =
 let test_pool_worker_dies_on_direct_sigterm () =
   let old = Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> ())) in
   Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigterm old) @@ fun () ->
-  let p = P.create ~workers:2 Fun.id in
+  let p = P.create ~workers:2 (fun _ -> J.Int (Unix.getpid ())) in
   Fun.protect ~finally:(fun () -> P.shutdown p) @@ fun () ->
   let pids = P.worker_pids p in
   Alcotest.(check int) "two workers" 2 (List.length pids);
-  (* a pong proves the worker reached its frame loop — i.e. is past the
-     point where it reset the inherited SIGTERM disposition *)
-  Alcotest.(check (list bool)) "workers up" [ true; true ] (P.ping p);
+  (* Two jobs submitted together go one to each idle worker.  A
+     completed job proves its worker reached the frame loop — i.e. is
+     past the point where it reset the inherited SIGTERM disposition. *)
+  let answered =
+    List.map
+      (function
+        | _, P.Completed (J.Int pid) -> pid
+        | _ -> Alcotest.fail "job did not complete")
+      (run_jobs p [ 0; 1 ])
+  in
+  Alcotest.(check (list int)) "each worker completed one job"
+    (List.sort compare pids) (List.sort compare answered);
   List.iter (fun pid -> Unix.kill pid Sys.sigterm) pids;
   Alcotest.(check bool) "workers died despite inherited handler" true
     (poll_until_gone pids);
@@ -705,7 +747,7 @@ let test_pool_orphans_reaped_on_parent_kill () =
   | mini ->
       Unix.close w;
       let pids =
-        match Harness.Wire.read_frame r with
+        match Harness.Wire.read_frame (Harness.Wire.decoder ()) r with
         | Some (Ok (J.List l)) ->
             List.map (function J.Int p -> p | _ -> Alcotest.fail "bad pid") l
         | _ -> Alcotest.fail "mini-parent never reported its workers"
@@ -827,8 +869,7 @@ let () =
             test_pool_persistent_crash;
           Alcotest.test_case "timeout" `Quick test_pool_timeout;
           Alcotest.test_case "shared backlog" `Quick test_pool_shared_backlog;
-          Alcotest.test_case "alive/ping/shutdown" `Quick
-            test_pool_alive_ping_shutdown;
+          Alcotest.test_case "alive/shutdown" `Quick test_pool_alive_shutdown;
         ] );
       ( "service",
         [
