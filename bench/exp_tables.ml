@@ -864,22 +864,6 @@ let t13 ctx =
   let g = Gen.grid 3 4 in
   let n = Graph.n g in
   let k = 2 in
-  let kernel_equals_naive prof =
-    Seq.for_all
-      (fun v ->
-        Q.equal (Engine.Profile.hit_prob prof v)
-          (Engine.Profile.hit_prob ~naive:true prof v)
-        && Q.equal
-             (Engine.Profile.expected_load prof v)
-             (Engine.Profile.expected_load ~naive:true prof v))
-      (Seq.init n Fun.id)
-    && Seq.for_all
-         (fun id ->
-           Q.equal
-             (Engine.Profile.expected_load_edge prof id)
-             (Engine.Profile.expected_load_edge ~naive:true prof id))
-         (Seq.init (Graph.m g) Fun.id)
-  in
   let table1 =
     Harness.Table.create
       ~title:
@@ -920,7 +904,7 @@ let t13 ctx =
       let agree =
         E.check ctx
           ~label:(Printf.sprintf "T13a nu=%d: kernel = naive oracle" nu)
-          (kernel_equals_naive prof)
+          (kernel_equals_rescan prof)
       in
       let conserved =
         E.check ctx
@@ -944,7 +928,7 @@ let t13 ctx =
       ignore
         (E.check ctx
            ~label:(Printf.sprintf "T13a nu=%d: kernel = naive after replace_vp" nu)
-           (kernel_equals_naive deviated));
+           (kernel_equals_rescan deviated));
       let den_digits =
         let s = Q.to_string load0 in
         match String.index_opt s '/' with

@@ -8,7 +8,8 @@
    B1-B12 are Bechamel microbenchmarks of the computational kernels, one
    registered experiment each (ns/run from the OLS estimate against the
    monotonic clock).  B7-B12 pair the engine kernel query path against
-   the naive support-rescanning oracle (~naive:true) on the acceptance
+   the naive support-rescanning oracle (a Profile.rescan profile for
+   B8/B10, Fictitious.run ~naive:true for B12) on the acceptance
    instance (grid 10x12, n = 120, k = 5, nu = 6); each naive experiment
    also reports the speedup against its kernel partner (the partner's
    estimate from the same process when it ran there, otherwise a fresh
@@ -243,24 +244,9 @@ let speedup ctx ~id ~kernel_id ~kernel ~label slow =
 (* --- B0: exact kernel = naive assertions (both scales) --- *)
 
 let assert_kernel_equals_naive ctx ~label prof =
-  let g = Defender.Model.graph (Engine.Profile.instance prof) in
-  let all_equal =
-    Seq.for_all
-      (fun v ->
-        Q.equal (Engine.Profile.hit_prob prof v)
-          (Engine.Profile.hit_prob ~naive:true prof v)
-        && Q.equal
-             (Engine.Profile.expected_load prof v)
-             (Engine.Profile.expected_load ~naive:true prof v))
-      (Seq.init (Netgraph.Graph.n g) Fun.id)
-    && Seq.for_all
-         (fun id ->
-           Q.equal
-             (Engine.Profile.expected_load_edge prof id)
-             (Engine.Profile.expected_load_edge ~naive:true prof id))
-         (Seq.init (Netgraph.Graph.m g) Fun.id)
-  in
-  ignore (E.check ctx ~label:(label ^ ": kernel tables = naive oracle") all_equal)
+  ignore
+    (E.check ctx ~label:(label ^ ": kernel tables = naive oracle")
+       (Exp_util.kernel_equals_rescan prof))
 
 let b0 ctx =
   (* the original standalone smoke instance: small and deterministic *)
@@ -356,14 +342,16 @@ let b6 ctx =
 
 (* One best-response sweep: the attacker scans every vertex's hit
    probability, the defender greedily scans every edge's load. *)
-let br_sweep ?naive prof =
-  ignore (Engine.Best_response.vp_best_value ?naive prof);
+let br_sweep prof =
+  ignore (Engine.Best_response.vp_best_value prof);
   ignore
     (Defender.Tuple_game.tp_greedy_value (Engine.Profile.instance prof)
-       ~load:(Engine.Profile.expected_load ?naive prof))
+       ~load:(Engine.Profile.expected_load prof))
 
 (* The kernel halves' thunks, shared with their naive partners, which
-   may need to time them (see [speedup]). *)
+   may need to time them (see [speedup]).  The naive halves time the
+   same consumers on [Profile.rescan i.kprof], built outside the timed
+   thunk. *)
 let br_kernel i () = br_sweep i.kprof
 
 let char_kernel i () =
@@ -381,10 +369,11 @@ let b7 ctx =
 
 let b8 ctx =
   let i = get ctx in
+  let rescan = Engine.Profile.rescan i.kprof in
   let slow =
     bench ctx ~id:"B8"
       ~name:(Printf.sprintf "B8 BR sweep, naive (%s)" i.ktag)
-      (fun () -> br_sweep ~naive:true i.kprof)
+      (fun () -> br_sweep rescan)
   in
   speedup ctx ~id:"B8" ~kernel_id:"B7" ~kernel:(br_kernel i)
     ~label:"BR sweep (B8/B7)" slow
@@ -398,13 +387,13 @@ let b9 ctx =
 
 let b10 ctx =
   let i = get ctx in
+  let rescan = Engine.Profile.rescan i.kprof in
   let slow =
     bench ctx ~id:"B10"
       ~name:(Printf.sprintf "B10 characterization, naive (%s)" i.ktag)
       (fun () ->
         ignore
-          (Defender.Characterization.check ~naive:true
-             Engine.Verify.Certificate i.kprof))
+          (Defender.Characterization.check Engine.Verify.Certificate rescan))
   in
   speedup ctx ~id:"B10" ~kernel_id:"B9" ~kernel:(char_kernel i)
     ~label:"characterization (B10/B9)" slow

@@ -20,7 +20,7 @@ let verdict r =
   else if not r.cond3b_total_load then fail "3b"
   else r.cond3a_support_loads
 
-let check ?naive mode m =
+let check mode m =
   let g = Model.graph (E.Profile.instance m) in
   let support_edges = Tuple.edge_union (E.Profile.tp_support m) in
   let cond1_edge_cover = Matching.Checks.is_edge_cover g support_edges in
@@ -32,23 +32,23 @@ let check ?naive mode m =
     match E.Profile.vp_support_union m with
     | [] -> false
     | support ->
-        let hits = List.map (E.Profile.hit_prob ?naive m) support in
+        let hits = List.map (E.Profile.hit_prob m) support in
         let h0 = List.hd hits in
         List.for_all (Q.equal h0) hits
         &&
         let global_min =
           Q.min_list
-            (List.init (Graph.n g) (fun v -> E.Profile.hit_prob ?naive m v))
+            (List.init (Graph.n g) (E.Profile.hit_prob m))
         in
         Q.equal h0 global_min
   in
   let cond2b_tp_probability_sums =
     Q.equal (Q.sum (List.map snd (E.Profile.tp_strategy m))) Q.one
   in
-  let cond3a_support_loads = E.Verify.tp_side ?naive mode m in
+  let cond3a_support_loads = E.Verify.tp_side mode m in
   let cond3b_total_load =
     let covered = Tuple.vertex_union g (E.Profile.tp_support m) in
-    let total = Q.sum (List.map (E.Profile.expected_load ?naive m) covered) in
+    let total = Q.sum (List.map (E.Profile.expected_load m) covered) in
     Q.equal total (Q.of_int (Model.nu (E.Profile.instance m)))
   in
   {
@@ -60,8 +60,8 @@ let check ?naive mode m =
     cond3b_total_load;
   }
 
-let holds ?naive mode m =
-  E.Verify.verdict_is_confirmed (verdict (check ?naive mode m))
+let holds mode m =
+  E.Verify.verdict_is_confirmed (verdict (check mode m))
 
 let pp_report fmt r =
   Format.fprintf fmt

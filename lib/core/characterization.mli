@@ -25,11 +25,12 @@ type report = {
 (** Overall verdict implied by a report. *)
 val verdict : report -> Engine.Verify.verdict
 
-(** [~naive:true] answers the hit/load queries by support re-scan instead
-    of the profile's kernel tables (correctness oracle). *)
-val check : ?naive:bool -> Engine.Verify.mode -> Engine.Profile.mixed -> report
+(** Evaluate every condition on [m].  The hit/load queries follow the
+    profile: pass [Engine.Profile.rescan m] for the support-rescanning
+    reference. *)
+val check : Engine.Verify.mode -> Engine.Profile.mixed -> report
 
 (** [holds mode m] = the characterization verdict is [Confirmed]. *)
-val holds : ?naive:bool -> Engine.Verify.mode -> Engine.Profile.mixed -> bool
+val holds : Engine.Verify.mode -> Engine.Profile.mixed -> bool
 
 val pp_report : Format.formatter -> report -> unit

@@ -13,8 +13,8 @@
     attacker's exact payoff is [1 - P(Hit(v))] and the defender's is the
     expected number of attackers covered.  All probability mass lives in
     {!Exact.Q} — equilibrium checks are exact equalities, never float
-    tolerances, and the kernel's incremental patches must agree with a
-    naive support rescan to the bit. *)
+    tolerances, and the kernel's incremental patches must agree with the
+    support rescan of a [Profile.rescan] profile to the bit. *)
 
 open Netgraph
 
@@ -86,8 +86,8 @@ module type S = sig
       tuples, top-λ vertex loads for subgraphs).  Used by Verify's
       [Certificate] mode: support value = bound proves optimality
       without enumeration.  Loads are supplied as query functions so
-      implementations probe only what they need — the naive-oracle
-      paths count every probe. *)
+      implementations probe only what they need — a rescan profile
+      counts every probe. *)
   val value_upper_bound :
     instance ->
     load:(Graph.vertex -> Exact.Q.t) ->

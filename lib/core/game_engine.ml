@@ -14,13 +14,11 @@ module Q = Exact.Q
 module Finite = Dist.Finite
 
 module Make (G : Game.S) = struct
+  (* The exact payoff tables behind every kernel-backed profile.  Not
+     exported: the interface's only view of them is Profile's leaf
+     queries, whose Profile.rescan twin re-scans the supports. *)
   module Kernel = struct
-    type t = {
-      instance : G.instance;
-      hit : Q.t array;
-      load : Q.t array;
-      edge_load : Q.t array;
-    }
+    type t = { hit : Q.t array; load : Q.t array; edge_load : Q.t array }
 
     (* The patch-vs-rebuild economics this kernel exists for, as
        counters: how many full builds, how many O(deg) patches, and how
@@ -57,26 +55,11 @@ module Make (G : Game.S) = struct
       Obs.incr c_builds;
       let g = G.graph inst in
       let load = load_table g vp in
-      { instance = inst; hit = hit_table inst tp; load; edge_load = edge_load_table g load }
+      { hit = hit_table inst tp; load; edge_load = edge_load_table g load }
 
-    let hit_prob k v = k.hit.(v)
-    let expected_load k v = k.load.(v)
-    let expected_load_edge k id = k.edge_load.(id)
-
-    let expected_load_strategy k t =
-      List.fold_left
-        (fun acc v -> Q.add acc k.load.(v))
-        Q.zero
-        (G.covered k.instance t)
-
-    let hit_table_copy k = Array.copy k.hit
-    let load_table_copy k = Array.copy k.load
-    let edge_load_table_copy k = Array.copy k.edge_load
-
-    let replace_vp k ~old_d ~new_d =
+    let replace_vp g ~old_d ~new_d k =
       Obs.incr c_vp_patches;
       Obs.add c_cow_cells (Array.length k.load + Array.length k.edge_load);
-      let g = G.graph k.instance in
       let load = Array.copy k.load in
       let edge_load = Array.copy k.edge_load in
       let shift v delta =
@@ -88,7 +71,9 @@ module Make (G : Game.S) = struct
       Finite.iter new_d ~f:(fun v p -> shift v p);
       { k with load; edge_load }
 
-    let replace_tp k ~tp = Obs.incr c_tp_patches; { k with hit = hit_table k.instance tp }
+    let replace_tp inst ~tp k =
+      Obs.incr c_tp_patches;
+      { k with hit = hit_table inst tp }
   end
 
   module Profile = struct
@@ -102,7 +87,9 @@ module Make (G : Game.S) = struct
       vp : Finite.t array;
       tp : (G.Strategy.t * Q.t) list;
           (* positive probs, canonical strategies, sums to 1 *)
-      kernel : Kernel.t;  (* exact hit/load tables, kept in sync *)
+      kernel : Kernel.t option;
+          (* exact hit/load tables, kept in sync; None on a rescan
+             profile, whose queries re-scan the supports instead *)
     }
 
     let check_vertex g v =
@@ -145,7 +132,7 @@ module Make (G : Game.S) = struct
         vp;
       check_tp inst tp;
       let vp = Array.of_list vp in
-      { instance = inst; vp; tp; kernel = Kernel.make inst ~vp ~tp }
+      { instance = inst; vp; tp; kernel = Some (Kernel.make inst ~vp ~tp) }
 
     let of_pure inst { vp_choices; tp_choice } =
       make_mixed inst
@@ -161,8 +148,8 @@ module Make (G : Game.S) = struct
         ~vp:(List.init (G.nu inst) (fun _ -> vp_dist))
         ~tp:(List.map (fun t -> (t, p)) tp_support)
 
+    let rescan m = { m with kernel = None }
     let instance m = m.instance
-    let kernel m = m.kernel
 
     let vp_strategy m i =
       if i < 0 || i >= Array.length m.vp then
@@ -182,54 +169,59 @@ module Make (G : Game.S) = struct
     let tuples_hitting m v =
       List.filter (fun (t, _) -> G.covers m.instance t v) m.tp
 
-    (* The naive recomputations below re-scan the relevant support on
-       every query; they are the correctness oracle for the kernel
-       tables (the property tests assert exact Q-equality between the
-       two paths).  The counter pairs with kernel.builds /
-       kernel.*_patches: their ratio in a sweep's metrics shows how much
-       rescanning the kernel tables avoid. *)
+    (* The leaf queries are the one place the kernel/rescan choice is
+       made.  A rescan profile re-scans the relevant support on every
+       query: it is the correctness oracle for the kernel tables (the
+       property tests assert exact Q-equality between the two).  The
+       counter pairs with kernel.builds / kernel.*_patches: their ratio
+       in a sweep's metrics shows how much rescanning the tables avoid. *)
 
     let c_naive_rescans = Obs.counter "kernel.naive_rescans"
 
-    let naive_hit_prob m v =
-      Obs.incr c_naive_rescans;
-      Q.sum (List.map snd (tuples_hitting m v))
+    let hit_prob m v =
+      match m.kernel with
+      | Some k -> k.Kernel.hit.(v)
+      | None ->
+          Obs.incr c_naive_rescans;
+          Q.sum (List.map snd (tuples_hitting m v))
 
-    let naive_expected_load m v =
-      Obs.incr c_naive_rescans;
-      Array.fold_left (fun acc d -> Q.add acc (Finite.prob d v)) Q.zero m.vp
+    let expected_load m v =
+      match m.kernel with
+      | Some k -> k.Kernel.load.(v)
+      | None ->
+          Obs.incr c_naive_rescans;
+          Array.fold_left (fun acc d -> Q.add acc (Finite.prob d v)) Q.zero m.vp
 
-    let hit_prob ?(naive = false) m v =
-      if naive then naive_hit_prob m v else Kernel.hit_prob m.kernel v
+    let expected_load_edge m id =
+      match m.kernel with
+      | Some k -> k.Kernel.edge_load.(id)
+      | None ->
+          let e = Graph.edge (G.graph m.instance) id in
+          Q.add (expected_load m e.Graph.u) (expected_load m e.Graph.v)
 
-    let expected_load ?(naive = false) m v =
-      if naive then naive_expected_load m v else Kernel.expected_load m.kernel v
-
-    let expected_load_edge ?(naive = false) m id =
-      if naive then
-        let e = Graph.edge (G.graph m.instance) id in
-        Q.add
-          (naive_expected_load m e.Graph.u)
-          (naive_expected_load m e.Graph.v)
-      else Kernel.expected_load_edge m.kernel id
-
-    let expected_load_strategy ?(naive = false) m t =
-      if naive then
-        Q.sum (List.map (naive_expected_load m) (G.covered m.instance t))
-      else Kernel.expected_load_strategy m.kernel t
+    let expected_load_strategy m t =
+      List.fold_left
+        (fun acc v -> Q.add acc (expected_load m v))
+        Q.zero
+        (G.covered m.instance t)
 
     let replace_vp m i d =
       List.iter (check_vertex (G.graph m.instance)) (Finite.support d);
       if i < 0 || i >= Array.length m.vp then
         invalid_arg "Profile.replace_vp: player index out of range";
-      let kernel = Kernel.replace_vp m.kernel ~old_d:m.vp.(i) ~new_d:d in
+      let kernel =
+        Option.map
+          (Kernel.replace_vp (G.graph m.instance) ~old_d:m.vp.(i) ~new_d:d)
+          m.kernel
+      in
       let vp = Array.copy m.vp in
       vp.(i) <- d;
       { m with vp; kernel }
 
     let replace_tp m tp =
       check_tp m.instance tp;
-      { m with tp; kernel = Kernel.replace_tp m.kernel ~tp }
+      let kernel = Option.map (Kernel.replace_tp m.instance ~tp) m.kernel in
+      { m with tp; kernel }
 
     let is_pure m = Array.for_all Finite.is_pure m.vp && List.length m.tp = 1
 
@@ -262,20 +254,16 @@ module Make (G : Game.S) = struct
           if G.covers inst profile.Profile.tp_choice v then acc + 1 else acc)
         0 profile.Profile.vp_choices
 
-    let vp_payoff_of_vertex ?naive m v =
-      Q.sub Q.one (Profile.hit_prob ?naive m v)
+    let vp_payoff_of_vertex m v = Q.sub Q.one (Profile.hit_prob m v)
+    let tp_payoff_of_strategy = Profile.expected_load_strategy
 
-    let tp_payoff_of_strategy ?naive m t =
-      Profile.expected_load_strategy ?naive m t
+    let expected_vp m i =
+      Finite.expect (Profile.vp_strategy m i) ~f:(vp_payoff_of_vertex m)
 
-    let expected_vp ?naive m i =
-      Finite.expect (Profile.vp_strategy m i) ~f:(fun v ->
-          vp_payoff_of_vertex ?naive m v)
-
-    let expected_tp ?naive m =
+    let expected_tp m =
       Q.sum
         (List.map
-           (fun (t, p) -> Q.mul p (Profile.expected_load_strategy ?naive m t))
+           (fun (t, p) -> Q.mul p (Profile.expected_load_strategy m t))
            (Profile.tp_strategy m))
   end
 
@@ -286,12 +274,12 @@ module Make (G : Game.S) = struct
        times and B15 gates its observability overhead on. *)
     let c_vp_sweeps = Obs.counter "br.vp_sweeps"
 
-    let vp_best_vertex ?naive m =
+    let vp_best_vertex m =
       Obs.incr c_vp_sweeps;
       let g = graph m in
-      let best = ref 0 and best_hit = ref (Profile.hit_prob ?naive m 0) in
+      let best = ref 0 and best_hit = ref (Profile.hit_prob m 0) in
       for v = 1 to Graph.n g - 1 do
-        let h = Profile.hit_prob ?naive m v in
+        let h = Profile.hit_prob m v in
         if Q.( < ) h !best_hit then begin
           best := v;
           best_hit := h
@@ -299,8 +287,7 @@ module Make (G : Game.S) = struct
       done;
       !best
 
-    let vp_best_value ?naive m =
-      Q.sub Q.one (Profile.hit_prob ?naive m (vp_best_vertex ?naive m))
+    let vp_best_value m = Q.sub Q.one (Profile.hit_prob m (vp_best_vertex m))
 
     let check_limit m limit =
       match G.space_size_within (Profile.instance m) ~limit with
@@ -308,26 +295,25 @@ module Make (G : Game.S) = struct
       | None ->
           invalid_arg "Best_response: tuple space too large for enumeration"
 
-    let tp_best_exhaustive ?(limit = 2_000_000) ?naive m =
+    let tp_best_exhaustive ?(limit = 2_000_000) m =
       check_limit m limit;
       let best = ref None in
       let _ =
         G.fold_strategies (Profile.instance m) ~init:() ~f:(fun () t ->
-            let value = Profile.expected_load_strategy ?naive m t in
+            let value = Profile.expected_load_strategy m t in
             match !best with
             | Some (_, v) when Q.( >= ) v value -> ()
             | _ -> best := Some (t, value))
       in
       match !best with Some (t, _) -> t | None -> assert false
 
-    let tp_best_value_exhaustive ?limit ?naive m =
-      Profile.expected_load_strategy ?naive m
-        (tp_best_exhaustive ?limit ?naive m)
+    let tp_best_value_exhaustive ?limit m =
+      Profile.expected_load_strategy m (tp_best_exhaustive ?limit m)
 
-    let tp_upper_bound ?naive m =
+    let tp_upper_bound m =
       G.value_upper_bound (Profile.instance m)
-        ~load:(fun v -> Profile.expected_load ?naive m v)
-        ~edge_load:(fun id -> Profile.expected_load_edge ?naive m id)
+        ~load:(Profile.expected_load m)
+        ~edge_load:(Profile.expected_load_edge m)
 
     (* One count per weighted-oracle invocation — the double-oracle
        solver's per-iteration cost unit. *)
@@ -337,16 +323,14 @@ module Make (G : Game.S) = struct
        the weights are the profile's expected per-vertex attacker loads,
        so unlike [tp_best_exhaustive] this never walks the strategy
        space and stays exact on spaces of any size. *)
-    let tp_best_weighted ?naive m =
+    let tp_best_weighted m =
       Obs.incr c_weighted_oracles;
       let g = graph m in
-      let weight =
-        Array.init (Graph.n g) (fun v -> Profile.expected_load ?naive m v)
-      in
+      let weight = Array.init (Graph.n g) (Profile.expected_load m) in
       G.best_response_weighted (Profile.instance m) ~weight
 
-    let tp_best_value_weighted ?naive m =
-      Profile.expected_load_strategy ?naive m (tp_best_weighted ?naive m)
+    let tp_best_value_weighted m =
+      Profile.expected_load_strategy m (tp_best_weighted m)
   end
 
   module Pure = struct
@@ -408,15 +392,15 @@ module Make (G : Game.S) = struct
       | Refuted why -> "refuted: " ^ why
       | Unknown why -> "unknown: " ^ why
 
-    let vp_side ?naive m =
-      let best = Best_response.vp_best_value ?naive m in
+    let vp_side m =
+      let best = Best_response.vp_best_value m in
       let nu = G.nu (Profile.instance m) in
       let rec check i =
         if i = nu then Confirmed
         else
           let offending =
             List.find_opt
-              (fun v -> Q.( < ) (Profit.vp_payoff_of_vertex ?naive m v) best)
+              (fun v -> Q.( < ) (Profit.vp_payoff_of_vertex m v) best)
               (Profile.vp_support m i)
           in
           match offending with
@@ -426,22 +410,22 @@ module Make (G : Game.S) = struct
                    "vertex player %d puts weight on vertex %d with payoff %s \
                     < best %s"
                    i v
-                   (Q.to_string (Profit.vp_payoff_of_vertex ?naive m v))
+                   (Q.to_string (Profit.vp_payoff_of_vertex m v))
                    (Q.to_string best))
           | None -> check (i + 1)
       in
       check 0
 
-    let support_load_range ?naive m =
+    let support_load_range m =
       let loads =
         List.map
-          (fun (t, _) -> Profile.expected_load_strategy ?naive m t)
+          (fun (t, _) -> Profile.expected_load_strategy m t)
           (Profile.tp_strategy m)
       in
       (Q.min_list loads, Q.max_list loads)
 
-    let tp_side ?naive mode m =
-      let low, high = support_load_range ?naive m in
+    let tp_side mode m =
+      let low, high = support_load_range m in
       if Q.( < ) low high then
         Refuted
           (Printf.sprintf
@@ -450,7 +434,7 @@ module Make (G : Game.S) = struct
       else
         match mode with
         | Exhaustive limit ->
-            let best = Best_response.tp_best_value_exhaustive ~limit ?naive m in
+            let best = Best_response.tp_best_value_exhaustive ~limit m in
             if Q.( < ) low best then
               Refuted
                 (Printf.sprintf
@@ -458,7 +442,7 @@ module Make (G : Game.S) = struct
                    (Q.to_string best) (Q.to_string low))
             else Confirmed
         | Certificate ->
-            let bound = Best_response.tp_upper_bound ?naive m in
+            let bound = Best_response.tp_upper_bound m in
             if Q.equal low bound then Confirmed
             else
               Unknown
@@ -469,7 +453,7 @@ module Make (G : Game.S) = struct
         | Oracle ->
             (* Exact and complete at any space size: the weighted oracle
                returns a true best response, so the comparison decides. *)
-            let best = Best_response.tp_best_value_weighted ?naive m in
+            let best = Best_response.tp_best_value_weighted m in
             if Q.( < ) low best then
               Refuted
                 (Printf.sprintf
@@ -478,9 +462,9 @@ module Make (G : Game.S) = struct
                    (Q.to_string best) (Q.to_string low))
             else Confirmed
 
-    let mixed_ne ?naive mode m =
-      match vp_side ?naive m with
-      | Confirmed -> tp_side ?naive mode m
+    let mixed_ne mode m =
+      match vp_side m with
+      | Confirmed -> tp_side mode m
       | (Refuted _ | Unknown _) as v -> v
   end
 

@@ -1,9 +1,10 @@
 (** The exact game engine, generic over a {!Game.S} instance.
 
     [Make (G)] builds, for one game, everything downstream of its
-    coverage hook {!Game.S.covered}: an incremental exact-payoff kernel,
-    mixed and pure configurations with the standard equilibrium
-    quantities Hit, m_s(v) and m_s(d), exact individual profits, best
+    coverage hook {!Game.S.covered}: mixed and pure configurations with
+    the standard equilibrium quantities Hit, m_s(v) and m_s(d) (answered
+    from an incremental exact-payoff kernel, or by support re-scan on a
+    {!Profile.rescan} profile), exact individual profits, best
     responses, pure-NE checks, mixed-NE verification and profile text
     I/O.  The built-in applications are [Tuple_instance.Engine] (the
     paper's game Π_k(G), defender strategies are k-edge tuples) and
@@ -24,46 +25,41 @@ open Netgraph
 module Q = Exact.Q
 
 module Make (G : Game.S) : sig
-  (** Incremental exact-payoff kernel for the equilibrium hot loops.
-
-      Every equilibrium routine bottoms out in P(Hit(v)), m_s(v) and
-      m_s(e) = m_s(u) + m_s(v).  Computed naively each query re-scans
-      the defender's support (or the attackers' strategies); the kernel
-      instead keeps three exact tables per configuration — [hit],
-      [load], [edge_load] — so every query is O(1).  One-player
-      deviations ({!Profile.replace_vp}, {!Profile.replace_tp}) patch
-      them copy-on-write instead of rebuilding: a vertex-player move
-      touches only the two supports involved (plus their incident
-      edges) and shares the hit table; a defender move rebuilds only
-      the hit table and shares both load tables.
-
-      The tables are {e equal} to the naive recomputation behind every
-      [~naive:true] flag below ([Q.equal], no tolerance).  The Obs
-      counters [kernel.builds], [kernel.vp_patches], [kernel.tp_patches],
-      [kernel.cow_cells] and [kernel.naive_rescans] record the
-      patch-versus-rebuild economics. *)
-  module Kernel : sig
-    type t
-
-    (** Defensive copies of the hit, load and edge-load tables, for bulk
-        comparisons in tests and benchmarks. *)
-    val hit_table_copy : t -> Q.t array
-
-    val load_table_copy : t -> Q.t array
-    val edge_load_table_copy : t -> Q.t array
-  end
-
   (** Configurations (strategy profiles), pure and mixed, with the
-      standard equilibrium quantities Hit, m_s(v), m_s(d). *)
+      standard equilibrium quantities Hit, m_s(v), m_s(d).
+
+      Every equilibrium routine bottoms out in four leaf queries —
+      {!hit_prob}, {!expected_load}, {!expected_load_edge} and
+      {!expected_load_strategy} — and a mixed profile answers them from
+      an incremental exact-payoff kernel: three exact tables (hit
+      probability and expected load per vertex, expected load per edge)
+      built by {!make_mixed}, {!of_pure} and {!uniform}, so the first
+      three queries are O(1).  One-player deviations ({!replace_vp},
+      {!replace_tp}) patch the tables copy-on-write instead of
+      rebuilding them: a vertex-player move touches only the two
+      supports involved (plus their incident edges) and shares the hit
+      table; a defender move rebuilds only the hit table and shares
+      both load tables.
+
+      {!rescan} gives the reference path: the same profile without
+      tables, answering every leaf query by re-scanning the defender's
+      support (or the attackers' strategies).  Every consumer below —
+      profits, best responses, verification, the characterization —
+      takes whichever profile it is given, and the two paths are
+      exactly equal ([Q.equal], no tolerance).  The Obs counters
+      [kernel.builds], [kernel.vp_patches], [kernel.tp_patches],
+      [kernel.cow_cells] and [kernel.naive_rescans] (one per re-scanned
+      vertex) record the patch-versus-rebuild economics. *)
   module Profile : sig
     type pure = {
       vp_choices : Graph.vertex array;  (** one vertex per vertex player *)
       tp_choice : G.Strategy.t;
     }
 
-    (** A validated mixed configuration together with its {!Kernel}
+    (** A validated mixed configuration together with its kernel
         tables, kept in sync by the constructors and by
-        {!replace_vp}/{!replace_tp}. *)
+        {!replace_vp}/{!replace_tp} — or, for a {!rescan} profile, no
+        tables at all. *)
     type mixed
 
     (** [make_pure inst ~vp_choices ~tp_choice] validates arity, vertex
@@ -89,10 +85,14 @@ module Make (G : Game.S) : sig
     val uniform :
       G.instance -> vp_support:Graph.vertex list -> tp_support:G.Strategy.t list -> mixed
 
-    val instance : mixed -> G.instance
+    (** [rescan m]: the same instance and strategies without kernel
+        tables; every leaf query re-scans the supports (the correctness
+        oracle and the benchmarks' baseline).  Builds nothing;
+        {!replace_vp} and {!replace_tp} on a rescan profile return
+        rescan profiles and patch nothing. *)
+    val rescan : mixed -> mixed
 
-    (** The configuration's exact payoff tables. *)
-    val kernel : mixed -> Kernel.t
+    val instance : mixed -> G.instance
 
     (** Strategy of vertex player [i]. @raise Invalid_argument if out of
         range. *)
@@ -116,22 +116,19 @@ module Make (G : Game.S) : sig
     (** Tuples_s(v): support strategies covering vertex [v]. *)
     val tuples_hitting : mixed -> Graph.vertex -> (G.Strategy.t * Q.t) list
 
-    (** P_s(Hit(v)).  O(1) from the kernel table; [~naive:true] re-scans
-        the defender's support instead (the correctness oracle — both
-        paths are exactly equal). *)
-    val hit_prob : ?naive:bool -> mixed -> Graph.vertex -> Q.t
+    (** P_s(Hit(v)). *)
+    val hit_prob : mixed -> Graph.vertex -> Q.t
 
-    (** m_s(v): expected number of vertex players on [v].  O(1) from the
-        kernel table; [~naive:true] re-scans the attackers' strategies. *)
-    val expected_load : ?naive:bool -> mixed -> Graph.vertex -> Q.t
+    (** m_s(v): expected number of vertex players on [v]. *)
+    val expected_load : mixed -> Graph.vertex -> Q.t
 
     (** m_s(e) = m_s(u) + m_s(v) for an edge. *)
-    val expected_load_edge : ?naive:bool -> mixed -> Graph.edge_id -> Q.t
+    val expected_load_edge : mixed -> Graph.edge_id -> Q.t
 
     (** m_s(d) = Σ_{v covered by d} m_s(v) for any defender strategy
-        (not necessarily in the support): O(|covered d|) from the load
-        table, independent of ν and of the support sizes. *)
-    val expected_load_strategy : ?naive:bool -> mixed -> G.Strategy.t -> Q.t
+        (not necessarily in the support): O(|covered d|) loads,
+        independent of ν and of the support sizes on a kernel profile. *)
+    val expected_load_strategy : mixed -> G.Strategy.t -> Q.t
 
     (** [replace_vp m i d] / [replace_tp m tp]: one-player deviations,
         used by best-response and robustness checks.  The kernel tables
@@ -150,9 +147,8 @@ module Make (G : Game.S) : sig
 
   (** Individual profits (Definition 2.1) and expected individual
       profits (equations (1) and (2) of the paper), computed exactly.
-      The mixed-profile quantities are answered from the profile's
-      {!Kernel} tables; [~naive:true] re-derives them by support
-      re-scan (correctness oracle, exactly equal). *)
+      The mixed-profile quantities go through {!Profile}'s leaf
+      queries. *)
   module Profit : sig
     (** IP_i: 1 if vertex player [i] escapes the defender, 0 otherwise.
         @raise Invalid_argument if [i] is out of range. *)
@@ -162,19 +158,19 @@ module Make (G : Game.S) : sig
     val pure_tp : G.instance -> Profile.pure -> int
 
     (** Expected IP_i per equation (1): Σ_v P(vp_i = v) (1 − P(Hit(v))). *)
-    val expected_vp : ?naive:bool -> Profile.mixed -> int -> Q.t
+    val expected_vp : Profile.mixed -> int -> Q.t
 
     (** Expected IP_tp per equation (2): Σ_d P(tp = d) m_s(d). *)
-    val expected_tp : ?naive:bool -> Profile.mixed -> Q.t
+    val expected_tp : Profile.mixed -> Q.t
 
     (** Payoff of playing pure vertex [v] against the profile's defender:
         [1 − Hit(v)].  The best-response value for a vertex player. *)
-    val vp_payoff_of_vertex : ?naive:bool -> Profile.mixed -> Graph.vertex -> Q.t
+    val vp_payoff_of_vertex : Profile.mixed -> Graph.vertex -> Q.t
 
     (** Payoff of playing pure strategy [d] against the profile's
         attackers: [m_s(d)].  The best-response value for the defender. *)
     val tp_payoff_of_strategy :
-      ?naive:bool -> Profile.mixed -> G.Strategy.t -> Q.t
+      Profile.mixed -> G.Strategy.t -> Q.t
   end
 
   (** Best-response values against a mixed configuration.
@@ -184,34 +180,32 @@ module Make (G : Game.S) : sig
       maximizes m_s(d) over the whole strategy space; this module offers
       the exhaustive computation (guarded) and a cheap upper bound used
       as an optimality certificate ({!Verify.Oracle} uses the game's
-      exact weighted oracle instead).  Payoff queries go through the
-      profile's {!Kernel} tables; [~naive:true] re-scans the supports
-      instead. *)
+      exact weighted oracle instead). *)
   module Best_response : sig
     (** Max over vertices of [1 − Hit(v)]: the best payoff available to
         any vertex player.  Counts one [br.vp_sweeps]. *)
-    val vp_best_value : ?naive:bool -> Profile.mixed -> Q.t
+    val vp_best_value : Profile.mixed -> Q.t
 
     (** A vertex attaining {!vp_best_value} (minimum hit probability,
         lowest id on ties). *)
-    val vp_best_vertex : ?naive:bool -> Profile.mixed -> Graph.vertex
+    val vp_best_vertex : Profile.mixed -> Graph.vertex
 
     (** Max of m_s(d) over the whole strategy space, by enumeration.
         @raise Invalid_argument when the space exceeds [limit] (default
         2_000_000) strategies. *)
     val tp_best_value_exhaustive :
-      ?limit:int -> ?naive:bool -> Profile.mixed -> Q.t
+      ?limit:int -> Profile.mixed -> Q.t
 
     (** A maximizing strategy (same enumeration and guard; the first
         maximum in {!Game.S.fold_strategies} order). *)
     val tp_best_exhaustive :
-      ?limit:int -> ?naive:bool -> Profile.mixed -> G.Strategy.t
+      ?limit:int -> Profile.mixed -> G.Strategy.t
 
     (** The game's certificate bound on the defender's best-response
         value ({!Game.S.value_upper_bound}; for tuples the sum of the k
         largest edge loads m_s(e), tight in every k-matching
         equilibrium). *)
-    val tp_upper_bound : ?naive:bool -> Profile.mixed -> Q.t
+    val tp_upper_bound : Profile.mixed -> Q.t
   end
 
   (** Pure Nash equilibria by definition. *)
@@ -266,13 +260,13 @@ module Make (G : Game.S) : sig
 
     (** Check the vertex players only (always polynomial): [Confirmed]
         or [Refuted]. *)
-    val vp_side : ?naive:bool -> Profile.mixed -> verdict
+    val vp_side : Profile.mixed -> verdict
 
     (** Check the defender only. *)
-    val tp_side : ?naive:bool -> mode -> Profile.mixed -> verdict
+    val tp_side : mode -> Profile.mixed -> verdict
 
     (** Conjunction of both sides. *)
-    val mixed_ne : ?naive:bool -> mode -> Profile.mixed -> verdict
+    val mixed_ne : mode -> Profile.mixed -> verdict
   end
 
   (** Text serialization of mixed configurations, so computed equilibria

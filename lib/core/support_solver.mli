@@ -35,13 +35,10 @@ val failure_to_string : failure -> string
 
 (** [solve model ~vp_support ~tp_support] attempts the construction.
     The defender side of the best-response check enumerates C(m,k)
-    tuples, guarded by [limit] (default 2_000_000); [~naive:true] runs
-    that check on the support-rescanning oracle instead of the
-    engine's kernel tables.
+    tuples, guarded by [limit] (default 2_000_000).
     @raise Invalid_argument on empty supports or out-of-range members. *)
 val solve :
   ?limit:int ->
-  ?naive:bool ->
   Model.t ->
   vp_support:Graph.vertex list ->
   tp_support:Tuple.t list ->
@@ -57,7 +54,6 @@ val solve :
     guards. *)
 val search :
   ?limit:int ->
-  ?naive:bool ->
   Model.t ->
   candidate_tuples:Tuple.t list ->
   Engine.Profile.mixed list

@@ -223,8 +223,8 @@ let greedy_response inst ~load =
    picking the edge with the best marginal covered load, a lower bound
    on the defender's best-response value (the classic (1 - 1/e)
    heuristic, used in benchmarks).  [load v] is queried afresh on every
-   gain evaluation; callers pass a profile's [expected_load], so its
-   kernel or naive path sets the cost.  Counted separately from the
+   gain evaluation; callers pass a profile's [expected_load], so a
+   kernel or rescan profile sets the cost.  Counted separately from the
    engine's sweeps (B15 gates on br.* counters). *)
 let c_tp_greedy_sweeps = Obs.counter "br.tp_greedy_sweeps"
 

@@ -116,61 +116,52 @@ let profile_of msg m =
   | Some text -> E.Io.of_string m text
   | None -> invalid_arg "missing string field \"profile\""
 
-(* The double-oracle solve payloads carry only isomorphism-invariant
-   quantities (value, gain, escape, a verdict) — NEVER the iteration or
-   oracle-call counts, which depend on vertex labels through the seed
-   sets and would poison the label-erasing cache key. *)
-let solve_double_oracle_tuple msg g =
-  let m = model_of msg g in
-  let module DO = Solver.Instances.Tuple in
-  let r = DO.solve m in
-  let prof = DO.profile m r in
-  ok
-    (Json.Obj
-       [
-         ("solvable", Json.Bool true);
-         ("value", q_string r.DO.value);
-         ( "gain",
-           q_string (Exact.Q.mul_int r.DO.value (get_int "nu" msg ~default:1))
-         );
-         ("escape", q_string (Exact.Q.sub Exact.Q.one r.DO.value));
-         ("rho", Json.Int (Matching.Edge_cover.rho g));
-         ( "verdict",
-           Json.String
-             (E.Verify.verdict_to_string
-                (E.Verify.mixed_ne E.Verify.Oracle prof)) );
-       ])
+(* The double-oracle solve payload of either game carries only
+   isomorphism-invariant quantities (value, gain, escape, the game's
+   [extra] fields, a verdict) — NEVER the iteration or oracle-call
+   counts, which depend on vertex labels through the seed sets and would
+   poison the label-erasing cache key. *)
+module Double_oracle_payload (G : Defender.Game.S) = struct
+  module DO = Solver.Double_oracle.Make (G)
+  module Engine = Defender.Game_engine.Make (G)
 
-let solve_double_oracle_subgraph msg g =
-  let inst =
-    Defender.Subgraph_game.make ~graph:g
-      ~nu:(get_int "nu" msg ~default:1)
-      ~lambda:(get_int "lambda" msg ~default:1)
-  in
-  let module DOS = Solver.Instances.Subgraph in
-  let module SEngine = Defender.Subgraph_instance.Engine in
-  let r = DOS.solve inst in
-  let prof = DOS.profile inst r in
-  ok
-    (Json.Obj
-       [
-         ("solvable", Json.Bool true);
-         ("value", q_string r.DOS.value);
-         ( "gain",
-           q_string (Exact.Q.mul_int r.DOS.value (get_int "nu" msg ~default:1))
-         );
-         ("escape", q_string (Exact.Q.sub Exact.Q.one r.DOS.value));
-         ( "verdict",
-           Json.String
-             (SEngine.Verify.verdict_to_string
-                (SEngine.Verify.mixed_ne SEngine.Verify.Oracle prof)) );
-       ])
+  let solve inst ~extra =
+    let r = DO.solve inst in
+    let prof = DO.profile inst r in
+    ok
+      (Json.Obj
+         ([
+            ("solvable", Json.Bool true);
+            ("value", q_string r.DO.value);
+            ("gain", q_string (Exact.Q.mul_int r.DO.value (G.nu inst)));
+            ("escape", q_string (Exact.Q.sub Exact.Q.one r.DO.value));
+          ]
+         @ extra
+         @ [
+             ( "verdict",
+               Json.String
+                 (Engine.Verify.verdict_to_string
+                    (Engine.Verify.mixed_ne Engine.Verify.Oracle prof)) );
+           ]))
+end
+
+module Tuple_payload = Double_oracle_payload (Defender.Tuple_game)
+module Subgraph_payload = Double_oracle_payload (Defender.Subgraph_game)
 
 let solve msg =
   let g = get_graph msg in
   match (get_method msg, get_game msg) with
-  | `Double_oracle, `Tuple -> solve_double_oracle_tuple msg g
-  | `Double_oracle, `Subgraph -> solve_double_oracle_subgraph msg g
+  | `Double_oracle, `Tuple ->
+      (* The model validates the graph first: rho raises its own error
+         on an isolated vertex. *)
+      let m = model_of msg g in
+      Tuple_payload.solve m
+        ~extra:[ ("rho", Json.Int (Matching.Edge_cover.rho g)) ]
+  | `Double_oracle, `Subgraph ->
+      Subgraph_payload.solve ~extra:[]
+        (Defender.Subgraph_game.make ~graph:g
+           ~nu:(get_int "nu" msg ~default:1)
+           ~lambda:(get_int "lambda" msg ~default:1))
   | `Characterization, `Subgraph ->
       invalid_arg
         "solve supports the tuple game only (no subgraph characterization); \

@@ -53,7 +53,7 @@ module Make (G : Defender.Game.S) = struct
       let gain_series = Array.make rounds 0.0 in
       (* Full play history, needed by the naive path which re-derives
          the empirical tables from scratch every round (the analogue of
-         the support re-scan in naive Profile.hit_prob); the default
+         the support re-scan of a Profile.rescan profile); the default
          path keeps the tables incrementally and never reads the
          history. *)
       let tuple_history = Array.make rounds None in
@@ -372,8 +372,8 @@ module Make (G : Defender.Game.S) = struct
         per_player_escapes;
       }
 
-    let agrees_with_analytic ?(z = 4.0) ?naive stats profile =
-      let exact = Q.to_float (E.Profit.expected_tp ?naive profile) in
+    let agrees_with_analytic ?(z = 4.0) stats profile =
+      let exact = Q.to_float (E.Profit.expected_tp profile) in
       let half_width =
         z *. stats.stddev_caught /. sqrt (float_of_int stats.rounds)
       in

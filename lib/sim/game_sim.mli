@@ -52,10 +52,10 @@ module Make (G : Defender.Game.S) : sig
         are maintained {e incrementally} across rounds — the integer
         analogue of the engine's kernel tables.  [~naive:true] instead
         re-derives both tables from the full play history at the start
-        of every round (the per-query support re-scan of the naive
-        payoff path); the two modes are bit-for-bit identical in output
-        and are compared by the kernel microbenchmarks and equality
-        tests.
+        of every round (the analogue of the engine's per-query support
+        re-scan on a [Profile.rescan] profile); the two modes are
+        bit-for-bit identical in output and are compared by the kernel
+        microbenchmarks and equality tests.
         @raise Invalid_argument if [rounds < 2]. *)
     val run : ?naive:bool -> Prng.Rng.t -> G.instance -> rounds:int -> result
   end
@@ -148,12 +148,11 @@ module Make (G : Defender.Game.S) : sig
         [z] standard errors (default 4, a ~1-in-16000 false-alarm band
         chosen so batched regression runs stay deterministic-green) of
         the exact expectation, plus an absolute slack of 1e-9 for
-        degenerate zero-variance cases.  [~naive:true] computes the
-        exact expectation on the support-rescanning oracle instead of
-        the payoff kernel. *)
+        degenerate zero-variance cases.  The exact expectation follows
+        the profile ({!Defender.Game_engine.Make.Profile.rescan} for the
+        support-rescanning reference). *)
     val agrees_with_analytic :
       ?z:float ->
-      ?naive:bool ->
       stats ->
       Defender.Game_engine.Make(G).Profile.mixed ->
       bool

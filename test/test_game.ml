@@ -127,35 +127,58 @@ let random_subgraph_profile rng =
 let check_kernel_vs_naive ?(label = "") rng prof =
   let inst = Engine.Profile.instance prof in
   let g = SG.graph inst in
+  let rescan = Engine.Profile.rescan prof in
   for v = 0 to Graph.n g - 1 do
     Alcotest.check q
       (Printf.sprintf "%shit_prob %d" label v)
-      (Engine.Profile.hit_prob ~naive:true prof v)
+      (Engine.Profile.hit_prob rescan v)
       (Engine.Profile.hit_prob prof v);
     Alcotest.check q
       (Printf.sprintf "%sexpected_load %d" label v)
-      (Engine.Profile.expected_load ~naive:true prof v)
+      (Engine.Profile.expected_load rescan v)
       (Engine.Profile.expected_load prof v)
   done;
   for id = 0 to Graph.m g - 1 do
     Alcotest.check q
       (Printf.sprintf "%sexpected_load_edge %d" label id)
-      (Engine.Profile.expected_load_edge ~naive:true prof id)
+      (Engine.Profile.expected_load_edge rescan id)
       (Engine.Profile.expected_load_edge prof id)
   done;
   for _ = 1 to 3 do
     let t = SG.random_strategy inst rng in
     Alcotest.check q
       (Printf.sprintf "%sexpected_load_strategy" label)
-      (Engine.Profile.expected_load_strategy ~naive:true prof t)
+      (Engine.Profile.expected_load_strategy rescan t)
       (Engine.Profile.expected_load_strategy prof t)
   done
+
+(* The consumers built on the leaf queries agree across both paths. *)
+let check_consumers_vs_naive ~label prof =
+  let rescan = Engine.Profile.rescan prof in
+  let agree name f =
+    Alcotest.check q (label ^ name ^ " naive = kernel") (f rescan) (f prof)
+  in
+  agree "vp_best_value" Engine.Best_response.vp_best_value;
+  agree "tp_best_value" (fun p ->
+      Engine.Best_response.tp_best_value_exhaustive p);
+  agree "expected_tp" Engine.Profit.expected_tp;
+  agree "tp_upper_bound" Engine.Best_response.tp_upper_bound;
+  List.iter
+    (fun (name, mode) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%smixed_ne %s naive = kernel" label name)
+        (Engine.Verify.verdict_to_string (Engine.Verify.mixed_ne mode rescan))
+        (Engine.Verify.verdict_to_string (Engine.Verify.mixed_ne mode prof)))
+    [ ("exhaustive", Engine.Verify.Exhaustive 500_000);
+      ("certificate", Engine.Verify.Certificate); ("oracle", Engine.Verify.Oracle) ]
 
 let test_subgraph_fresh_profiles () =
   let rng = Prng.Rng.create 2718 in
   for i = 1 to 30 do
     let _, prof = random_subgraph_profile rng in
-    check_kernel_vs_naive ~label:(Printf.sprintf "fresh %d: " i) rng prof
+    let label = Printf.sprintf "fresh %d: " i in
+    check_kernel_vs_naive ~label rng prof;
+    check_consumers_vs_naive ~label prof
   done
 
 let test_subgraph_patch_chain () =

@@ -1,17 +1,30 @@
 (* Property tests for the incremental exact-payoff kernel: every kernel
    query must be *exactly* equal (Q.equal, no tolerance) to the naive
-   support-rescanning oracle, on fresh profiles and after arbitrary chains
-   of replace_vp / replace_tp.  Also covers the fictitious-play
+   support-rescanning oracle (a Profile.rescan profile), on fresh profiles
+   and after arbitrary chains of replace_vp / replace_tp, and a chain
+   replayed from a rescan profile must stay a rescan chain.  Also covers the fictitious-play
    incremental-vs-naive equivalence and the greedy_response guard
    regressions. *)
 
 open Netgraph
 module Q = Exact.Q
 module Engine = Defender.Tuple_instance.Engine
-module K = Engine.Kernel
+module Obs = Harness.Obs
 module Sim_tuple = Sim.Sim_instance.Tuple
 
 let q = Alcotest.testable Q.pp Q.equal
+
+(* The deterministic counters [f] records, at the Counters level (Obs
+   state is process-global, so the previous level is restored). *)
+let with_counters f =
+  let old = Obs.level () in
+  Obs.set_level Obs.Counters;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_level old)
+    (fun () ->
+      let snap = Obs.snapshot () in
+      f ();
+      (Obs.delta snap).Obs.counters)
 
 (* --- random instances --- *)
 
@@ -56,58 +69,85 @@ let random_tuple rng g k =
   Defender.Tuple.of_list g
     (Array.to_list (Prng.Rng.sample_without_replacement rng ~count:k edge_ids))
 
-(* Assert every kernel query on [prof] equals the naive oracle exactly. *)
-let check_kernel_vs_naive ?(label = "") rng prof =
-  let m = Engine.Profile.instance prof in
-  let g = Defender.Model.graph m in
+(* Assert [actual] answers every vertex and edge query, and the load
+   query of each of [strategies], exactly as [expected] does. *)
+let check_same_queries ?(label = "") ?(strategies = []) expected actual =
+  let g = Defender.Model.graph (Engine.Profile.instance expected) in
   for v = 0 to Graph.n g - 1 do
     Alcotest.check q
       (Printf.sprintf "%shit_prob %d" label v)
-      (Engine.Profile.hit_prob ~naive:true prof v)
-      (Engine.Profile.hit_prob prof v);
+      (Engine.Profile.hit_prob expected v)
+      (Engine.Profile.hit_prob actual v);
     Alcotest.check q
       (Printf.sprintf "%sexpected_load %d" label v)
-      (Engine.Profile.expected_load ~naive:true prof v)
-      (Engine.Profile.expected_load prof v)
+      (Engine.Profile.expected_load expected v)
+      (Engine.Profile.expected_load actual v)
   done;
   for id = 0 to Graph.m g - 1 do
     Alcotest.check q
       (Printf.sprintf "%sexpected_load_edge %d" label id)
-      (Engine.Profile.expected_load_edge ~naive:true prof id)
-      (Engine.Profile.expected_load_edge prof id)
+      (Engine.Profile.expected_load_edge expected id)
+      (Engine.Profile.expected_load_edge actual id)
   done;
-  for _ = 1 to 3 do
-    let t = random_tuple rng g (Defender.Model.k m) in
-    Alcotest.check q
-      (Printf.sprintf "%sexpected_load_tuple" label)
-      (Engine.Profile.expected_load_strategy ~naive:true prof t)
-      (Engine.Profile.expected_load_strategy prof t)
-  done
+  List.iter
+    (fun t ->
+      Alcotest.check q
+        (Printf.sprintf "%sexpected_load_tuple" label)
+        (Engine.Profile.expected_load_strategy expected t)
+        (Engine.Profile.expected_load_strategy actual t))
+    strategies
 
-(* Assert the kernel of [prof] has the same tables as a kernel built from
-   scratch on the same strategies (catches drift in incremental patches
-   that the naive comparison alone would also catch, but localizes it to
-   the table level). *)
+(* Assert every kernel query on [prof] equals the naive oracle (its
+   Profile.rescan twin) exactly. *)
+let check_kernel_vs_naive ?label rng prof =
+  let m = Engine.Profile.instance prof in
+  let strategies =
+    List.init 3 (fun _ ->
+        random_tuple rng (Defender.Model.graph m) (Defender.Model.k m))
+  in
+  check_same_queries ?label ~strategies (Engine.Profile.rescan prof) prof
+
+(* Assert the kernel of [prof] answers like a kernel built from scratch
+   on the same strategies (catches drift in incremental patches that the
+   naive comparison alone would also catch, but localizes it to the
+   patch).  Every table entry is one vertex or edge query. *)
 let check_kernel_vs_fresh ?(label = "") prof =
   let fresh =
     Engine.Profile.make_mixed (Engine.Profile.instance prof)
       ~vp:(Array.to_list (Engine.Profile.vp_strategies prof))
       ~tp:(Engine.Profile.tp_strategy prof)
   in
-  let tables k =
-    ( K.hit_table_copy k, K.load_table_copy k, K.edge_load_table_copy k )
+  check_same_queries ~label:(label ^ "fresh rebuild: ") fresh prof
+
+(* Replay a deviation chain from [Profile.rescan start]: every step must
+   answer every query exactly as the kernel chain's profile at that step
+   ([chain] pairs each deviation with that profile), and the replay
+   must re-scan without building or patching a kernel. *)
+let check_rescan_replay ~label start chain =
+  let counters =
+    with_counters (fun () ->
+        ignore
+          (List.fold_left
+             (fun (step, prof) (deviate, kernel_prof) ->
+               let prof = deviate prof in
+               check_same_queries
+                 ~label:(Printf.sprintf "%s rescan step %d: " label step)
+                 ~strategies:(Engine.Profile.tp_support kernel_prof)
+                 kernel_prof prof;
+               (step + 1, prof))
+             (1, Engine.Profile.rescan start)
+             chain))
   in
-  let h1, l1, e1 = tables (Engine.Profile.kernel prof) in
-  let h2, l2, e2 = tables (Engine.Profile.kernel fresh) in
-  let eq name a b =
-    Alcotest.(check bool)
-      (Printf.sprintf "%s%s table = fresh rebuild" label name)
-      true
-      (Array.length a = Array.length b && Array.for_all2 Q.equal a b)
-  in
-  eq "hit" h1 h2;
-  eq "load" l1 l2;
-  eq "edge_load" e1 e2
+  let count name = Option.value ~default:0 (List.assoc_opt name counters) in
+  Alcotest.(check bool)
+    (label ^ " rescan replay counts rescans")
+    true
+    (count "kernel.naive_rescans" > 0);
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (Printf.sprintf "%s rescan replay %s" label name) 0
+        (count name))
+    [ "kernel.builds"; "kernel.vp_patches"; "kernel.tp_patches"; "kernel.cow_cells" ]
 
 (* --- fresh profiles --- *)
 
@@ -118,61 +158,46 @@ let test_fresh_profiles () =
     check_kernel_vs_naive ~label:(Printf.sprintf "fresh %d: " i) rng prof
   done
 
-(* --- replace_vp chains --- *)
+(* --- deviation chains --- *)
+
+(* Run [steps] deviations drawn by [next] from a random profile, checking
+   each step against the oracle and a fresh rebuild, then replay the
+   chain from the start profile's rescan twin. *)
+let run_chain ~name ~seed ~steps next =
+  let rng = Prng.Rng.create seed in
+  for i = 1 to 15 do
+    let m, start = random_model_profile rng in
+    let prof = ref start and chain = ref [] in
+    for step = 1 to steps do
+      let deviate = next rng m in
+      prof := deviate !prof;
+      chain := (deviate, !prof) :: !chain;
+      let label = Printf.sprintf "%s %d step %d: " name i step in
+      check_kernel_vs_naive ~label rng !prof;
+      check_kernel_vs_fresh ~label !prof
+    done;
+    check_rescan_replay ~label:(Printf.sprintf "%s %d" name i) start
+      (List.rev !chain)
+  done
+
+let vp_deviation rng m =
+  let player = Prng.Rng.int rng (Defender.Model.nu m) in
+  let d = random_finite rng (Defender.Model.graph m) in
+  fun prof -> Engine.Profile.replace_vp prof player d
+
+let tp_deviation rng m =
+  let tp = random_tp rng (Defender.Model.graph m) (Defender.Model.k m) in
+  fun prof -> Engine.Profile.replace_tp prof tp
 
 let test_replace_vp_chain () =
-  let rng = Prng.Rng.create 7001 in
-  for i = 1 to 15 do
-    let m, prof = random_model_profile rng in
-    let g = Defender.Model.graph m in
-    let nu = Defender.Model.nu m in
-    let prof = ref prof in
-    for step = 1 to 8 do
-      let player = Prng.Rng.int rng nu in
-      prof := Engine.Profile.replace_vp !prof player (random_finite rng g);
-      let label = Printf.sprintf "vp chain %d step %d: " i step in
-      check_kernel_vs_naive ~label rng !prof;
-      check_kernel_vs_fresh ~label !prof
-    done
-  done
-
-(* --- replace_tp chains --- *)
+  run_chain ~name:"vp chain" ~seed:7001 ~steps:8 vp_deviation
 
 let test_replace_tp_chain () =
-  let rng = Prng.Rng.create 7002 in
-  for i = 1 to 15 do
-    let m, prof = random_model_profile rng in
-    let g = Defender.Model.graph m in
-    let k = Defender.Model.k m in
-    let prof = ref prof in
-    for step = 1 to 5 do
-      prof := Engine.Profile.replace_tp !prof (random_tp rng g k);
-      let label = Printf.sprintf "tp chain %d step %d: " i step in
-      check_kernel_vs_naive ~label rng !prof;
-      check_kernel_vs_fresh ~label !prof
-    done
-  done
-
-(* --- interleaved deviations --- *)
+  run_chain ~name:"tp chain" ~seed:7002 ~steps:5 tp_deviation
 
 let test_interleaved_chain () =
-  let rng = Prng.Rng.create 7003 in
-  for i = 1 to 15 do
-    let m, prof = random_model_profile rng in
-    let g = Defender.Model.graph m in
-    let nu = Defender.Model.nu m in
-    let k = Defender.Model.k m in
-    let prof = ref prof in
-    for step = 1 to 10 do
-      (if Prng.Rng.int rng 2 = 0 then
-         let player = Prng.Rng.int rng nu in
-         prof := Engine.Profile.replace_vp !prof player (random_finite rng g)
-       else prof := Engine.Profile.replace_tp !prof (random_tp rng g k));
-      let label = Printf.sprintf "mixed chain %d step %d: " i step in
-      check_kernel_vs_naive ~label rng !prof;
-      check_kernel_vs_fresh ~label !prof
-    done
-  done
+  run_chain ~name:"mixed chain" ~seed:7003 ~steps:10 (fun rng m ->
+      if Prng.Rng.int rng 2 = 0 then vp_deviation rng m else tp_deviation rng m)
 
 (* --- derived consumers agree across both paths --- *)
 
@@ -180,24 +205,31 @@ let test_consumers_agree () =
   let rng = Prng.Rng.create 7004 in
   for _ = 1 to 20 do
     let _, prof = random_model_profile rng in
+    let rescan = Engine.Profile.rescan prof in
     Alcotest.check q "vp_best_value naive = kernel"
-      (Engine.Best_response.vp_best_value ~naive:true prof)
+      (Engine.Best_response.vp_best_value rescan)
       (Engine.Best_response.vp_best_value prof);
     Alcotest.check q "tp_best_value naive = kernel"
-      (Engine.Best_response.tp_best_value_exhaustive ~naive:true prof)
+      (Engine.Best_response.tp_best_value_exhaustive rescan)
       (Engine.Best_response.tp_best_value_exhaustive prof);
+    Alcotest.check q "tp_upper_bound naive = kernel"
+      (Engine.Best_response.tp_upper_bound rescan)
+      (Engine.Best_response.tp_upper_bound prof);
     Alcotest.check q "expected_tp naive = kernel"
-      (Engine.Profit.expected_tp ~naive:true prof)
+      (Engine.Profit.expected_tp rescan)
       (Engine.Profit.expected_tp prof);
     let exhaustive = Engine.Verify.Exhaustive 500_000 in
     Alcotest.(check bool) "characterization naive = kernel" true
-      (Defender.Characterization.holds ~naive:true exhaustive prof
+      (Defender.Characterization.holds exhaustive rescan
       = Defender.Characterization.holds exhaustive prof);
-    Alcotest.(check bool) "mixed_ne naive = kernel" true
-      (Engine.Verify.verdict_is_confirmed
-         (Engine.Verify.mixed_ne ~naive:true exhaustive prof)
-      = Engine.Verify.verdict_is_confirmed
-          (Engine.Verify.mixed_ne exhaustive prof))
+    List.iter
+      (fun (name, mode) ->
+        Alcotest.(check string)
+          (Printf.sprintf "mixed_ne %s naive = kernel" name)
+          (Engine.Verify.verdict_to_string (Engine.Verify.mixed_ne mode rescan))
+          (Engine.Verify.verdict_to_string (Engine.Verify.mixed_ne mode prof)))
+      [ ("exhaustive", exhaustive); ("certificate", Engine.Verify.Certificate);
+        ("oracle", Engine.Verify.Oracle) ]
   done
 
 (* --- kernel primitives --- *)
