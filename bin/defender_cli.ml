@@ -362,8 +362,8 @@ let solve_cmd =
      quantities plus the loop accounting, over already-extracted plain
      values (the two instantiations of the solver functor have distinct
      result types). *)
-  let print_double_oracle ~nu ~value ~iterations ~oracle_calls ~warm_solves
-      ~final_rows ~final_cols ~sigma_support ~tp_support =
+  let print_double_oracle ~nu ~value ~iterations ~warm_solves ~final_cols
+      ~sigma_support ~tp_support =
     Printf.printf "game value (per-attacker interception): %s\n"
       (Exact.Q.to_string value);
     Printf.printf "defender gain: %s (= nu * value)\n"
@@ -371,10 +371,9 @@ let solve_cmd =
     Printf.printf "attacker escape probability: %s\n"
       (Exact.Q.to_string (Exact.Q.sub Exact.Q.one value));
     Printf.printf
-      "double-oracle: %d iterations, %d oracle calls, %d warm solves, final \
-       restricted game %dx%d, support %d vertices x %d strategies\n"
-      iterations oracle_calls warm_solves final_rows final_cols sigma_support
-      tp_support
+      "double-oracle: %d iterations, %d warm solves, %d final strategies, \
+       support %d vertices x %d strategies\n"
+      iterations warm_solves final_cols sigma_support tp_support
   in
   let run file family seed nu k game lambda method_ verify save metrics trace =
     handle (fun () ->
@@ -414,9 +413,7 @@ let solve_cmd =
             let r = DO.solve m in
             print_double_oracle ~nu ~value:r.DO.value
               ~iterations:r.DO.stats.DO.iterations
-              ~oracle_calls:r.DO.stats.DO.oracle_calls
               ~warm_solves:r.DO.stats.DO.warm_solves
-              ~final_rows:r.DO.stats.DO.final_rows
               ~final_cols:r.DO.stats.DO.final_cols
               ~sigma_support:(Dist.Finite.support_size r.DO.sigma)
               ~tp_support:(List.length r.DO.tp);
@@ -446,9 +443,7 @@ let solve_cmd =
             let r = DOS.solve inst in
             print_double_oracle ~nu ~value:r.DOS.value
               ~iterations:r.DOS.stats.DOS.iterations
-              ~oracle_calls:r.DOS.stats.DOS.oracle_calls
               ~warm_solves:r.DOS.stats.DOS.warm_solves
-              ~final_rows:r.DOS.stats.DOS.final_rows
               ~final_cols:r.DOS.stats.DOS.final_cols
               ~sigma_support:(Dist.Finite.support_size r.DOS.sigma)
               ~tp_support:(List.length r.DOS.tp);

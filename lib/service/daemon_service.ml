@@ -118,9 +118,9 @@ let profile_of msg m =
 
 (* The double-oracle solve payload of either game carries only
    isomorphism-invariant quantities (value, gain, escape, the game's
-   [extra] fields, a verdict) — NEVER the iteration or oracle-call
-   counts, which depend on vertex labels through the seed sets and would
-   poison the label-erasing cache key. *)
+   [extra] fields, a verdict) — NEVER the iteration or column counts,
+   which depend on vertex labels through the seed strategy and the
+   oracle's tie-breaking and would poison the label-erasing cache key. *)
 module Double_oracle_payload (G : Defender.Game.S) = struct
   module DO = Solver.Double_oracle.Make (G)
   module Engine = Defender.Game_engine.Make (G)

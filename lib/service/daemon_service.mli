@@ -20,7 +20,7 @@
       again carries only invariants — [{"solvable":true, "value":Q,
       "gain":Q, "escape":Q, "verdict":string}] (plus ["rho"] for the
       tuple game), verified in the enumeration-free Oracle mode —
-      never the iteration or oracle-call counts, which depend on the
+      never the iteration or column counts, which depend on the
       vertex labeling and would poison the label-erasing cache.
     - [{"op":"profit", "graph6":G6, "k":K, "nu":NU, "profile":text}] —
       evaluate a "profile v1" text profile

@@ -11,24 +11,28 @@
 
     The loop (McMahan et al. 2003; applied to network attack/defense by
     Kaźmierowski–Dziubiński, arXiv:2309.04288) never materializes the
-    full matrix: it keeps RESTRICTED sets of attacker vertices and
-    defender strategies, solves the restricted game exactly
-    ({!Lp.Matrix_game}; when only defender columns were added, by
-    extending the previous solve's optimal tableau), then asks
-    each side's exact best-response oracle for a profitable deviation
-    against the opponent's current mix — the attacker side by a linear
-    scan of per-vertex hit probabilities, the defender side through
-    {!Defender.Game.S.best_response_weighted}.  Strict improvements
-    join the restricted sets; when neither oracle improves, the
-    restricted equilibrium is an equilibrium of the full game, with a
-    zero oracle gap in exact rationals — a certificate, not an
-    ε-approximation.  Termination is guaranteed: an improving deviation
-    is never already in the restricted set, so each iteration strictly
-    grows one of two finite sets.
+    full matrix.  The attacker has only n pure strategies, so the
+    RESTRICTED game keeps all n attacker vertices as rows, in vertex
+    order, and only the defender's strategies grow: one-sided column
+    generation.  Each iteration solves the restricted game exactly
+    ({!Lp.Matrix_game}; after the first, by extending the previous
+    solve's optimal tableau with the new column), then asks the
+    defender's exact best-response oracle
+    ({!Defender.Game.S.best_response_weighted}) for a strategy that
+    intercepts more than the restricted value against the attacker mix.
+    Such a strategy joins the columns; when there is none, the restricted
+    equilibrium is an equilibrium of the full game, with a zero oracle
+    gap in exact rationals — a certificate, not an ε-approximation.  The
+    attacker side needs no oracle: with every vertex a row, LP
+    optimality makes the least hit probability over all vertices equal
+    the restricted value.  Termination is guaranteed: an improving
+    strategy is never already a column, so every iteration but the last
+    adds a new column of a finite space.  The LP's n constraint rows
+    bound the defender support by n.
 
-    Everything is deterministic in the instance and the initial sets:
-    restricted sets grow in insertion order, the simplex and both
-    oracles break ties by fixed rules, so repeated solves (and solves
+    Everything is deterministic in the instance and the initial
+    strategies: columns grow in insertion order, the simplex and the
+    oracle break ties by fixed rules, so repeated solves (and solves
     across worker processes) agree to the bit, as the [do.*] Obs
     counters require. *)
 
@@ -37,9 +41,10 @@ module Q = Exact.Q
 module Make (G : Defender.Game.S) : sig
   (** One loop iteration, as reported to [?on_iteration]: [value] is the
       restricted-game interception value, [lower]/[upper] the exact
-      bounds the two oracles certify for the FULL game at this point
-      ([lower ≤ value ≤ upper] always; convergence is [lower = upper]),
-      and [rows]/[cols] the restricted matrix shape that was solved. *)
+      bounds certified for the FULL game at this point ([lower] is
+      always [value]: every vertex is a row; convergence is
+      [lower = upper]), and [rows]/[cols] the restricted matrix shape
+      that was solved ([rows] is always n). *)
   type iteration = {
     iteration : int;  (** 1-based *)
     value : Q.t;
@@ -51,20 +56,19 @@ module Make (G : Defender.Game.S) : sig
 
   type stats = {
     iterations : int;
-    oracle_calls : int;  (** 2 per iteration: one per side *)
     warm_solves : int;
-        (** restricted solves offered the previous solve's tableau (row
-            set unchanged since then); {!Lp.Matrix_game} still solves
-            one cold when the payoff shift moved *)
-    final_rows : int;  (** attacker vertices in the final restricted game *)
+        (** restricted solves offered the previous solve's tableau:
+            every one after the first, [iterations − 1];
+            {!Lp.Matrix_game} still solves one cold when the payoff
+            shift moved *)
     final_cols : int;  (** defender strategies in the final restricted game *)
   }
 
   (** An exact symmetric NE: every attacker plays [sigma], the defender
       plays [tp] (positive probabilities only), and [value] is the
       per-attacker interception probability — the defender's gain is
-      [ν·value].  The defender support never exceeds [final_rows]+1
-      strategies regardless of the space size. *)
+      [ν·value].  The defender support never exceeds n strategies
+      regardless of the space size. *)
   type result = {
     value : Q.t;
     sigma : Dist.Finite.t;
@@ -74,19 +78,16 @@ module Make (G : Defender.Game.S) : sig
 
   (** [solve inst] runs the loop to convergence.
 
-      [?init_vertices]/[?init_strategies] seed the restricted sets
-      (defaults: vertex 0 and the round-0 rotation strategy); seeding
-      with the supports of a conjectured equilibrium makes the loop a
-      one-iteration checker of that conjecture.  [?on_iteration] sees
-      every iteration in order — convergence instrumentation
-      ([Sim.Convergence]) hooks in here.  [?max_iterations] (default
-      10_000) is a safety valve only, termination being guaranteed.
-      @raise Invalid_argument on out-of-range seed vertices or an
-      unplayable seed strategy.
-      @raise Failure when [max_iterations] is exhausted. *)
+      [?init_strategies] seeds the restricted defender strategies
+      (default: the round-0 rotation strategy); seeding with the support
+      of a conjectured equilibrium makes the loop a one-iteration checker
+      of that conjecture.  [?on_iteration] sees every iteration in order
+      — convergence instrumentation ([Sim.Convergence]) hooks in here.
+      A cap of 10 000 iterations is a safety valve only, termination
+      being guaranteed.
+      @raise Invalid_argument on an unplayable seed strategy.
+      @raise Failure when the iteration cap is exhausted. *)
   val solve :
-    ?max_iterations:int ->
-    ?init_vertices:Netgraph.Graph.vertex list ->
     ?init_strategies:G.Strategy.t list ->
     ?on_iteration:(iteration -> unit) ->
     G.instance ->

@@ -3,10 +3,12 @@
    with: oracle-vs-enumeration properties, rediscovery of the paper's
    matching NEs (rational equality, zero oracle gap), agreement with the
    Minimax LP at k=1, verified equilibria on instances with no closed
-   form, warm seeding, determinism, the do.* Obs counters, a seeded
-   differential check against the fully enumerated matrix game on
-   random small instances of both games, and a digest pinning 30
-   double-oracle answers byte for byte. *)
+   form, seeding with a known equilibrium's defender support,
+   determinism, the do.* Obs counters, a seeded differential check
+   against the fully enumerated matrix game on random small instances
+   of both games, a digest pinning 30 double-oracle answers byte for
+   byte, and a digest pinning only the game values of 40
+   benchmark-shaped instances. *)
 
 open Netgraph
 module Q = Exact.Q
@@ -196,8 +198,12 @@ let test_subgraph_no_closed_form () =
 (* --- seeding, convergence accounting, determinism --- *)
 
 let test_warm_seed_one_iteration () =
-  (* Seeding the restricted sets with a known equilibrium's supports
-     turns the loop into a one-iteration checker of that equilibrium. *)
+  (* Seeding the defender columns with a known equilibrium's support
+     turns the loop into a one-iteration checker of that equilibrium:
+     the value and the defender mix are the characterization's.  The
+     attacker mix comes from the LP over every vertex, and on C6 it is
+     the other optimal independent set, {0,2,4} where the
+     characterization has {1,3,5}. *)
   let g = Gen.cycle 6 in
   let m = model ~g ~nu:3 ~k:1 in
   let char =
@@ -205,15 +211,25 @@ let test_warm_seed_one_iteration () =
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
-  let r =
-    DO.solve m
-      ~init_vertices:(Engine.Profile.vp_support char 0)
-      ~init_strategies:(List.map fst (Engine.Profile.tp_strategy char))
-  in
+  let seed = Engine.Profile.tp_strategy char in
+  let r = DO.solve m ~init_strategies:(List.map fst seed) in
   Alcotest.(check int) "one iteration" 1 r.DO.stats.DO.iterations;
-  Alcotest.(check string) "byte-identical to characterization profile"
-    (Engine.Io.to_string char)
-    (Engine.Io.to_string (DO.profile m r))
+  Alcotest.check q "value = characterization value"
+    (Defender.Gain.defender_gain char)
+    (Q.mul_int r.DO.value 3);
+  Alcotest.(check bool) "defender mix = characterization mix" true
+    (List.equal
+       (fun (s, p) (s', p') -> TG.Strategy.compare s s' = 0 && Q.equal p p')
+       seed r.DO.tp);
+  Alcotest.(check (list int)) "attacker support" [ 0; 2; 4 ]
+    (Dist.Finite.support r.DO.sigma);
+  let prof = DO.profile m r in
+  Alcotest.(check bool) "NE (oracle mode)" true
+    (Engine.Verify.verdict_is_confirmed
+       (Engine.Verify.mixed_ne Engine.Verify.Oracle prof));
+  Alcotest.(check bool) "NE (exhaustive)" true
+    (Engine.Verify.verdict_is_confirmed
+       (Engine.Verify.mixed_ne (Engine.Verify.Exhaustive 200_000) prof))
 
 let test_iteration_reports () =
   let m = model ~g:(Gen.petersen ()) ~nu:2 ~k:2 in
@@ -223,17 +239,17 @@ let test_iteration_reports () =
   Alcotest.(check int) "one report per iteration" r.DO.stats.DO.iterations
     (List.length trace);
   List.iter
-    (fun it ->
-      Alcotest.(check bool) "lower <= value" true
-        (Q.( <= ) it.DO.lower it.DO.value);
+    (fun (it : DO.iteration) ->
+      Alcotest.check q "lower = value" it.value it.lower;
+      Alcotest.(check int) "rows = n" 10 it.DO.rows;
       Alcotest.(check bool) "value <= upper" true
         (Q.( <= ) it.DO.value it.DO.upper))
     trace;
   let last = List.nth trace (List.length trace - 1) in
   Alcotest.check q "final gap zero" last.DO.lower last.DO.upper;
-  Alcotest.(check int) "oracle calls = 2 per iteration"
-    (2 * r.DO.stats.DO.iterations)
-    r.DO.stats.DO.oracle_calls
+  Alcotest.(check int) "warm solves = iterations - 1"
+    (r.DO.stats.DO.iterations - 1)
+    r.DO.stats.DO.warm_solves
 
 let test_deterministic () =
   let m = model ~g:(Gen.petersen ()) ~nu:2 ~k:2 in
@@ -257,8 +273,6 @@ let test_do_counters () =
   in
   Alcotest.(check int) "do.iterations" r.DO.stats.DO.iterations
     (get "do.iterations");
-  Alcotest.(check int) "do.oracle_calls" r.DO.stats.DO.oracle_calls
-    (get "do.oracle_calls");
   Alcotest.(check int) "do.support_size"
     (Dist.Finite.support_size r.DO.sigma + List.length r.DO.tp)
     (get "do.support_size")
@@ -349,38 +363,99 @@ let pinned_transcript () =
     let m = model ~g ~nu ~k in
     let r = DO.solve m in
     let s = r.DO.stats in
+    let label = Printf.sprintf "#%d tuple n=%d nu=%d k=%d" i n nu k in
+    let prof = DO.profile m r in
+    Alcotest.(check bool) (label ^ ": NE (oracle mode)") true
+      (Engine.Verify.verdict_is_confirmed
+         (Engine.Verify.mixed_ne Engine.Verify.Oracle prof));
     Buffer.add_string buf
-      (pinned_line
-         ~label:(Printf.sprintf "#%d tuple n=%d nu=%d k=%d" i n nu k)
-         ~value:r.DO.value
-         ~profile:(Engine.Io.to_string (DO.profile m r))
+      (pinned_line ~label ~value:r.DO.value
+         ~profile:(Engine.Io.to_string prof)
          ~iterations:s.DO.iterations ~warm_solves:s.DO.warm_solves
-         ~rows:s.DO.final_rows ~cols:s.DO.final_cols);
+         ~rows:(Graph.n g) ~cols:s.DO.final_cols);
     let inst = SG.make ~graph:g ~nu ~lambda in
     let r = DOS.solve inst in
     let s = r.DOS.stats in
+    let label =
+      Printf.sprintf "#%d subgraph n=%d nu=%d lambda=%d" i n nu lambda
+    in
+    let prof = DOS.profile inst r in
+    Alcotest.(check bool) (label ^ ": NE (oracle mode)") true
+      (SEngine.Verify.verdict_is_confirmed
+         (SEngine.Verify.mixed_ne SEngine.Verify.Oracle prof));
     Buffer.add_string buf
-      (pinned_line
-         ~label:
-           (Printf.sprintf "#%d subgraph n=%d nu=%d lambda=%d" i n nu lambda)
-         ~value:r.DOS.value
-         ~profile:(SEngine.Io.to_string (DOS.profile inst r))
+      (pinned_line ~label ~value:r.DOS.value
+         ~profile:(SEngine.Io.to_string prof)
          ~iterations:s.DOS.iterations ~warm_solves:s.DOS.warm_solves
-         ~rows:s.DOS.final_rows ~cols:s.DOS.final_cols)
+         ~rows:(Graph.n g) ~cols:s.DOS.final_cols)
   done;
   Buffer.contents buf
 
 (* The constant is the digest of [pinned_transcript ()] as computed by
-   the exact solver before the restricted LP kept its tableau across
-   column growth (when warm solves rebuilt the tableau from a basis).
-   Any change to a value, a profile byte, an iteration count, the warm
-   count or a final shape changes it. *)
-let pinned_digest = "96ba790126ed59324e029ba5985d5838"
+   the exact solver once every attacker vertex was a row of the
+   restricted game from the start (one-sided column generation).  Any
+   change to a value, a profile byte, an iteration count, the warm count
+   or a final shape changes it. *)
+let pinned_digest = "857154be498062d59b6c1a734809efaa"
 
 let test_pinned_outputs () =
   Alcotest.(check string)
     "digest of 30 double-oracle answers" pinned_digest
     (Digest.to_hex (Digest.string (pinned_transcript ())))
+
+(* --- pinned values: the game value on benchmark-shaped instances --- *)
+
+(* 40 instances shaped like the daemon benchmark's cold double-oracle
+   solves: G(n, 0.25), preferential attachment (c = 2), 3-regular graphs
+   and grids on 12-20 vertices, crossed with tuple k = 1-3 and subgraph
+   lambda = 2-3, nu = 1-3.  One line per instance carries only the exact
+   value: an equally optimal profile (another tie resolution) keeps the
+   digest, a changed game value does not. *)
+let value_transcript () =
+  let rng = Prng.Rng.create 3131 in
+  let grids =
+    [| (3, 4); (3, 5); (4, 4); (3, 6); (2, 7); (2, 8); (2, 9); (2, 10); (4, 5) |]
+  in
+  let rec regular3 n =
+    let g = Gen.random_regular rng ~n ~d:3 in
+    if Props.is_valid_instance g then g else regular3 n
+  in
+  let buf = Buffer.create 2048 in
+  for i = 0 to 39 do
+    let n = Prng.Rng.int_in_range rng ~lo:12 ~hi:20 in
+    let family, g =
+      match i mod 4 with
+      | 0 -> ("gnp", Gen.gnp_connected rng ~n ~p:0.25)
+      | 1 -> ("pa", Gen.preferential_attachment rng ~n ~c:2)
+      | 2 -> ("reg3", regular3 (n land lnot 1))
+      | _ ->
+          let r, c = grids.(i / 4 mod Array.length grids) in
+          ("grid", Gen.grid r c)
+    in
+    let nu = Prng.Rng.int_in_range rng ~lo:1 ~hi:3 in
+    let game, value =
+      match i / 4 mod 5 with
+      | (0 | 1 | 2) as j ->
+          let k = j + 1 in
+          (Printf.sprintf "tuple k=%d" k, (DO.solve (model ~g ~nu ~k)).DO.value)
+      | j ->
+          let lambda = j - 1 in
+          ( Printf.sprintf "subgraph lambda=%d" lambda,
+            (DOS.solve (SG.make ~graph:g ~nu ~lambda)).DOS.value )
+    in
+    Printf.bprintf buf "#%d %s n=%d nu=%d %s|%s\n" i family (Graph.n g) nu
+      game (Q.to_string value)
+  done;
+  Buffer.contents buf
+
+(* The digest of [value_transcript ()] as computed when the double
+   oracle still grew attacker rows one vertex at a time. *)
+let value_digest = "87e59900f9cf49b33bc59533d88081f3"
+
+let test_pinned_values () =
+  Alcotest.(check string)
+    "digest of 40 benchmark-shaped game values" value_digest
+    (Digest.to_hex (Digest.string (value_transcript ())))
 
 let () =
   Alcotest.run "solver"
@@ -417,5 +492,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "do.* counters" `Quick test_do_counters;
           Alcotest.test_case "pinned outputs" `Quick test_pinned_outputs;
+          Alcotest.test_case "pinned values" `Quick test_pinned_values;
         ] );
     ]
