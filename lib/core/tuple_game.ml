@@ -176,7 +176,7 @@ let greedy_edges ?(err = "Tuple_game.greedy_response")
   let covered = Array.make (Graph.n g) false in
   let picks = ref [] in
   for _ = 1 to k do
-    let best = ref (-1) and best_gain = ref (-1, -1) in
+    let best = ref (-1) and best_catch = ref (-1) and best_cover = ref (-1) in
     for id = 0 to m - 1 do
       if not chosen.(id) then begin
         let e = Graph.edge g id in
@@ -190,8 +190,14 @@ let greedy_edges ?(err = "Tuple_game.greedy_response")
             (if covered.(e.Graph.u) then 0 else 1)
             + if covered.(e.Graph.v) then 0 else 1
         in
-        if (catch_gain, cover_gain) > !best_gain then begin
-          best_gain := (catch_gain, cover_gain);
+        (* Lexicographic on (catch, cover), without a tuple or a
+           polymorphic compare per edge. *)
+        if
+          catch_gain > !best_catch
+          || (catch_gain = !best_catch && cover_gain > !best_cover)
+        then begin
+          best_catch := catch_gain;
+          best_cover := cover_gain;
           best := id
         end
       end

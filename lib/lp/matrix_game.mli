@@ -9,7 +9,10 @@
     entry is ≥ 1, the column player's strategy is read off the packing
     optimum [max Σ w subject to M'w ≤ 1], and the row player's off the
     dual; exact arithmetic makes strong duality an equality, not an
-    approximation.
+    approximation.  The simplex keeps a fraction-free integer tableau
+    over one common denominator (see {!Simplex}); its Bland pivots are
+    those of the plain rational tableau, so the value and both
+    strategies are the same rationals either way.
 
     This is the restricted-game kernel of the double-oracle solver
     ({!Solver.Double_oracle}), which re-solves a slowly growing matrix

@@ -10,6 +10,18 @@
     restricted matrix games of {!Matrix_game}.  All arithmetic is exact,
     so returned optima are certificates, not approximations.
 
+    The tableau is fraction-free (Bareiss): every row is first scaled by
+    the least positive integer that clears its denominators (and [c] and
+    each appended column likewise), and every entry is then an integer
+    N standing for N/d, where d is the last pivot element — |det B| of
+    the scaled problem.  A pivot on p is the exact integer update
+    (p·N − N_j·N_r)/d ({!Exact.Q.bareiss}) with no gcd; only the
+    read-off of [x], [dual] and [objective] divides out d and the
+    scaling.  Positive scaling changes no sign and no ratio order, so
+    Bland's rule picks, index for index, the pivots it picks on the
+    plain rational tableau, and every answer is the same rational.
+    Each pivot counts one [lp.pivots] (a deterministic {!Obs} counter).
+
     An optimum keeps its tableau, and {!extend} re-solves the same rows
     with columns appended by pricing the newcomers into that tableau —
     the column-generation step of the double-oracle solver — instead of
@@ -47,8 +59,9 @@ val maximize : a:Q.t array array -> b:Q.t array -> c:Q.t array -> outcome
     (one row of length k per constraint row) and [c] their k objective
     coefficients; the rows and [b] are unchanged.  The old optimum stays
     feasible with the new columns at 0, so Bland's rule starts from its
-    basis: each new column's tableau entries are B⁻¹a_j and its reduced
-    cost c_j − y·a_j, read off the slack block (B⁻¹) and the dual y.
+    basis: each new column's tableau entries are d·B⁻¹a_j and its
+    reduced cost d·c_j − (d·y)·a_j, read off the slack block (d·B⁻¹)
+    and the slack reduced costs (−d·y), in the scaled problem.
     The result is the solution {!maximize} would reach from that basis
     on the grown problem; its objective equals the cold optimum, while
     [x] and [dual] may be another optimal vertex when the optimum is

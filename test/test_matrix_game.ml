@@ -333,6 +333,126 @@ let test_shift_change_solves_cold () =
     "col strategy" sc.MG.col_strategy sw.MG.col_strategy;
   Alcotest.(check bool) "structurally equal" true (sw = sc)
 
+(* --- the pinned simplex transcript --- *)
+
+(* A seeded sweep of packing LPs with rational entries (negative [a],
+   zero [b], a large-entry batch whose pivots outgrow 63 bits, Beale's
+   LP), [extend] chains from each optimum, and chained warm growth
+   rounds of [Matrix_game], every answer rendered exactly.  The digest
+   pins the solver's pivot choices: any change to Bland's rule, the
+   ratio test or the read-off moves some objective, vertex, dual or
+   strategy in it. *)
+let transcript () =
+  let module Rng = Prng.Rng in
+  let buf = Buffer.create 65536 in
+  let line tag qs =
+    Buffer.add_string buf tag;
+    Array.iter
+      (fun v ->
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf (Q.to_string v))
+      qs;
+    Buffer.add_char buf '\n'
+  in
+  let lp = function
+    | Lp.Simplex.Unbounded ->
+        Buffer.add_string buf "unbounded\n";
+        None
+    | Lp.Simplex.Optimal s ->
+        line "objective" [| s.Lp.Simplex.objective |];
+        line "x" s.Lp.Simplex.x;
+        line "dual" s.Lp.Simplex.dual;
+        Some s
+  in
+  let rng = Rng.create 2026 in
+  let rat lo hi =
+    Q.make (Rng.int_in_range rng ~lo ~hi) (Rng.int_in_range rng ~lo:1 ~hi:6)
+  in
+  let block rows cols entry =
+    Array.init rows (fun _ -> Array.init cols (fun _ -> entry ()))
+  in
+  let packing ~big =
+    let m = Rng.int_in_range rng ~lo:1 ~hi:(if big then 8 else 6)
+    and n = Rng.int_in_range rng ~lo:1 ~hi:(if big then 8 else 6) in
+    let hi = if big then 1 lsl 40 else 9 in
+    let a = block m n (fun () -> rat (-3) hi) in
+    let b =
+      Array.init m (fun _ -> if Rng.int rng 4 = 0 then Q.zero else rat 0 hi)
+    in
+    let c = Array.init n (fun _ -> rat (-4) 8) in
+    (* Grow the optimum by up to three rounds of appended columns. *)
+    let rec chain sol rounds =
+      if rounds > 0 then begin
+        let k = Rng.int rng 3 in
+        match
+          lp
+            (Lp.Simplex.extend sol
+               ~a:(block m k (fun () -> rat (-3) hi))
+               ~c:(Array.init k (fun _ -> rat (-4) 8)))
+        with
+        | Some sol -> chain sol (rounds - 1)
+        | None -> ()
+      end
+    in
+    match lp (Lp.Simplex.maximize ~a ~b ~c) with
+    | Some sol -> chain sol (Rng.int_in_range rng ~lo:1 ~hi:3)
+    | None -> ()
+  in
+  for i = 1 to 200 do
+    packing ~big:(i mod 10 = 0)
+  done;
+  ignore
+    (lp
+       (Lp.Simplex.maximize
+          ~a:
+            [|
+              [| Q.make 1 4; qi (-60); Q.make (-1) 25; qi 9 |];
+              [| Q.make 1 2; qi (-90); Q.make (-1) 50; qi 3 |];
+              [| Q.zero; Q.zero; Q.one; Q.zero |];
+            |]
+          ~b:[| Q.zero; Q.zero; Q.one |]
+          ~c:[| Q.make 3 4; qi (-150); Q.make 1 50; qi (-6) |]));
+  let game tag (sol : MG.solution) =
+    line tag [| sol.MG.value |];
+    line "rows" sol.MG.row_strategy;
+    line "cols" sol.MG.col_strategy
+  in
+  for _ = 1 to 50 do
+    let rows = Rng.int_in_range rng ~lo:1 ~hi:5 in
+    let base =
+      block rows (Rng.int_in_range rng ~lo:1 ~hi:4) (fun () -> rat (-5) 5)
+    in
+    let lo = Array.fold_left (Array.fold_left Q.min) base.(0).(0) base in
+    (* Appended entries never fall below the base's minimum, so the
+       shift stays and every round extends the previous tableau. *)
+    let rec grow m (prev : MG.solution) rounds =
+      if rounds > 0 then begin
+        let added =
+          block rows (Rng.int_in_range rng ~lo:1 ~hi:3) (fun () ->
+              Q.add lo (rat 0 10))
+        in
+        let m = Array.mapi (fun i row -> Array.append row added.(i)) m in
+        let warm = MG.solve ~warm:prev.MG.warm m in
+        game "warm" warm;
+        game "cold" (MG.solve m);
+        grow m warm (rounds - 1)
+      end
+    in
+    let sol = MG.solve base in
+    game "base" sol;
+    grow base sol (Rng.int_in_range rng ~lo:1 ~hi:4)
+  done;
+  Buffer.contents buf
+
+(* The digest of [transcript ()] as computed by the gcd-normalised
+   rational tableau that the fraction-free one replaced. *)
+let transcript_digest = "e2f7b8961c8ffe6da4be754c1a84df6e"
+
+let test_transcript () =
+  Alcotest.(check string)
+    "digest of the simplex transcript" transcript_digest
+    (Digest.to_hex (Digest.string (transcript ())))
+
 let () =
   Alcotest.run "matrix_game"
     [
@@ -372,5 +492,6 @@ let () =
             test_degenerate_duplicate_constraints;
           Alcotest.test_case "extend roundtrip" `Quick
             test_simplex_extend_roundtrip;
+          Alcotest.test_case "pinned transcript" `Quick test_transcript;
         ] );
     ]
