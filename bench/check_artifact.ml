@@ -29,8 +29,9 @@
    --compare is the cross-artifact timing gate, one fixed rule: for
    every float measure named *ns_per_run or *ns_per_edge that both
    artifacts carry it takes the ratio NEW/OLD, divides it by the
-   geometric mean of all those ratios (cancelling drift in the host's
-   overall speed), and exits 1 naming each measure whose normalized
+   median of all those ratios (cancelling drift in the host's overall
+   speed; unlike a mean, one large speed-up or slow-down does not skew
+   every other ratio), and exits 1 naming each measure whose normalized
    ratio exceeds [max_slowdown].  Artifacts of different scales time
    different instances and cannot be compared: exit 2.
 
@@ -218,9 +219,10 @@ let compare_timings old_file new_file =
   if ratios = [] then
     fail "%s and %s share no ns_per_run/ns_per_edge measure" old_file new_file;
   let drift =
-    exp
-      (List.fold_left (fun acc (_, r) -> acc +. log r) 0.0 ratios
-      /. float_of_int (List.length ratios))
+    let sorted = Array.of_list (List.map snd ratios) in
+    Array.sort Float.compare sorted;
+    let k = Array.length sorted in
+    (sorted.((k - 1) / 2) +. sorted.(k / 2)) /. 2.0
   in
   let normalized = List.map (fun (key, r) -> (key, r /. drift)) ratios in
   let show ((id, name), r) = Printf.sprintf "%s %s %.2fx" id name r in

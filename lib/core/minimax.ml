@@ -37,8 +37,6 @@ let solve g =
         packing;
       }
 
-let fractional_edge_cover_number g = (solve g).rho_star
-
 (* The "Payoff_kernel." error prefix is kept verbatim: tests pin it. *)
 let vertex_incidence_sums g weights =
   if Array.length weights <> Graph.m g then

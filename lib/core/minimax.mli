@@ -33,9 +33,6 @@ type defense = {
 (** @raise Invalid_argument on a graph with an isolated vertex. *)
 val solve : Graph.t -> defense
 
-(** Fractional edge-cover number ρ*(G). *)
-val fractional_edge_cover_number : Graph.t -> Q.t
-
 (** [vertex_incidence_sums g w]: per-vertex sums Σ_{e ∋ v} w(e) of
     arbitrary per-edge weights — the hit probabilities of a fractional
     edge schedule.

@@ -21,10 +21,6 @@ let expected_load t profile v =
     t.weights;
   !acc
 
-let expected_load_tuple t profile tuple =
-  let g = Model.graph t.model in
-  Q.sum (List.map (expected_load t profile) (Tuple.vertices g tuple))
-
 (* Hot loops precompute the per-vertex weighted-load table
    Σ_i w_i · P(vp_i = v) once so each tuple query is O(k) instead of
    O(k·ν·log supp).  The "Payoff_kernel." error prefix is kept

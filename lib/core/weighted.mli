@@ -26,9 +26,6 @@ val total_weight : t -> Q.t
 (** Weighted load mw_s(v) = Σ_i w_i·P(vp_i = v). *)
 val expected_load : t -> Engine.Profile.mixed -> Netgraph.Graph.vertex -> Q.t
 
-(** Weighted load of a tuple: Σ_{v ∈ V(t)} mw_s(v). *)
-val expected_load_tuple : t -> Engine.Profile.mixed -> Tuple.t -> Q.t
-
 (** Defender's expected arrested damage. *)
 val expected_tp : t -> Engine.Profile.mixed -> Q.t
 

@@ -16,6 +16,3 @@ let to_string ?(name = "G") ?(highlight_vertices = []) ?(highlight_edges = []) g
       else Buffer.add_string buf (Printf.sprintf "  %d -- %d;\n" e.Graph.u e.Graph.v));
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let to_channel ?name ?highlight_vertices ?highlight_edges oc g =
-  output_string oc (to_string ?name ?highlight_vertices ?highlight_edges g)

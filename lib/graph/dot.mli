@@ -7,11 +7,3 @@ val to_string :
   ?highlight_edges:Graph.edge_id list ->
   Graph.t ->
   string
-
-val to_channel :
-  ?name:string ->
-  ?highlight_vertices:Graph.vertex list ->
-  ?highlight_edges:Graph.edge_id list ->
-  out_channel ->
-  Graph.t ->
-  unit

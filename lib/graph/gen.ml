@@ -305,22 +305,6 @@ let atlas_small () =
     ("petersen", petersen ());
   ]
 
-let atlas_large ~seed =
-  let rng = Rng.create seed in
-  [
-    ("path-200", path 200);
-    ("cycle-200", cycle 200);
-    ("star-200", star 200);
-    ("grid-12x12", grid 12 12);
-    ("hypercube-7", hypercube 7);
-    ("K(20,30)", complete_bipartite 20 30);
-    ("tree-150", random_tree rng ~n:150);
-    ("gnp-120", gnp_connected rng ~n:120 ~p:0.05);
-    ("bipartite-60+80", random_bipartite rng ~a:60 ~b:80 ~p:0.05);
-    ("regular-100x4", random_regular rng ~n:100 ~d:4);
-    ("enterprise-8+80", enterprise rng ~core:8 ~leaves:80 ~uplinks:2);
-  ]
-
 (* --- scalable generators (Builder-based, O(m), no quadratic scans) --- *)
 
 let preferential_attachment rng ~n ~c =

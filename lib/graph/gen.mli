@@ -124,6 +124,3 @@ val random_bipartite_sparse : Prng.Rng.t -> a:int -> b:int -> d:int -> Graph.t
 (** The atlas: named deterministic instances of bounded size used by tests
     and tables ([name, graph] pairs, sizes suitable for brute force). *)
 val atlas_small : unit -> (string * Graph.t) list
-
-(** Larger named instances for scaling figures. *)
-val atlas_large : seed:int -> (string * Graph.t) list

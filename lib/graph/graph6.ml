@@ -277,85 +277,82 @@ let apply_relabeling g perm =
     (Graph.edges g);
   Graph.Builder.finish b
 
-(* Smallest color class with at least two members, as (color, members in
-   index order); None when the partition is discrete.  The *cell* choice
-   is invariant (colors are); the member order inside it is not, which
-   is why the exact search tries every member and the heuristic path is
-   documented as best-effort. *)
+(* Members, in index order, of the least color class with at least two
+   (colors are refined, so 0..n-1); None when the partition is discrete.
+   The *cell* choice is invariant (colors are); the member order inside
+   it is not, which is why the search tries every member (up to twins). *)
 let first_non_singleton n colors =
-  let count = Hashtbl.create 16 in
-  Array.iter
-    (fun c ->
-      Hashtbl.replace count c (1 + Option.value (Hashtbl.find_opt count c) ~default:0))
-    colors;
-  let target = ref max_int in
-  Hashtbl.iter (fun c k -> if k >= 2 && c < !target then target := c) count;
-  if !target = max_int then None
-  else begin
-    let members = ref [] in
-    for v = n - 1 downto 0 do
-      if colors.(v) = !target then members := v :: !members
-    done;
-    Some !members
-  end
+  let count = Array.make n 0 in
+  Array.iter (fun c -> count.(c) <- count.(c) + 1) colors;
+  Array.find_index (fun k -> k >= 2) count
+  |> Option.map (fun c ->
+         List.filter (fun v -> colors.(v) = c) (List.init n Fun.id))
 
-exception Budget_exhausted
+(* u and v are twins when N(u)\{v} = N(v)\{u}: open twins share N(u) =
+   N(v), closed twins N[u] = N[v], and no vertex has twins of both
+   kinds.  [rep.(v)] is the least member of v's class.  Swapping two
+   twins is an automorphism fixing every other vertex, so twins share a
+   cell until one is individualized, and the subtrees below them hold
+   the same leaf encodings. *)
+let twin_reps g =
+  let n = Graph.n g in
+  let rep = Array.init n Fun.id in
+  let group key =
+    let keys = Array.init n key in
+    let order = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> compare keys.(a) keys.(b)) order;
+    for i = 1 to n - 1 do
+      if keys.(order.(i - 1)) = keys.(order.(i)) then
+        rep.(order.(i)) <- rep.(order.(i - 1))
+    done
+  in
+  let open_nbrs v = Array.to_list (Graph.neighbors g v) in
+  group open_nbrs;
+  group (fun v -> List.merge compare [ v ] (open_nbrs v));
+  rep
 
 let encode_auto g = if Graph.n g <= 4096 then encode g else encode_sparse6 g
 
-(* Largest order searched exactly; above it the heuristic labels. *)
+(* Largest order given a search budget; above it only the first leaf is
+   labeled. *)
 let exact_bound = 64
 
+(* Individualization-refinement search: branch on the members of the
+   first non-singleton cell, one per twin class, refine, recurse; the
+   canonical form is the lexicographically least leaf encoding.  Trying
+   the whole cell is what restores the invariance the member order
+   lacks.  The first descent always completes; after it, the budget
+   bounds pathological instances (refinement-resistant regular graphs)
+   and on exhaustion the least leaf seen so far is still a faithful
+   encoding of an isomorphic graph — a cache key that may merely miss. *)
 let canonical g =
   let n = Graph.n g in
-  if n <= 1 then encode_auto g
-  else begin
-    let individualize colors v =
-      let colors' = Array.copy colors in
-      (* Any value outside 0..n-1 splits v into its own cell; the value
-         itself is washed out by the renumbering pass in [refine]. *)
-      colors'.(v) <- n;
-      colors'
-    in
-    let heuristic colors0 =
-      let colors = ref (refine g colors0) in
-      let continue = ref true in
-      while !continue do
-        match first_non_singleton n !colors with
-        | None -> continue := false
-        | Some (v :: _) -> colors := refine g (individualize !colors v)
-        | Some [] -> assert false
-      done;
-      encode_auto (apply_relabeling g !colors)
-    in
-    let colors = refine g (Array.make n 0) in
+  let twins = lazy (twin_reps g) in
+  let budget = ref (if n <= exact_bound then 50_000 else 0) in
+  let best = ref None in
+  let rec search colors =
     match first_non_singleton n colors with
-    | None -> encode_auto (apply_relabeling g colors)
-    | Some _ when n > exact_bound -> heuristic colors
-    | Some _ -> (
-        (* Individualization-refinement search: branch on every member
-           of the first non-singleton cell, refine, recurse; the
-           canonical form is the lexicographically least leaf encoding.
-           Trying the whole cell is what restores the invariance the
-           member order lacks.  The node budget bounds pathological
-           instances (refinement-resistant regular graphs); on
-           exhaustion the heuristic answer is still a faithful encoding
-           of an isomorphic graph — a cache key that may merely miss. *)
-        let budget = ref 50_000 in
-        let best = ref None in
-        let rec search colors =
-          decr budget;
-          if !budget < 0 then raise Budget_exhausted;
-          match first_non_singleton n colors with
-          | None ->
-              let candidate = encode_auto (apply_relabeling g colors) in
-              (match !best with
-              | Some b when b <= candidate -> ()
-              | _ -> best := Some candidate)
-          | Some members ->
-              List.iter (fun v -> search (refine g (individualize colors v))) members
+    | None -> (
+        let candidate = encode_auto (apply_relabeling g colors) in
+        match !best with
+        | Some b when b <= candidate -> ()
+        | _ -> best := Some candidate)
+    | Some members ->
+        let rep = Lazy.force twins in
+        let branch seen v =
+          if List.mem rep.(v) seen then seen
+          else begin
+            if Option.is_some !best then decr budget;
+            if !budget < 0 then raise Exit;
+            (* Any color outside 0..n-1 splits v into its own cell; the
+               value is washed out by the renumbering pass in [refine]. *)
+            let colors' = Array.copy colors in
+            colors'.(v) <- n;
+            search (refine g colors');
+            rep.(v) :: seen
+          end
         in
-        match search colors with
-        | () -> ( match !best with Some b -> b | None -> assert false)
-        | exception Budget_exhausted -> heuristic colors)
-  end
+        ignore (List.fold_left branch [] members)
+  in
+  (try search (refine g (Array.make n 0)) with Exit -> ());
+  Option.get !best

@@ -47,13 +47,16 @@ val decode_sparse6 : string -> Graph.t
 
     The labeling is found by iterated degree refinement (1-WL color
     refinement) and, when refinement alone does not separate all
-    vertices and [n <= 64], an
-    individualization-refinement search over the first ambiguous cell
-    whose result is the lexicographically least leaf encoding — exact
-    canonicity on that range.  Past 64 vertices, or if the search
-    exceeds its internal node budget (refinement-resistant regular
-    graphs), a deterministic heuristic completes the labeling; the
-    result is then still a faithful encoding of an isomorphic graph —
-    sound as a cache key, at worst missing a possible hit — but two
-    relabelings are no longer guaranteed to agree. *)
+    vertices, one individualization-refinement search over the first
+    ambiguous cell, whose result is the lexicographically least leaf
+    encoding.  The search branches on one vertex per twin class
+    (vertices with equal open or closed neighbourhoods, which an
+    automorphism swaps), so sibling leaves cost one branch.  It always
+    reaches its first leaf.  Up to 64 vertices it then searches on
+    within an internal branch budget, and the result is exactly
+    canonical whenever it finishes; past 64 vertices it stops at the
+    first leaf.  A search cut short returns the least leaf seen: still
+    a faithful encoding of an isomorphic graph — sound as a cache key,
+    at worst missing a possible hit — but two relabelings are no longer
+    guaranteed to agree. *)
 val canonical : Graph.t -> string

@@ -152,7 +152,7 @@ let serve ~address ~workers ?timeout ?(max_inflight = 64)
     | Some (Json.String _) -> (
         if !draining then respond_error c ~req_id "daemon is draining"
         else
-          let key = try cache_key msg with _ -> None in
+          let key = try cache_key msg with Invalid_argument _ -> None in
           match Option.bind key (Lru.find cache) with
           | Some result ->
               incr cache_hits;

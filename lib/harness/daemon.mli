@@ -30,7 +30,8 @@
     {b Caching.}  [cache_key] maps a request to [Some key] when the
     answer is safely shareable under that key (for the defender service:
     canonical graph6 + game + parameters, solve only — label-dependent
-    results must return [None]).  Only worker responses with
+    results must return [None]; an [Invalid_argument] it raises counts
+    as [None], any other exception escapes).  Only worker responses with
     [{"ok":true}] are stored; handler-level errors are recomputed each
     time.  Eviction is least-recently-used, capacity [cache_entries]
     (0 disables caching).

@@ -48,5 +48,3 @@ let solve g =
         else independent_set := v :: !independent_set
       done;
       { vertex_cover = !vertex_cover; independent_set = !independent_set; matching }
-
-let vertex_cover_number g = List.length (solve g).vertex_cover

@@ -14,6 +14,3 @@ type t = {
 
 (** @raise Invalid_argument if [g] is not bipartite. *)
 val solve : Graph.t -> t
-
-(** Minimum vertex-cover size of a bipartite graph (= μ by König). *)
-val vertex_cover_number : Graph.t -> int

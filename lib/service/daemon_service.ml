@@ -99,7 +99,7 @@ let cache_key msg =
              power
              (get_int "nu" msg ~default:1)
              method_suffix)
-      with _ -> None)
+      with Invalid_argument _ -> None)
   | _ -> None
 
 let ok result = Json.Obj [ ("ok", Json.Bool true); ("result", result) ]

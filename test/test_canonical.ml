@@ -11,7 +11,7 @@ module Gen = Netgraph.Gen
 
 let rng = Prng.Rng.create 0x5eed_ca40
 
-let shuffle n =
+let shuffle ?(rng = rng) n =
   let perm = Array.init n (fun i -> i) in
   Prng.Rng.shuffle_in_place rng perm;
   perm
@@ -35,19 +35,37 @@ let tier1_instances () =
     ("gnp 12", Gen.gnp rng ~n:12 ~p:0.3);
   ]
 
-let test_relabeling_invariance () =
+(* Larger instances with big automorphism groups: trees whose leaf
+   cells hold many twins, and a vertex-transitive cube.  Each labeling
+   costs milliseconds, so these get fewer relabelings. *)
+let symmetric_instances () =
+  [
+    ("star 30", Gen.star 30);
+    ("caterpillar 5x6", Gen.caterpillar ~spine:5 ~legs:6);
+    ( "PA c=1 n=40",
+      Gen.preferential_attachment (Prng.Rng.create 40) ~n:40 ~c:1 );
+    ("hypercube 4", Gen.hypercube 4);
+  ]
+
+let check_invariance ~trials instances =
   List.iter
     (fun (name, g) ->
       let n = G.n g in
       let key = G6.canonical g in
-      for trial = 1 to 1000 do
+      for trial = 1 to trials do
         let g' = relabel g (shuffle n) in
         let key' = G6.canonical g' in
         if key' <> key then
           Alcotest.failf "%s trial %d: canonical drifted (%S vs %S)" name trial
             key key'
       done)
-    (tier1_instances ())
+    instances
+
+let test_relabeling_invariance () =
+  check_invariance ~trials:1000 (tier1_instances ())
+
+let test_symmetric_invariance () =
+  check_invariance ~trials:100 (symmetric_instances ())
 
 (* --- exactness at small n: canonical equality ⟺ isomorphism --- *)
 
@@ -148,6 +166,40 @@ let test_edge_cases () =
       (G6.canonical (relabel c6 (shuffle 6)))
   done
 
+(* --- pinned keys: a seeded sweep of relabeled graphs, one digest --- *)
+
+(* Every key in this sweep is one the search finishes, or (n > 64) its
+   first leaf; a change that moves any of them changes the cache
+   identity of instances already cached, so the digest is pinned. *)
+let sweep_keys () =
+  let rng = Prng.Rng.create 0xd16e57 in
+  let families n =
+    [
+      ("gnp", fun () -> Gen.gnp rng ~n ~p:(3. /. float n));
+      ("tree", fun () -> Gen.random_tree rng ~n);
+      ("pa1", fun () -> Gen.preferential_attachment rng ~n ~c:1);
+      ("pa2", fun () -> Gen.preferential_attachment rng ~n ~c:2);
+      ("3-regular", fun () -> Gen.random_regular rng ~n ~d:3);
+      ("cycle", fun () -> Gen.cycle n);
+      ("path", fun () -> Gen.path n);
+      ("star", fun () -> Gen.star n);
+    ]
+    |> List.map (fun (name, make) -> (Printf.sprintf "%s %d" name n, make ()))
+  in
+  let graphs =
+    Gen.atlas_small ()
+    @ List.concat_map families [ 6; 8; 12; 16; 24; 32; 48; 64; 70; 100; 200 ]
+  in
+  List.map
+    (fun (name, g) ->
+      name ^ " " ^ G6.canonical (relabel g (shuffle ~rng (G.n g))))
+    graphs
+
+let test_pinned_sweep () =
+  Alcotest.(check string)
+    "sweep digest" "cba4e6f54d0a4ad7ca5bd3f51cedc952"
+    (Digest.to_hex (Digest.string (String.concat "\n" (sweep_keys ()))))
+
 let () =
   Alcotest.run "canonical"
     [
@@ -161,5 +213,9 @@ let () =
             test_canonical_decodes_to_isomorph;
           Alcotest.test_case "edge cases and regular graphs" `Quick
             test_edge_cases;
+          Alcotest.test_case "pinned keys of a relabeled sweep" `Quick
+            test_pinned_sweep;
+          Alcotest.test_case "100 relabelings per symmetric instance" `Quick
+            test_symmetric_invariance;
         ] );
     ]

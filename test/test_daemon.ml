@@ -639,6 +639,33 @@ let test_service_sparse6_bomb_refused () =
     (J.to_string (field "result" (solve (Netgraph.Graph6.encode g))))
     (J.to_string (field "result" sparse))
 
+(* A malformed graph6 line makes the parent's cache key raise
+   Invalid_argument while decoding; the request still reaches a worker,
+   whose decode error comes back, and the same connection keeps being
+   served. *)
+let test_service_malformed_graph6_keeps_connection () =
+  with_daemon ~workers:1 ~cache_key:Service.Daemon_service.cache_key
+    Service.Daemon_service.handle
+  @@ fun path ->
+  let conn = D.Client.connect (D.Unix_socket path) in
+  Fun.protect ~finally:(fun () -> D.Client.close conn) @@ fun () ->
+  List.iter
+    (fun (g6, expected) ->
+      let r =
+        request_ok conn
+          (J.Obj [ ("op", J.String "solve"); ("graph6", J.String g6) ])
+      in
+      Alcotest.(check string) (g6 ^ ": the worker's error")
+        (J.to_string (J.Obj [ ("ok", J.Bool false); ("error", J.String expected) ]))
+        (J.to_string (J.Obj [ ("ok", field "ok" r); ("error", field "error" r) ]));
+      let ping = request_ok conn (J.Obj [ ("op", J.String "ping") ]) in
+      Alcotest.(check bool) (g6 ^ ": ping answered after it") true
+        (field "result" ping = J.String "pong"))
+    [
+      ("!!bogus!!", "Graph6.decode: invalid character");
+      ("E", "Graph6.decode: truncated adjacency data");
+    ]
+
 let () =
   Alcotest.run "daemon"
     [
@@ -687,5 +714,7 @@ let () =
             test_service_equilibrium_check_oracle_mode;
           Alcotest.test_case "sparse6 memory bomb refused" `Quick
             test_service_sparse6_bomb_refused;
+          Alcotest.test_case "malformed graph6 keeps the connection" `Quick
+            test_service_malformed_graph6_keeps_connection;
         ] );
     ]
