@@ -77,7 +77,7 @@ let d1 ctx =
           let prof = DO.profile m r in
           let ne_ok =
             verified Engine.Verify.Oracle prof
-            && verified (Engine.Verify.Exhaustive 200_000) prof
+            && verified Engine.Verify.Exhaustive prof
           in
           ignore
             (E.check ctx
@@ -128,7 +128,7 @@ let d1 ctx =
     (E.check ctx
        ~label:"D1 warm seed C6 k=1: verified NE (oracle + exhaustive)"
        (verified Engine.Verify.Oracle prof
-       && verified (Engine.Verify.Exhaustive 200_000) prof));
+       && verified Engine.Verify.Exhaustive prof));
   let do_text = Engine.Io.to_string prof in
   E.measure ctx "warm_profile_digest"
     (E.Str (Digest.to_hex (Digest.string do_text)));
@@ -205,7 +205,7 @@ let d2 ctx =
       let prof = DO.profile m r in
       let ne_ok =
         verified Engine.Verify.Oracle prof
-        && verified (Engine.Verify.Exhaustive 200_000) prof
+        && verified Engine.Verify.Exhaustive prof
       in
       ignore
         (E.check ctx

@@ -49,7 +49,7 @@ let s1 ctx =
                 ~tp_support:arcs
             in
             let verdict =
-              Engine.Verify.mixed_ne (Engine.Verify.Exhaustive 100_000) profile
+              Engine.Verify.mixed_ne Engine.Verify.Exhaustive profile
             in
             ignore
               (E.check ctx

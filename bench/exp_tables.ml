@@ -144,8 +144,8 @@ let t3 ctx =
     in
     let prof = Engine.Profile.uniform m ~vp_support:support ~tp_support:tuples in
     incr total;
-    let direct = V.verdict_is_confirmed (V.mixed_ne (V.Exhaustive 500_000) prof) in
-    let characterized = Defender.Characterization.holds (V.Exhaustive 500_000) prof in
+    let direct = V.verdict_is_confirmed (V.mixed_ne V.Exhaustive prof) in
+    let characterized = Defender.Characterization.holds V.Exhaustive prof in
     if direct then incr nash;
     let explained =
       if direct = characterized then begin

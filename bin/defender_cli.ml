@@ -359,22 +359,41 @@ let solve_cmd =
              exact best-response oracles — any instance, either game).")
   in
   (* The double-oracle report, shared by both games: the invariant
-     quantities plus the loop accounting, over already-extracted plain
-     values (the two instantiations of the solver functor have distinct
-     result types). *)
-  let print_double_oracle ~nu ~value ~iterations ~warm_solves ~final_cols
-      ~sigma_support ~tp_support =
-    Printf.printf "game value (per-attacker interception): %s\n"
-      (Exact.Q.to_string value);
-    Printf.printf "defender gain: %s (= nu * value)\n"
-      (Exact.Q.to_string (Exact.Q.mul_int value nu));
-    Printf.printf "attacker escape probability: %s\n"
-      (Exact.Q.to_string (Exact.Q.sub Exact.Q.one value));
-    Printf.printf
-      "double-oracle: %d iterations, %d warm solves, %d final strategies, \
-       support %d vertices x %d strategies\n"
-      iterations warm_solves final_cols sigma_support tp_support
-  in
+     quantities, the loop accounting, the oracle verdict (and the
+     exhaustive one under --verify), and the saved profile. *)
+  let module Double_oracle_report (G : Defender.Game.S) = struct
+    module DO = Solver.Double_oracle.Make (G)
+    module E = Defender.Game_engine.Make (G)
+
+    let run inst ~verify ~save =
+      let r = DO.solve inst in
+      let nu = G.nu inst in
+      Printf.printf "game value (per-attacker interception): %s\n"
+        (Exact.Q.to_string r.DO.value);
+      Printf.printf "defender gain: %s (= nu * value)\n"
+        (Exact.Q.to_string (Exact.Q.mul_int r.DO.value nu));
+      Printf.printf "attacker escape probability: %s\n"
+        (Exact.Q.to_string (Exact.Q.sub Exact.Q.one r.DO.value));
+      Printf.printf
+        "double-oracle: %d iterations, %d warm solves, %d final strategies, \
+         support %d vertices x %d strategies\n"
+        r.DO.stats.DO.iterations r.DO.stats.DO.warm_solves
+        r.DO.stats.DO.final_cols
+        (Dist.Finite.support_size r.DO.sigma)
+        (List.length r.DO.tp);
+      let prof = DO.profile inst r in
+      Printf.printf "verification (oracle): %s\n"
+        (E.Verify.verdict_to_string (E.Verify.mixed_ne E.Verify.Oracle prof));
+      if verify then
+        Printf.printf "verification (exhaustive): %s\n"
+          (E.Verify.verdict_to_string
+             (E.Verify.mixed_ne E.Verify.Exhaustive prof));
+      match save with
+      | Some path ->
+          E.Io.save path prof;
+          Printf.printf "profile written to %s\n" path
+      | None -> ()
+  end in
   let run file family seed nu k game lambda method_ verify save metrics trace =
     handle (fun () ->
         with_obs ~metrics ~trace @@ fun () ->
@@ -395,7 +414,7 @@ let solve_cmd =
                 Printf.printf "attacker escape probability: %s\n"
                   (Exact.Q.to_string (Defender.Gain.escape_probability prof 0));
                 let mode =
-                  if verify then Engine.Verify.Exhaustive 2_000_000
+                  if verify then Engine.Verify.Exhaustive
                   else Engine.Verify.Certificate
                 in
                 Printf.printf "verification (%s): %s\n"
@@ -407,56 +426,12 @@ let solve_cmd =
                     Engine.Io.save path prof;
                     Printf.printf "profile written to %s\n" path
                 | None -> ())
-        | `Double_oracle, `Tuple -> (
-            let m = Defender.Model.make ~graph:g ~nu ~k in
-            let module DO = Solver.Instances.Tuple in
-            let r = DO.solve m in
-            print_double_oracle ~nu ~value:r.DO.value
-              ~iterations:r.DO.stats.DO.iterations
-              ~warm_solves:r.DO.stats.DO.warm_solves
-              ~final_cols:r.DO.stats.DO.final_cols
-              ~sigma_support:(Dist.Finite.support_size r.DO.sigma)
-              ~tp_support:(List.length r.DO.tp);
-            let prof = DO.profile m r in
-            Printf.printf "verification (oracle): %s\n"
-              (Engine.Verify.verdict_to_string
-                 (Engine.Verify.mixed_ne Engine.Verify.Oracle prof));
-            if verify then
-              Printf.printf "verification (exhaustive): %s\n"
-                (Engine.Verify.verdict_to_string
-                   (Engine.Verify.mixed_ne
-                      (Engine.Verify.Exhaustive 2_000_000)
-                      prof));
-            match save with
-            | Some path ->
-                Engine.Io.save path prof;
-                Printf.printf "profile written to %s\n" path
-            | None -> ())
+        | `Double_oracle, `Tuple ->
+            let module R = Double_oracle_report (Defender.Tuple_game) in
+            R.run (Defender.Model.make ~graph:g ~nu ~k) ~verify ~save
         | `Double_oracle, `Subgraph ->
-            if save <> None then
-              failwith
-                "--save writes Profile_io format, which covers the tuple game \
-                 only";
-            let inst = Defender.Subgraph_game.make ~graph:g ~nu ~lambda in
-            let module DOS = Solver.Instances.Subgraph in
-            let module SEngine = Defender.Subgraph_instance.Engine in
-            let r = DOS.solve inst in
-            print_double_oracle ~nu ~value:r.DOS.value
-              ~iterations:r.DOS.stats.DOS.iterations
-              ~warm_solves:r.DOS.stats.DOS.warm_solves
-              ~final_cols:r.DOS.stats.DOS.final_cols
-              ~sigma_support:(Dist.Finite.support_size r.DOS.sigma)
-              ~tp_support:(List.length r.DOS.tp);
-            let prof = DOS.profile inst r in
-            Printf.printf "verification (oracle): %s\n"
-              (SEngine.Verify.verdict_to_string
-                 (SEngine.Verify.mixed_ne SEngine.Verify.Oracle prof));
-            if verify then
-              Printf.printf "verification (exhaustive): %s\n"
-                (SEngine.Verify.verdict_to_string
-                   (SEngine.Verify.mixed_ne
-                      (SEngine.Verify.Exhaustive 2_000_000)
-                      prof)))
+            let module R = Double_oracle_report (Defender.Subgraph_game) in
+            R.run (Defender.Subgraph_game.make ~graph:g ~nu ~lambda) ~verify ~save)
   in
   Cmd.v
     (Cmd.info "solve"
@@ -485,10 +460,10 @@ let verify_cmd =
         let prof = Engine.Io.load m path in
         Printf.printf "definitional check: %s\n"
           (Engine.Verify.verdict_to_string
-             (Engine.Verify.mixed_ne (Engine.Verify.Exhaustive 2_000_000) prof));
+             (Engine.Verify.mixed_ne Engine.Verify.Exhaustive prof));
         Format.printf "Theorem 3.4 characterization:@.%a@."
           Defender.Characterization.pp_report
-          (Defender.Characterization.check (Engine.Verify.Exhaustive 2_000_000) prof);
+          (Defender.Characterization.check Engine.Verify.Exhaustive prof);
         Printf.printf "defender gain: %s\n"
           (Exact.Q.to_string (Defender.Gain.defender_gain prof)))
   in

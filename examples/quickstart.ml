@@ -20,9 +20,10 @@ let () =
       Format.printf "Equilibrium found:@.%a@.@." Engine.Profile.pp equilibrium;
 
       (* Independent verification against the definition of a Nash
-         equilibrium (defender side enumerated exhaustively). *)
+         equilibrium (defender side enumerated exhaustively, refused past
+         Defender.Game_engine.enumeration_limit tuples). *)
       let verdict =
-        Engine.Verify.mixed_ne (Engine.Verify.Exhaustive 100_000) equilibrium
+        Engine.Verify.mixed_ne Engine.Verify.Exhaustive equilibrium
       in
       Format.printf "verification: %s@." (Engine.Verify.verdict_to_string verdict);
 

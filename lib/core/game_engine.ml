@@ -13,6 +13,8 @@ open Netgraph
 module Q = Exact.Q
 module Finite = Dist.Finite
 
+let enumeration_limit = 2_000_000
+
 module Make (G : Game.S) = struct
   (* The exact payoff tables behind every kernel-backed profile.  Not
      exported: the interface's only view of them is Profile's leaf
@@ -267,6 +269,14 @@ module Make (G : Game.S) = struct
            (Profile.tp_strategy m))
   end
 
+  (* The guard of every enumerating walk: refuse a strategy space of
+     more than [enumeration_limit] strategies with [refusal] before
+     walking any of it. *)
+  let check_enumerable inst refusal =
+    match G.space_size_within inst ~limit:enumeration_limit with
+    | Some _ -> ()
+    | None -> invalid_arg refusal
+
   module Best_response = struct
     let graph m = G.graph (Profile.instance m)
 
@@ -289,14 +299,9 @@ module Make (G : Game.S) = struct
 
     let vp_best_value m = Q.sub Q.one (Profile.hit_prob m (vp_best_vertex m))
 
-    let check_limit m limit =
-      match G.space_size_within (Profile.instance m) ~limit with
-      | Some _ -> ()
-      | None ->
-          invalid_arg "Best_response: tuple space too large for enumeration"
-
-    let tp_best_exhaustive ?(limit = 2_000_000) m =
-      check_limit m limit;
+    let tp_best_exhaustive m =
+      check_enumerable (Profile.instance m)
+        "Best_response: tuple space too large for enumeration";
       let best = ref None in
       let _ =
         G.fold_strategies (Profile.instance m) ~init:() ~f:(fun () t ->
@@ -307,8 +312,8 @@ module Make (G : Game.S) = struct
       in
       match !best with Some (t, _) -> t | None -> assert false
 
-    let tp_best_value_exhaustive ?limit m =
-      Profile.expected_load_strategy m (tp_best_exhaustive ?limit m)
+    let tp_best_value_exhaustive m =
+      Profile.expected_load_strategy m (tp_best_exhaustive m)
 
     let tp_upper_bound m =
       G.value_upper_bound (Profile.instance m)
@@ -334,15 +339,10 @@ module Make (G : Game.S) = struct
   end
 
   module Pure = struct
-    let check_limit inst limit =
-      match G.space_size_within inst ~limit with
-      | Some _ -> ()
-      | None ->
-          invalid_arg
-            "Pure_nash: tuple space too large for brute-force inspection"
+    let refusal = "Pure_nash: tuple space too large for brute-force inspection"
 
-    let is_pure_ne ?(limit = 2_000_000) inst (profile : Profile.pure) =
-      check_limit inst limit;
+    let is_pure_ne inst (profile : Profile.pure) =
+      check_enumerable inst refusal;
       let g = G.graph inst in
       let t = profile.Profile.tp_choice in
       let all_covered = List.length (G.covered inst t) = Graph.n g in
@@ -368,8 +368,8 @@ module Make (G : Game.S) = struct
       in
       current = best
 
-    let exists_brute_force ?(limit = 2_000_000) inst =
-      check_limit inst limit;
+    let exists_brute_force inst =
+      check_enumerable inst refusal;
       let n = Graph.n (G.graph inst) in
       (* Symmetry reduction: a pure NE exists iff some strategy covers
          every vertex; the search below is the definitional enumeration
@@ -380,7 +380,7 @@ module Make (G : Game.S) = struct
   end
 
   module Verify = struct
-    type mode = Exhaustive of int | Certificate | Oracle
+    type mode = Exhaustive | Certificate | Oracle
     type verdict = Confirmed | Refuted of string | Unknown of string
 
     let verdict_is_confirmed = function
@@ -433,8 +433,8 @@ module Make (G : Game.S) = struct
              (Q.to_string low) (Q.to_string high))
       else
         match mode with
-        | Exhaustive limit ->
-            let best = Best_response.tp_best_value_exhaustive ~limit m in
+        | Exhaustive ->
+            let best = Best_response.tp_best_value_exhaustive m in
             if Q.( < ) low best then
               Refuted
                 (Printf.sprintf

@@ -24,6 +24,17 @@
 open Netgraph
 module Q = Exact.Q
 
+(** The enumeration budget, two million strategies: the one size above
+    which every definitional walk of a strategy space refuses with
+    [Invalid_argument] instead of walking it — {!Make.Best_response}'s
+    and {!Make.Pure}'s exhaustive checks, {!Make.Verify.Exhaustive}, and
+    the tuple-game references built on them ([Tuple.enumerate]'s
+    default, [Path_model], [Robustness], [Support_solver],
+    [Weighted.verify_ne]).  Those walks are the ground truth the closed
+    forms, the minimax LP and the double oracle are tested against;
+    {!Make.Verify.Oracle} decides at any size. *)
+val enumeration_limit : int
+
 module Make (G : Game.S) : sig
   (** Configurations (strategy profiles), pure and mixed, with the
       standard equilibrium quantities Hit, m_s(v), m_s(d).
@@ -191,15 +202,14 @@ module Make (G : Game.S) : sig
     val vp_best_vertex : Profile.mixed -> Graph.vertex
 
     (** Max of m_s(d) over the whole strategy space, by enumeration.
-        @raise Invalid_argument when the space exceeds [limit] (default
-        2_000_000) strategies. *)
-    val tp_best_value_exhaustive :
-      ?limit:int -> Profile.mixed -> Q.t
+        @raise Invalid_argument ["Best_response: tuple space too large
+        for enumeration"] when the space exceeds {!enumeration_limit}
+        strategies. *)
+    val tp_best_value_exhaustive : Profile.mixed -> Q.t
 
     (** A maximizing strategy (same enumeration and guard; the first
         maximum in {!Game.S.fold_strategies} order). *)
-    val tp_best_exhaustive :
-      ?limit:int -> Profile.mixed -> G.Strategy.t
+    val tp_best_exhaustive : Profile.mixed -> G.Strategy.t
 
     (** The game's certificate bound on the defender's best-response
         value ({!Game.S.value_upper_bound}; for tuples the sum of the k
@@ -212,17 +222,17 @@ module Make (G : Game.S) : sig
   module Pure : sig
     (** Direct definition check: no player improves by any unilateral
         pure deviation.  The defender's best deviation maximizes
-        coverage over the whole strategy space, so this is exponential
-        and guarded by [limit] (the maximum number of strategies
-        inspected; default 2_000_000).
-        @raise Invalid_argument when the space exceeds the limit. *)
-    val is_pure_ne : ?limit:int -> G.instance -> Profile.pure -> bool
+        coverage over the whole strategy space, so this is exponential.
+        @raise Invalid_argument ["Pure_nash: tuple space too large for
+        brute-force inspection"] when the space exceeds
+        {!enumeration_limit} strategies. *)
+    val is_pure_ne : G.instance -> Profile.pure -> bool
 
     (** Brute-force existence: a pure NE exists iff some strategy covers
         every vertex (attackers are interchangeable, and only whether
         each is caught matters).  Used as a test oracle.
-        @raise Invalid_argument when the space exceeds [limit]. *)
-    val exists_brute_force : ?limit:int -> G.instance -> bool
+        @raise Invalid_argument as {!is_pure_ne}. *)
+    val exists_brute_force : G.instance -> bool
   end
 
   (** Direct Nash-equilibrium verification (definitional best-response
@@ -236,8 +246,10 @@ module Make (G : Game.S) : sig
       mode accordingly. *)
   module Verify : sig
     type mode =
-      | Exhaustive of int
-          (** enumerate the strategy space; the int caps its size *)
+      | Exhaustive
+          (** enumerate the strategy space
+              ({!Best_response.tp_best_value_exhaustive}: raises
+              [Invalid_argument] past {!enumeration_limit}) *)
       | Certificate
           (** compare against {!Best_response.tp_upper_bound}; sound but
               incomplete (can answer [Unknown]) *)

@@ -51,7 +51,7 @@ let is_path g ids =
       visit (List.hd vertices);
       Hashtbl.length seen = k + 1
 
-let enumerate_paths ?(limit = 2_000_000) g ~k =
+let enumerate_paths g ~k =
   if k < 1 then invalid_arg "Path_model.enumerate_paths: k must be positive";
   let found = ref [] in
   let count = ref 0 in
@@ -62,7 +62,7 @@ let enumerate_paths ?(limit = 2_000_000) g ~k =
     if remaining = 0 then begin
       if start < head then begin
         incr count;
-        if !count > limit then
+        if !count > Game_engine.enumeration_limit then
           invalid_arg "Path_model.enumerate_paths: too many paths";
         found := Tuple.of_list g (List.rev edges_so_far) :: !found
       end
@@ -147,15 +147,15 @@ let construct_pure_ne model =
              ~vp_choices:(List.init (Model.nu model) (fun _ -> 0))
              ~tp_choice:tuple)
 
-let tp_best_value ?limit m =
+let tp_best_value m =
   let model = E.Profile.instance m in
   let g = Model.graph model in
-  let paths = enumerate_paths ?limit g ~k:(Model.k model) in
+  let paths = enumerate_paths g ~k:(Model.k model) in
   match paths with
   | [] -> Q.zero
   | _ -> Q.max_list (List.map (E.Profile.expected_load_strategy m) paths)
 
-let is_mixed_ne ?limit m =
+let is_mixed_ne m =
   let g = Model.graph (E.Profile.instance m) in
   let non_path =
     List.find_opt (fun t -> not (is_path g (Tuple.to_list t))) (E.Profile.tp_support m)
@@ -167,7 +167,7 @@ let is_mixed_ne ?limit m =
   | None -> (
       match E.Verify.vp_side m with
       | E.Verify.Confirmed ->
-          let best = tp_best_value ?limit m in
+          let best = tp_best_value m in
           let loads =
             List.map
               (fun (t, _) -> E.Profile.expected_load_strategy m t)

@@ -20,9 +20,10 @@ val is_path : Graph.t -> Graph.edge_id list -> bool
 
 (** All simple paths with exactly [k] edges, as canonical tuples
     (deduplicated across the two traversal directions).  Exponential;
-    guarded. @raise Invalid_argument if more than [limit] paths are
-    produced (default 2_000_000) or [k < 1]. *)
-val enumerate_paths : ?limit:int -> Graph.t -> k:int -> Tuple.t list
+    guarded. @raise Invalid_argument ["Path_model.enumerate_paths: too
+    many paths"] once more than {!Game_engine.enumeration_limit} paths
+    are produced, or if [k < 1]. *)
+val enumerate_paths : Graph.t -> k:int -> Tuple.t list
 
 (** A Hamiltonian path, by Held–Karp bitmask DP.
     @raise Invalid_argument if [n > 22]. *)
@@ -41,12 +42,12 @@ val construct_pure_ne : Model.t -> Engine.Profile.pure option
 (** Best-response value of the path-constrained defender against a mixed
     profile: max over k-edge simple paths of m_s(t).  Same enumeration
     guard as {!enumerate_paths}. *)
-val tp_best_value : ?limit:int -> Engine.Profile.mixed -> Exact.Q.t
+val tp_best_value : Engine.Profile.mixed -> Exact.Q.t
 
 (** Definitional mixed-NE check for the Path model: the profile's support
     tuples must all be simple paths, attackers must sit on minimum-hit
     vertices, and every support path must attain {!tp_best_value}. *)
-val is_mixed_ne : ?limit:int -> Engine.Profile.mixed -> Engine.Verify.verdict
+val is_mixed_ne : Engine.Profile.mixed -> Engine.Verify.verdict
 
 (** Smallest defender power granting a pure NE, Tuple vs Path model:
     [(rho g, Some (n-1))] when a Hamiltonian path exists, [(rho g, None)]

@@ -4,7 +4,7 @@ module E = Tuple_instance.Engine
 
 type regret = { attacker : Q.t; defender : Q.t }
 
-let regret ?(limit = 2_000_000) m =
+let regret m =
   let nu = Model.nu (E.Profile.instance m) in
   let best_vp = E.Best_response.vp_best_value m in
   let attacker =
@@ -13,13 +13,13 @@ let regret ?(limit = 2_000_000) m =
       Q.zero
       (List.init nu Fun.id)
   in
-  let best_tp = E.Best_response.tp_best_value_exhaustive ~limit m in
+  let best_tp = E.Best_response.tp_best_value_exhaustive m in
   let defender = Q.max Q.zero (Q.sub best_tp (E.Profit.expected_tp m)) in
   { attacker; defender }
 
 let max_regret r = Q.max r.attacker r.defender
 
-let is_epsilon_ne ?limit m ~epsilon = Q.( <= ) (max_regret (regret ?limit m)) epsilon
+let is_epsilon_ne m ~epsilon = Q.( <= ) (max_regret (regret m)) epsilon
 
 let check_epsilon epsilon =
   if Q.( < ) epsilon Q.zero || Q.( > ) epsilon Q.one then

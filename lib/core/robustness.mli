@@ -16,17 +16,17 @@ type regret = {
   defender : Q.t;  (** defender's best-response gain *)
 }
 
-(** Exact regrets; the defender side uses the given
-    {!Tuple_instance.Engine.Verify.mode}-style enumeration limit.
-    @raise Invalid_argument when the tuple space exceeds [limit]
-    (default 2_000_000). *)
-val regret : ?limit:int -> Engine.Profile.mixed -> regret
+(** Exact regrets; the defender side enumerates the tuple space
+    ({!Tuple_instance.Engine.Best_response.tp_best_value_exhaustive}).
+    @raise Invalid_argument when the tuple space exceeds
+    {!Game_engine.enumeration_limit}. *)
+val regret : Engine.Profile.mixed -> regret
 
 val max_regret : regret -> Q.t
 
-(** [is_epsilon_ne ?limit profile ~epsilon]: every unilateral deviation
+(** [is_epsilon_ne profile ~epsilon]: every unilateral deviation
     improves by at most [epsilon]. *)
-val is_epsilon_ne : ?limit:int -> Engine.Profile.mixed -> epsilon:Q.t -> bool
+val is_epsilon_ne : Engine.Profile.mixed -> epsilon:Q.t -> bool
 
 (** [tilt_vp profile i ~epsilon ~towards] replaces player [i]'s strategy
     by [(1-epsilon)·current + epsilon·point towards].

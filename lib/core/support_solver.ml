@@ -31,7 +31,7 @@ let equalize_and_normalize forms =
       | Lp.Gauss.Underdetermined -> Error `Ambiguous
       | Lp.Gauss.Inconsistent -> Error `Inconsistent)
 
-let solve ?(limit = 2_000_000) model ~vp_support ~tp_support =
+let solve model ~vp_support ~tp_support =
   let g = Model.graph model in
   let vp_support = List.sort_uniq compare vp_support in
   if vp_support = [] then invalid_arg "Support_solver.solve: empty attacker support";
@@ -75,7 +75,7 @@ let solve ?(limit = 2_000_000) model ~vp_support ~tp_support =
               ~vp:(List.init (Model.nu model) (fun _ -> vp_dist))
               ~tp
           in
-          (match E.Verify.mixed_ne (E.Verify.Exhaustive limit) profile with
+          (match E.Verify.mixed_ne E.Verify.Exhaustive profile with
           | E.Verify.Confirmed -> Ok profile
           | E.Verify.Refuted why | E.Verify.Unknown why ->
               Error (`Not_equilibrium why)))
@@ -96,7 +96,7 @@ let subsets_of_size items k =
   if k >= 1 && k <= n then choose 0 0;
   List.rev !out
 
-let search ?limit model ~candidate_tuples =
+let search model ~candidate_tuples =
   let g = Model.graph model in
   let n = Graph.n g in
   if n > 8 then invalid_arg "Support_solver.search: graph too large (n > 8)";
@@ -109,7 +109,7 @@ let search ?limit model ~candidate_tuples =
       (fun vp_support ->
         List.iter
           (fun tp_support ->
-            match solve ?limit model ~vp_support ~tp_support with
+            match solve model ~vp_support ~tp_support with
             | Ok profile -> found := profile :: !found
             | Error _ -> ())
           (subsets_of_size candidate_tuples size))

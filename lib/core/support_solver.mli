@@ -35,10 +35,11 @@ val failure_to_string : failure -> string
 
 (** [solve model ~vp_support ~tp_support] attempts the construction.
     The defender side of the best-response check enumerates C(m,k)
-    tuples, guarded by [limit] (default 2_000_000).
-    @raise Invalid_argument on empty supports or out-of-range members. *)
+    tuples ([Verify.Exhaustive], guarded by
+    {!Game_engine.enumeration_limit}).
+    @raise Invalid_argument on empty supports or out-of-range members,
+    or when C(m,k) exceeds the guard. *)
 val solve :
-  ?limit:int ->
   Model.t ->
   vp_support:Graph.vertex list ->
   tp_support:Tuple.t list ->
@@ -53,7 +54,6 @@ val solve :
     [|candidate_tuples| ≤ 10]. @raise Invalid_argument beyond the
     guards. *)
 val search :
-  ?limit:int ->
   Model.t ->
   candidate_tuples:Tuple.t list ->
   Engine.Profile.mixed list

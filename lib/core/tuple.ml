@@ -62,7 +62,7 @@ let fold_enumerate g ~k ~init ~f =
   choose 0 0;
   !acc
 
-let enumerate ?(limit = 2_000_000) g ~k =
+let enumerate ?(limit = Game_engine.enumeration_limit) g ~k =
   let m = Graph.m g in
   let count =
     match Exact.Q.to_int_exn (Exact.Q.binomial m k) with

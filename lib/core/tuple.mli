@@ -31,7 +31,7 @@ val equal : t -> t -> bool
 
 (** All tuples of [k] distinct edges of the graph, in lexicographic order.
     Exponential; guarded. @raise Invalid_argument if C(m,k) > [limit]
-    (default 2_000_000). *)
+    (default {!Game_engine.enumeration_limit}). *)
 val enumerate : ?limit:int -> Graph.t -> k:int -> t list
 
 (** Fold over all k-subsets without materializing the list. *)

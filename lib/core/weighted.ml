@@ -54,7 +54,7 @@ let expected_tp t profile =
 let expected_vp t profile i =
   Q.mul t.weights.(i) (E.Profit.expected_vp profile i)
 
-let verify_ne ?(limit = 2_000_000) t profile =
+let verify_ne t profile =
   (* Attacker side is weight-invariant: minimum-hit support. *)
   match E.Verify.vp_side profile with
   | (E.Verify.Refuted _ | E.Verify.Unknown _) as v -> v
@@ -62,7 +62,7 @@ let verify_ne ?(limit = 2_000_000) t profile =
       let g = Model.graph t.model in
       let k = Model.k t.model in
       (match Model.tuple_space_size t.model with
-      | Some c when c <= limit -> ()
+      | Some c when c <= Game_engine.enumeration_limit -> ()
       | _ -> invalid_arg "Weighted.verify_ne: tuple space too large");
       let table = load_table t profile in
       let loads =

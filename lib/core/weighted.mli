@@ -33,9 +33,11 @@ val expected_tp : t -> Engine.Profile.mixed -> Q.t
 val expected_vp : t -> Engine.Profile.mixed -> int -> Q.t
 
 (** Definitional weighted-NE check; the defender's best response
-    maximizes weighted coverage over C(m,k) tuples (enumerated, guarded
-    by [limit], default 2_000_000). *)
-val verify_ne : ?limit:int -> t -> Engine.Profile.mixed -> Engine.Verify.verdict
+    maximizes weighted coverage over C(m,k) tuples, enumerated.  The
+    attacker side is checked first; only when it confirms,
+    @raise Invalid_argument ["Weighted.verify_ne: tuple space too
+    large"] if C(m,k) exceeds {!Game_engine.enumeration_limit}. *)
+val verify_ne : t -> Engine.Profile.mixed -> Engine.Verify.verdict
 
 (** The k-matching construction on a valid partition; an NE for every
     weight vector (see above). *)

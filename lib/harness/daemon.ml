@@ -104,11 +104,11 @@ let serve ~address ~workers ?timeout ?(max_inflight = 64)
       Wire.close_quietly c.fd
     end
   in
+  (* SIGPIPE is ignored for the daemon's whole life (above), so a client
+     that stopped reading surfaces here as EPIPE and is dropped. *)
   let send c envelope =
     if c.connected then
-      match
-        Wire.with_sigpipe_ignored (fun () -> Wire.write_frame c.fd envelope)
-      with
+      match Wire.write_frame c.fd envelope with
       | () -> ()
       | exception Unix.Unix_error _ -> drop_client c
   in

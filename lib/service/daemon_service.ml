@@ -213,7 +213,7 @@ let equilibrium_check msg =
   let mode =
     match get_string "mode" msg with
     | None | Some "certificate" -> E.Verify.Certificate
-    | Some "exhaustive" -> E.Verify.Exhaustive 2_000_000
+    | Some "exhaustive" -> E.Verify.Exhaustive
     | Some "oracle" -> E.Verify.Oracle
     | Some other -> invalid_arg (Printf.sprintf "unknown verify mode %S" other)
   in

@@ -13,6 +13,27 @@ open Netgraph
 module Q = Exact.Q
 module Rng = Prng.Rng
 
+(* The least-hit vertex of [counts], ties broken uniformly: the
+   fictitious-play attacker and the adaptive workload attacker.  [tie]
+   is caller-owned scratch of [Array.length counts] cells, so a draw
+   allocates nothing.  It is filled ascending where the historical
+   per-call list was descending; indexing from the top keeps the PRNG
+   stream and the chosen vertex bit-for-bit identical. *)
+let least_hit rng ~counts ~tie =
+  let ties = ref 0 and best_count = ref max_int in
+  for v = 0 to Array.length counts - 1 do
+    if counts.(v) < !best_count then begin
+      best_count := counts.(v);
+      tie.(0) <- v;
+      ties := 1
+    end
+    else if counts.(v) = !best_count then begin
+      tie.(!ties) <- v;
+      incr ties
+    end
+  done;
+  tie.(!ties - 1 - Rng.int rng !ties)
+
 module Make (G : Defender.Game.S) = struct
   (* The exact engine for the same game, applicatively equal to any
      other application of Game_engine.Make to [G] — for the tuple game,
@@ -60,30 +81,8 @@ module Make (G : Defender.Game.S) = struct
       let choice_history = Array.make_matrix rounds nu 0 in
       let total = ref 0 and tail_total = ref 0 in
       (* Tie-break scratch for the attacker's least-scanned choice,
-         allocated once for the whole run: the per-round set is written
-         in place instead of being built as a list and converted to an
-         array per call. *)
+         allocated once for the whole run. *)
       let tie = Array.make n 0 in
-      let attacker_choice () =
-        (* least-scanned vertex, ties broken uniformly *)
-        let ties = ref 0 and best_count = ref max_int in
-        for v = 0 to n - 1 do
-          if hit_count.(v) < !best_count then begin
-            best_count := hit_count.(v);
-            tie.(0) <- v;
-            ties := 1
-          end
-          else if hit_count.(v) = !best_count then begin
-            tie.(!ties) <- v;
-            incr ties
-          end
-        done;
-        (* [tie] is ascending where the old per-call list was
-           descending; index from the top so the PRNG stream and the
-           chosen vertex are bit-for-bit identical to the historical
-           behavior. *)
-        tie.(!ties - 1 - Rng.int rng !ties)
-      in
       let recompute_from_history r =
         for v = 0 to n - 1 do
           let c = ref 0 in
@@ -106,7 +105,7 @@ module Make (G : Defender.Game.S) = struct
       for r = 0 to rounds - 1 do
         if naive then recompute_from_history r;
         for i = 0 to nu - 1 do
-          choices.(i) <- attacker_choice ();
+          choices.(i) <- least_hit rng ~counts:hit_count ~tie;
           choice_history.(r).(i) <- choices.(i)
         done;
         let tuple =
@@ -444,25 +443,6 @@ module Make (G : Defender.Game.S) = struct
       end;
       weights
 
-    let least_hit_vertex rng state n =
-      let ties = ref 0 and best_count = ref max_int in
-      for v = 0 to n - 1 do
-        if state.hit_count.(v) < !best_count then begin
-          best_count := state.hit_count.(v);
-          state.tie.(0) <- v;
-          ties := 1
-        end
-        else if state.hit_count.(v) = !best_count then begin
-          state.tie.(!ties) <- v;
-          incr ties
-        end
-      done;
-      (* [tie] is filled ascending where the old per-call list was
-         descending; index from the top so the PRNG stream and the
-         chosen vertex match the historical behavior exactly without a
-         per-call allocation. *)
-      state.tie.(!ties - 1 - Rng.int rng !ties)
-
     let sample_attacker rng g state = function
       | Attacker_fixed d -> Dist.Finite.sample rng d
       | Attacker_uniform -> Rng.int rng (Graph.n g)
@@ -471,7 +451,7 @@ module Make (G : Defender.Game.S) = struct
           Rng.weighted_index rng (hotspot_distribution g ~targets ~concentration)
       | Attacker_adaptive { epsilon } ->
           if Rng.bool_with_prob rng epsilon then Rng.int rng (Graph.n g)
-          else least_hit_vertex rng state (Graph.n g)
+          else least_hit rng ~counts:state.hit_count ~tie:state.tie
 
     let sample_fixed_tuple rng strategy =
       let target = Rng.float rng in

@@ -1,7 +1,8 @@
 (* Regression harness for the CLI's error discipline: every subcommand
    fed malformed input must exit 1 with a single-line "error: ..."
    diagnostic on stderr — never a backtrace (the uncaught-exception
-   path exits 2).
+   path exits 2).  One success case rides along: the subgraph game's
+   double-oracle solve writes its profile with --save.
 
    Run as: cli_errors.exe path/to/defender_cli.exe
    (the dune rule passes %{exe:../bin/defender_cli.exe}). *)
@@ -60,6 +61,33 @@ let check name args =
   if List.length lines > 1 then fail "diagnostic is not a single line";
   if not !bad then Printf.printf "ok   %s\n" name
 
+(* A success case: [args] must exit 0 and leave [file] starting with
+   [prefix] once its leading "#" comment lines are dropped. *)
+let check_saves name args ~file ~prefix =
+  let status, stderr_text = run args in
+  let saved =
+    match open_in_bin file with
+    | ic ->
+        let text = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        let rec body = function
+          | l :: rest when String.length l > 0 && l.[0] = '#' -> body rest
+          | lines -> String.concat "\n" lines
+        in
+        body (String.split_on_char '\n' text)
+    | exception Sys_error _ -> ""
+  in
+  let starts =
+    String.length saved >= String.length prefix
+    && String.sub saved 0 (String.length prefix) = prefix
+  in
+  match status with
+  | Unix.WEXITED 0 when starts -> Printf.printf "ok   %s\n" name
+  | _ ->
+      incr failures;
+      Printf.printf "FAIL %s: wanted exit 0 and a file starting %S\n  argv: %s\n  stderr: %s\n"
+        name prefix (String.concat " " args) (String.trim stderr_text)
+
 let () =
   (match Sys.argv with
   | [| _; path |] -> cli := path
@@ -105,6 +133,14 @@ let () =
   check "query: malformed family (encoded client-side)"
     [ "query"; "--socket"; "/tmp/cli_errors_no_such_daemon.sock";
       "--family"; "frobnicate:9" ];
+
+  (* the double-oracle solve saves the subgraph game's profile too *)
+  let saved = Filename.temp_file "cli_errors" ".profile" in
+  check_saves "solve: double-oracle saves a subgraph profile"
+    [ "solve"; "--family"; "cycle:7"; "--game"; "subgraph"; "--lambda"; "2";
+      "--method"; "double-oracle"; "--save"; saved ]
+    ~file:saved ~prefix:"profile v2\ngame subgraph\n";
+  Sys.remove saved;
 
   Sys.remove bogus_profile;
   if !failures > 0 then (

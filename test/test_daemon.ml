@@ -400,8 +400,9 @@ let test_shutdown_op_drains () =
       | Unix.WEXITED c -> Alcotest.failf "daemon exited %d" c
       | _ -> Alcotest.fail "daemon killed by signal")
 
-let test_sigterm_drains () =
-  let path = fresh_socket () in
+(* Fork a toy daemon that exits 0 when [serve] returns and 2 if it
+   raises; return its pid once it is ready. *)
+let spawn_toy_daemon ~workers path =
   let ready_r, ready_w = Unix.pipe () in
   flush stdout;
   flush stderr;
@@ -410,29 +411,68 @@ let test_sigterm_drains () =
       Unix.close ready_r;
       (try
          ignore
-           (D.serve ~address:(D.Unix_socket path) ~workers:2
+           (D.serve ~address:(D.Unix_socket path) ~workers
               ~on_ready:(fun _ ->
                 ignore (Unix.write ready_w (Bytes.of_string "R") 0 1))
               ~cache_key:toy_cache_key toy_handler)
        with _ -> Unix._exit 2);
       Unix._exit 0
-  | daemon -> (
+  | daemon ->
       Unix.close ready_w;
       let b = Bytes.create 1 in
       (match Unix.read ready_r b 0 1 with
       | 1 -> ()
       | _ -> Alcotest.fail "daemon never ready");
       Unix.close ready_r;
-      let r = get path (J.Obj [ ("op", J.String "ping") ]) in
-      Alcotest.(check bool) "ping ok" true (field "ok" r = J.Bool true);
-      Unix.kill daemon Sys.sigterm;
-      match wait_status daemon with
-      | Unix.WEXITED 0 -> ()
-      | Unix.WEXITED c -> Alcotest.failf "daemon exited %d on SIGTERM" c
-      | Unix.WSIGNALED s ->
-          Alcotest.failf "daemon killed by %s instead of draining"
-            (Harness.Wire.signal_name s)
-      | Unix.WSTOPPED _ -> Alcotest.fail "daemon stopped")
+      daemon
+
+let expect_drained_exit daemon =
+  match wait_status daemon with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED c -> Alcotest.failf "daemon exited %d on SIGTERM" c
+  | Unix.WSIGNALED s ->
+      Alcotest.failf "daemon killed by %s instead of draining"
+        (Harness.Wire.signal_name s)
+  | Unix.WSTOPPED _ -> Alcotest.fail "daemon stopped"
+
+let test_sigterm_drains () =
+  let path = fresh_socket () in
+  let daemon = spawn_toy_daemon ~workers:2 path in
+  let r = get path (J.Obj [ ("op", J.String "ping") ]) in
+  Alcotest.(check bool) "ping ok" true (field "ok" r = J.Bool true);
+  Unix.kill daemon Sys.sigterm;
+  expect_drained_exit daemon
+
+(* A client that stops reading without closing: after
+   [shutdown SHUTDOWN_RECEIVE] the daemon sees no EOF, and its answer to
+   the client's pending slow request hits EPIPE.  SIGPIPE is ignored for
+   the daemon's whole life, so that write fails softly: the client is
+   dropped, the others are still served, and SIGTERM still drains. *)
+let test_epipe_drops_client () =
+  let path = fresh_socket () in
+  let daemon = spawn_toy_daemon ~workers:1 path in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Harness.Wire.write_frame fd (J.Obj [ ("id", J.Int 1); ("op", J.String "slow") ]);
+  Unix.shutdown fd Unix.SHUTDOWN_RECEIVE;
+  (* The sleeper takes 0.5 s; poll [stats] until its answer has been
+     written (nothing in flight), for up to 5 s more. *)
+  let rec settled tries =
+    let stats = field "result" (get path (J.Obj [ ("op", J.String "stats") ])) in
+    J.member "inflight" stats = Some (J.Int 0)
+    || tries > 0
+       && (ignore (Unix.select [] [] [] 0.1);
+           settled (tries - 1))
+  in
+  ignore (Unix.select [] [] [] 0.5);
+  Alcotest.(check bool) "stats answered, slow answer settled" true
+    (settled 50);
+  let ping = get path (J.Obj [ ("op", J.String "ping") ]) in
+  Alcotest.(check bool) "ping answered after it" true
+    (field "result" ping = J.String "pong");
+  Harness.Wire.close_quietly fd;
+  Unix.kill daemon Sys.sigterm;
+  expect_drained_exit daemon
 
 (* --- the real defender service: canonical key across relabelings --- *)
 
@@ -610,6 +650,37 @@ let test_service_equilibrium_check_oracle_mode () =
   Alcotest.(check bool) "confirmed" true
     (J.member "confirmed" (field "result" r) = Some (J.Bool true))
 
+(* An exhaustive check on a tuple space just past the enumeration
+   budget (K11, k = 5: C(55,5) = 3 478 761) is refused with the
+   engine's own message, inside the error envelope.  The profile's one
+   tuple leaves vertex 10 uncovered for the attacker, so the defender
+   side is reached and refuses.  The profile's edge ids are those of
+   the graph as the service decodes it. *)
+let test_service_exhaustive_check_over_budget () =
+  let g6 = Netgraph.Graph6.encode (Netgraph.Gen.complete 11) in
+  let g = Netgraph.Graph6.decode g6 in
+  let m = Defender.Model.make ~graph:g ~nu:1 ~k:5 in
+  let edge a b = Option.get (Netgraph.Graph.find_edge g a b) in
+  let t =
+    Defender.Tuple.of_list g [ edge 0 1; edge 2 3; edge 4 5; edge 6 7; edge 8 9 ]
+  in
+  let prof =
+    Engine.Profile.make_mixed m ~vp:[ Dist.Finite.point 10 ] ~tp:[ (t, Exact.Q.one) ]
+  in
+  Alcotest.(check string) "refusal envelope"
+    {|{"ok":false,"error":"Best_response: tuple space too large for enumeration"}|}
+    (J.to_string
+       (Service.Daemon_service.handle
+          (J.Obj
+             [
+               ("op", J.String "equilibrium-check");
+               ("graph6", J.String g6);
+               ("k", J.Int 5);
+               ("nu", J.Int 1);
+               ("profile", J.String (Engine.Io.to_string prof));
+               ("mode", J.String "exhaustive");
+             ])))
+
 (* A 9-byte sparse6 line declaring 10^9 vertices: decoding it would
    allocate gigabytes in the parent (the cache key) and in a worker.
    The service refuses it from the size header alone, and the daemon
@@ -701,6 +772,8 @@ let () =
         [
           Alcotest.test_case "shutdown op" `Quick test_shutdown_op_drains;
           Alcotest.test_case "SIGTERM" `Quick test_sigterm_drains;
+          Alcotest.test_case "EPIPE drops the client" `Quick
+            test_epipe_drops_client;
         ] );
       ( "service",
         [
@@ -716,5 +789,7 @@ let () =
             test_service_sparse6_bomb_refused;
           Alcotest.test_case "malformed graph6 keeps the connection" `Quick
             test_service_malformed_graph6_keeps_connection;
+          Alcotest.test_case "exhaustive check over the budget" `Quick
+            test_service_exhaustive_check_over_budget;
         ] );
     ]

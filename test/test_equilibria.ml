@@ -10,7 +10,7 @@ module V = Engine.Verify
 module C = Defender.Characterization
 
 let q = Alcotest.testable Q.pp Q.equal
-let exhaustive = V.Exhaustive 500_000
+let exhaustive = V.Exhaustive
 
 let model ~g ~nu ~k = Defender.Model.make ~graph:g ~nu ~k
 

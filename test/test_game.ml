@@ -169,7 +169,7 @@ let check_consumers_vs_naive ~label prof =
         (Printf.sprintf "%smixed_ne %s naive = kernel" label name)
         (Engine.Verify.verdict_to_string (Engine.Verify.mixed_ne mode rescan))
         (Engine.Verify.verdict_to_string (Engine.Verify.mixed_ne mode prof)))
-    [ ("exhaustive", Engine.Verify.Exhaustive 500_000);
+    [ ("exhaustive", Engine.Verify.Exhaustive);
       ("certificate", Engine.Verify.Certificate); ("oracle", Engine.Verify.Oracle) ]
 
 let test_subgraph_fresh_profiles () =
@@ -216,7 +216,7 @@ let test_cycle_rotation_ne () =
           ~tp_support:arcs
       in
       let verdict =
-        Engine.Verify.mixed_ne (Engine.Verify.Exhaustive 10_000) prof
+        Engine.Verify.mixed_ne Engine.Verify.Exhaustive prof
       in
       Alcotest.(check bool)
         (Printf.sprintf "C%d lambda=%d confirmed" n lambda)

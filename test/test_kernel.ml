@@ -218,7 +218,7 @@ let test_consumers_agree () =
     Alcotest.check q "expected_tp naive = kernel"
       (Engine.Profit.expected_tp rescan)
       (Engine.Profit.expected_tp prof);
-    let exhaustive = Engine.Verify.Exhaustive 500_000 in
+    let exhaustive = Engine.Verify.Exhaustive in
     Alcotest.(check bool) "characterization naive = kernel" true
       (Defender.Characterization.holds exhaustive rescan
       = Defender.Characterization.holds exhaustive prof);

@@ -113,6 +113,45 @@ let test_tuple_enumerate () =
     (Invalid_argument "Tuple.enumerate: C(28,14) exceeds limit 1000") (fun () ->
       ignore (Defender.Tuple.enumerate ~limit:1000 (Gen.complete 8) ~k:14))
 
+(* One enumeration budget behind every exhaustive walk: a tuple space
+   just past it (C(55,5) = 3 478 761 on K11 with k = 5) is refused by
+   each entry point with its own message, from the size alone.  The
+   single defender tuple is a 5-matching that leaves vertex 10
+   uncovered, so the attacker on 10 passes the attacker side and the
+   defender side is the one that refuses. *)
+let test_enumeration_budget () =
+  Alcotest.(check int) "the budget" 2_000_000 Defender.Game_engine.enumeration_limit;
+  let g = Gen.complete 11 in
+  let m = Defender.Model.make ~graph:g ~nu:1 ~k:5 in
+  let edge a b = Option.get (Graph.find_edge g a b) in
+  let t =
+    Defender.Tuple.of_list g [ edge 0 1; edge 2 3; edge 4 5; edge 6 7; edge 8 9 ]
+  in
+  let mixed =
+    Engine.Profile.make_mixed m ~vp:[ Dist.Finite.point 10 ] ~tp:[ (t, Q.one) ]
+  in
+  let pure = Engine.Profile.make_pure m ~vp_choices:[ 10 ] ~tp_choice:t in
+  let br = Invalid_argument "Best_response: tuple space too large for enumeration" in
+  let pure_refusal =
+    Invalid_argument "Pure_nash: tuple space too large for brute-force inspection"
+  in
+  Alcotest.check_raises "Verify.tp_side Exhaustive" br (fun () ->
+      ignore (Engine.Verify.tp_side Engine.Verify.Exhaustive mixed));
+  Alcotest.check_raises "Best_response.tp_best_exhaustive" br (fun () ->
+      ignore (Engine.Best_response.tp_best_exhaustive mixed));
+  Alcotest.check_raises "Pure.is_pure_ne" pure_refusal (fun () ->
+      ignore (Engine.Pure.is_pure_ne m pure));
+  Alcotest.check_raises "Pure.exists_brute_force" pure_refusal (fun () ->
+      ignore (Engine.Pure.exists_brute_force m));
+  Alcotest.check_raises "Robustness.regret" br (fun () ->
+      ignore (Defender.Robustness.regret mixed));
+  Alcotest.check_raises "Weighted.verify_ne"
+    (Invalid_argument "Weighted.verify_ne: tuple space too large") (fun () ->
+      ignore
+        (Defender.Weighted.verify_ne
+           (Defender.Weighted.make m ~weights:[ Q.one ])
+           mixed))
+
 let test_tuple_unions () =
   let g = p4 () in
   let t1 = Defender.Tuple.of_list g [ 0 ] and t2 = Defender.Tuple.of_list g [ 2 ] in
@@ -381,6 +420,7 @@ let () =
           Alcotest.test_case "vertices/covers" `Quick test_tuple_vertices_covers;
           Alcotest.test_case "enumerate" `Quick test_tuple_enumerate;
           Alcotest.test_case "unions" `Quick test_tuple_unions;
+          Alcotest.test_case "enumeration budget" `Quick test_enumeration_budget;
         ] );
       ( "profile",
         [

@@ -108,8 +108,7 @@ let test_rediscovers_matching_ne () =
             (Printf.sprintf "%s k=%d: NE (exhaustive)" name k)
             true
             (Engine.Verify.verdict_is_confirmed
-               (Engine.Verify.mixed_ne (Engine.Verify.Exhaustive 200_000)
-                  prof));
+               (Engine.Verify.mixed_ne Engine.Verify.Exhaustive prof));
           Alcotest.(check bool)
             (Printf.sprintf "%s k=%d: NE (oracle mode)" name k)
             true
@@ -160,7 +159,7 @@ let test_no_closed_form_instances () =
         (Printf.sprintf "%s: NE (exhaustive)" name)
         true
         (Engine.Verify.verdict_is_confirmed
-           (Engine.Verify.mixed_ne (Engine.Verify.Exhaustive 200_000) prof));
+           (Engine.Verify.mixed_ne Engine.Verify.Exhaustive prof));
       Alcotest.check q
         (Printf.sprintf "%s: gain = nu*value" name)
         (Q.mul_int r.DO.value nu)
@@ -184,7 +183,7 @@ let test_subgraph_cycle () =
        (SEngine.Verify.mixed_ne SEngine.Verify.Oracle prof));
   Alcotest.(check bool) "verified (exhaustive)" true
     (SEngine.Verify.verdict_is_confirmed
-       (SEngine.Verify.mixed_ne (SEngine.Verify.Exhaustive 100_000) prof))
+       (SEngine.Verify.mixed_ne SEngine.Verify.Exhaustive prof))
 
 let test_subgraph_no_closed_form () =
   let inst = SG.make ~graph:(Gen.petersen ()) ~nu:2 ~lambda:2 in
@@ -229,7 +228,7 @@ let test_warm_seed_one_iteration () =
        (Engine.Verify.mixed_ne Engine.Verify.Oracle prof));
   Alcotest.(check bool) "NE (exhaustive)" true
     (Engine.Verify.verdict_is_confirmed
-       (Engine.Verify.mixed_ne (Engine.Verify.Exhaustive 200_000) prof))
+       (Engine.Verify.mixed_ne Engine.Verify.Exhaustive prof))
 
 let test_iteration_reports () =
   let m = model ~g:(Gen.petersen ()) ~nu:2 ~k:2 in
@@ -306,7 +305,7 @@ module Differential (G : Defender.Game.S) = struct
       (label ^ ": DO profile verified (exhaustive)")
       true
       (Engine.Verify.verdict_is_confirmed
-         (Engine.Verify.mixed_ne (Engine.Verify.Exhaustive 200_000) prof));
+         (Engine.Verify.mixed_ne Engine.Verify.Exhaustive prof));
     let back = Engine.Io.of_string inst (Engine.Io.to_string prof) in
     let gain = Q.mul_int r.DO.value (G.nu inst) in
     Alcotest.check q (label ^ ": Io round trip keeps the defender profit")
