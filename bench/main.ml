@@ -1,6 +1,6 @@
 (* Benchmark harness entry point: a generic driver over the experiment
    registry (tables T1-T12 + ablations A1-A2, figures F1-F6, Bechamel
-   microbenchmarks B0-B15 and B17-B18, subgraph S1-S2, biggraph G1-G2,
+   microbenchmarks B0-B15 and B17-B19, subgraph S1-S2, biggraph G1-G2,
    double-oracle D1-D3).
 
      dune exec bench/main.exe                       # everything, full scale

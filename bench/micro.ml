@@ -1,4 +1,4 @@
-(* B0-B15, B17-B18: microbenchmarks and kernel-correctness checks.
+(* B0-B15, B17-B19: microbenchmarks and kernel-correctness checks.
 
    B0 ports the former standalone smoke pass: exact kernel = naive
    equality assertions (payoff tables, incremental deviation chains,
@@ -42,7 +42,12 @@
    full scale its round-trip latency must sit well below the cold
    solve's.
 
-   The ns-per-run and ns-per-edge timings (B1-B13, B17) are gated
+   B19 times Graph6.canonical, the daemon's cache key, on fresh
+   relabelings of the shapes the canon-storm load workload sends, with
+   every shape's relabelings checked to share one key, and records the
+   minor words one run allocates.
+
+   The ns-per-run and ns-per-edge timings (B1-B13, B17, B19) are gated
    across commits rather than in process: `check_artifact --compare
    OLD NEW` fails when one of them slows down against the rest between
    two full-scale artifacts. *)
@@ -902,6 +907,89 @@ let b18 ctx =
              ~label:"B18: warm hit at most a third of the cold solve"
              (Float.is_finite ratio && ratio < 0.34))
 
+(* --- B19: canonical labeling over canon-storm's graph shapes --- *)
+
+(* Graph6.canonical is the daemon's cache key, computed in the parent's
+   select loop on every byte-memo miss.  These are the
+   refinement-resistant shapes the canon-storm load workload relabels:
+   regular graphs whose labeling is all search.  One run labels fresh
+   relabelings of each; every shape's relabelings must share one key.
+   Fixed-iteration min-of-rounds timing (B17 methodology), and
+   [minor_words_per_run] from one run after warm-up, which is exact:
+   the same on every run of one build. *)
+let b19 ctx =
+  let module Obs = Harness.Obs in
+  let module Graph = Netgraph.Graph in
+  let module G6 = Netgraph.Graph6 in
+  let smoke = E.is_smoke ctx in
+  let rng = Prng.Rng.create 190_019 in
+  let relabel g =
+    let perm = Array.init (Graph.n g) Fun.id in
+    Prng.Rng.shuffle_in_place rng perm;
+    let b = Graph.Builder.create ~edges_hint:(Graph.m g) ~n:(Graph.n g) () in
+    Graph.iter_edges g ~f:(fun _ (e : Graph.edge) ->
+        Graph.Builder.add_edge b perm.(e.u) perm.(e.v));
+    Graph.Builder.finish b
+  in
+  let per_shape = if smoke then 2 else 8 in
+  let shapes =
+    List.map
+      (fun (name, g) -> (name, List.init per_shape (fun _ -> relabel g)))
+      [
+        ("hypercube_4", Netgraph.Gen.hypercube 4);
+        ("cycle_32", Netgraph.Gen.cycle 32);
+        ("petersen", Netgraph.Gen.petersen ());
+        ("regular3_32", Netgraph.Gen.random_regular rng ~n:32 ~d:3);
+      ]
+  in
+  let label gs = List.iter (fun g -> ignore (G6.canonical g)) gs in
+  let run () = List.iter (fun (_, gs) -> label gs) shapes in
+  ignore
+    (E.check ctx ~label:"B19: each shape's relabelings share one key"
+       (List.for_all
+          (fun (_, gs) ->
+            match List.map G6.canonical gs with
+            | k :: ks -> List.for_all (String.equal k) ks
+            | [] -> false)
+          shapes));
+  let minor_words =
+    Obs.unobserved (fun () ->
+        run ();
+        let before = Gc.minor_words () in
+        run ();
+        Gc.minor_words () -. before)
+  in
+  E.measure ctx "minor_words_per_run" (E.Int (int_of_float minor_words));
+  let repeat = if smoke then 2 else 5 in
+  let rounds = if smoke then 1 else 3 in
+  let time f =
+    let best = ref infinity in
+    Obs.unobserved (fun () ->
+        for _ = 1 to rounds do
+          best := Float.min !best (per_call ~repeat ~batch:1 f)
+        done);
+    !best
+  in
+  let t_run = time run in
+  E.measure ctx "canonical_ns_per_run" (E.Float (t_run *. 1e9));
+  E.outf ctx
+    "B19 Graph6.canonical, %d relabelings per shape: %s per run, %.0f minor \
+     words per run\n"
+    per_shape (human_time (t_run *. 1e9)) minor_words;
+  let times =
+    List.map
+      (fun (name, gs) ->
+        let t = time (fun () -> label gs) /. float_of_int per_shape in
+        E.measure ctx (name ^ "_ns_per_call") (E.Float (t *. 1e9));
+        E.outf ctx "B19 %-12s %s per call\n" name (human_time (t *. 1e9));
+        t)
+      shapes
+  in
+  E.outf ctx "\n";
+  ignore
+    (E.check ctx ~label:"B19 timings: positive and finite"
+       (List.for_all (fun t -> Float.is_finite t && t > 0.0) (t_run :: times)))
+
 let register () =
   let r ~id ~claim ~expected run =
     Harness.Registry.register
@@ -986,4 +1074,14 @@ let register () =
     ~expected:
       "cached:true with identical result bytes and exact hit counters at \
        both scales; warm/cold latency < 0.34 at full scale (min of 10)"
-    b18
+    b18;
+  r ~id:"B19"
+    ~claim:
+      "the daemon's cache key, Graph6.canonical, labels canon-storm's \
+       refinement-resistant shapes (Q4, C32, Petersen, a 3-regular n=32) \
+       consistently; its cost is tracked across artifacts"
+    ~expected:
+      "every shape's relabelings share one key; canonical_ns_per_run \
+       (min-of-3, fixed iterations) gated across artifacts by \
+       check_artifact --compare; minor_words_per_run exact"
+    b19

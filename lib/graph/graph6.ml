@@ -58,13 +58,16 @@ let add_size buf ~force_long n =
     Buffer.add_char buf (Char.chr ((n land 63) + 63))
   end
 
-let encode ?(force_long = false) g =
-  let n = Graph.n g in
+(* graph6 body of an n-vertex graph: upper-triangle bits in column
+   order (0,1), (0,2), (1,2), (0,3), ...  [column j f] calls [f] on
+   every neighbour of the vertex at position j (in any order); column
+   j's bits come from a scratch mark array filled that way — O(n^2 + m)
+   overall instead of n^2/2 adjacency tests.  Shared by [encode] and
+   the canonical search's leaves, which write a relabeled graph without
+   building it. *)
+let encode_columns ~force_long n ~column =
   let buf = Buffer.create (8 + (n * n / 12)) in
   add_size buf ~force_long n;
-  (* Upper-triangle bits in column order: (0,1), (0,2), (1,2), (0,3), ...
-     Column j's bits come from a scratch mark array filled from row j —
-     O(n^2 + m) overall instead of n^2/2 binary searches. *)
   let acc = ref 0 and filled = ref 0 in
   let push bit =
     acc := (!acc lsl 1) lor bit;
@@ -76,16 +79,21 @@ let encode ?(force_long = false) g =
     end
   in
   let mark = Array.make (max n 1) false in
+  let set i = mark.(i) <- true and clear i = mark.(i) <- false in
   for j = 1 to n - 1 do
-    Graph.iter_neighbors g j ~f:(fun i -> if i < j then mark.(i) <- true);
+    column j set;
     for i = 0 to j - 1 do
       push (if mark.(i) then 1 else 0)
     done;
-    Graph.iter_neighbors g j ~f:(fun i -> if i < j then mark.(i) <- false)
+    column j clear
   done;
   if !filled > 0 then
     Buffer.add_char buf (Char.chr ((!acc lsl (6 - !filled)) + 63));
   Buffer.contents buf
+
+let encode ?(force_long = false) g =
+  encode_columns ~force_long (Graph.n g) ~column:(fun j f ->
+      Graph.iter_neighbors g j ~f)
 
 let decode_graph6 line =
   let line = strip_newline line in
@@ -230,32 +238,96 @@ let decode line =
 
 (* --- canonical labeling --- *)
 
+(* The graph flattened once per labeling, CSR-shaped:
+   [adj.(off.(v)) .. adj.(off.(v + 1) - 1)] are v's neighbours in
+   increasing order.  [sigs] (same shape) and [order] are the
+   refinement's scratch buffers. *)
+type flat = {
+  g : Graph.t;
+  n : int;
+  off : int array;
+  adj : int array;
+  sigs : int array;
+  order : int array;
+}
+
+let flatten g =
+  let n = Graph.n g in
+  let off = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    off.(v + 1) <- off.(v) + Graph.degree g v
+  done;
+  let adj = Array.make off.(n) 0 in
+  for v = 0 to n - 1 do
+    let i = ref off.(v) in
+    Graph.iter_neighbors g v ~f:(fun w ->
+        adj.(!i) <- w;
+        incr i)
+  done;
+  { g; n; off; adj; sigs = Array.make off.(n) 0; order = Array.make n 0 }
+
+(* Lexicographic order of a.(alo .. ahi - 1) and b.(blo .. bhi - 1), a
+   proper prefix first: the order [compare] gives int lists. *)
+let compare_slices (a : int array) alo ahi (b : int array) blo bhi =
+  let i = ref alo and j = ref blo and c = ref 0 in
+  while !c = 0 && !i < ahi && !j < bhi do
+    c := Int.compare a.(!i) b.(!j);
+    incr i;
+    incr j
+  done;
+  if !c <> 0 then !c else Int.compare (ahi - !i) (bhi - !j)
+
+(* Sort a.(lo .. hi - 1) ascending: insertion sort for the short rows
+   of the graphs the exact search sees, a library sort for hubs. *)
+let sort_slice (a : int array) lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let s = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare s;
+    Array.blit s 0 a lo (hi - lo)
+  end
+
 (* Iterated degree refinement (1-WL color refinement): a vertex's
    signature is its current color plus the sorted multiset of its
-   neighbors' colors; vertices are renumbered by sorted signature until
-   the partition stops splitting.  The signature order depends only on
-   color values, never on vertex indices, so the resulting coloring is
-   invariant under relabeling — the property the Daemon's cache key
-   rests on. *)
-let refine g colors =
-  let n = Graph.n g in
+   neighbors' colors (its slice of [sigs]); vertices are renumbered by
+   sorted signature until the partition stops splitting.  The signature
+   order depends only on color values, never on vertex indices, so the
+   resulting coloring is invariant under relabeling — the property the
+   Daemon's cache key rests on. *)
+let refine fl colors =
+  let { n; off; adj; sigs; order; _ } = fl in
   let rec go colors ncolors =
-    let sigs =
-      Array.init n (fun v ->
-          ( colors.(v),
-            List.sort compare
-              (Graph.fold_neighbors g v ~init:[] ~f:(fun acc w ->
-                   colors.(w) :: acc)) ))
+    for v = 0 to n - 1 do
+      for i = off.(v) to off.(v + 1) - 1 do
+        sigs.(i) <- colors.(adj.(i))
+      done;
+      sort_slice sigs off.(v) off.(v + 1)
+    done;
+    let cmp a b =
+      let c = Int.compare colors.(a) colors.(b) in
+      if c <> 0 then c
+      else compare_slices sigs off.(a) off.(a + 1) sigs off.(b) off.(b + 1)
     in
-    let order = Array.init n Fun.id in
-    Array.sort (fun a b -> compare sigs.(a) sigs.(b)) order;
+    for i = 0 to n - 1 do
+      order.(i) <- i
+    done;
+    Array.stable_sort cmp order;
     let colors' = Array.make n 0 in
     let c = ref 0 in
-    Array.iteri
-      (fun i v ->
-        if i > 0 && compare sigs.(order.(i - 1)) sigs.(v) <> 0 then incr c;
-        colors'.(v) <- !c)
-      order;
+    for i = 0 to n - 1 do
+      let v = order.(i) in
+      if i > 0 && cmp order.(i - 1) v <> 0 then incr c;
+      colors'.(v) <- !c
+    done;
     let nc = !c + 1 in
     (* A discrete partition is a fixed point: stop without the
        confirming pass (the exact search reaches a discrete leaf per
@@ -268,8 +340,9 @@ let refine g colors =
      canonical 0..nc-1 range. *)
   go colors 0
 
-(* Relabel vertex v to position perm.(v) and re-encode.  Only called
-   with bijections, so the builder cannot see duplicates. *)
+(* Relabel vertex v to position perm.(v).  Only called with bijections,
+   so the builder cannot see duplicates; only the sparse6 leaves above
+   4096 vertices build their graph. *)
 let apply_relabeling g perm =
   let b = Graph.Builder.create ~n:(Graph.n g) ~edges_hint:(Graph.m g) () in
   Array.iter
@@ -277,70 +350,184 @@ let apply_relabeling g perm =
     (Graph.edges g);
   Graph.Builder.finish b
 
+(* The encoding of [g] relabeled by the discrete coloring [lab] (vertex
+   v to position lab.(v), inverse [inv]): byte-identical to
+   [encode (apply_relabeling g lab)], written straight from the
+   labeling up to 4096 vertices. *)
+let encode_leaf fl lab inv =
+  let { off; adj; _ } = fl in
+  if fl.n > 4096 then encode_sparse6 (apply_relabeling fl.g lab)
+  else
+    encode_columns ~force_long:false fl.n ~column:(fun j f ->
+        let v = inv.(j) in
+        for i = off.(v) to off.(v + 1) - 1 do
+          f lab.(adj.(i))
+        done)
+
 (* Members, in index order, of the least color class with at least two
    (colors are refined, so 0..n-1); None when the partition is discrete.
    The *cell* choice is invariant (colors are); the member order inside
-   it is not, which is why the search tries every member (up to twins). *)
+   it is not, which is why the search tries every member (up to twins
+   and automorphisms). *)
 let first_non_singleton n colors =
   let count = Array.make n 0 in
   Array.iter (fun c -> count.(c) <- count.(c) + 1) colors;
   Array.find_index (fun k -> k >= 2) count
   |> Option.map (fun c ->
-         List.filter (fun v -> colors.(v) = c) (List.init n Fun.id))
+         let members = Array.make count.(c) 0 in
+         let k = ref 0 in
+         Array.iteri
+           (fun v c' ->
+             if c' = c then begin
+               members.(!k) <- v;
+               incr k
+             end)
+           colors;
+         members)
 
 (* u and v are twins when N(u)\{v} = N(v)\{u}: open twins share N(u) =
    N(v), closed twins N[u] = N[v], and no vertex has twins of both
-   kinds.  [rep.(v)] is the least member of v's class.  Swapping two
-   twins is an automorphism fixing every other vertex, so twins share a
-   cell until one is individualized, and the subtrees below them hold
-   the same leaf encodings. *)
-let twin_reps g =
-  let n = Graph.n g in
+   kinds.  [rep.(v)] is the least member of v's class (the stable sort
+   keeps equal rows in index order).  Swapping two twins is an
+   automorphism fixing every other vertex, so twins share a cell until
+   one is individualized, and the subtrees below them hold the same
+   leaf encodings. *)
+let twin_reps fl =
+  let { n; off; adj; _ } = fl in
   let rep = Array.init n Fun.id in
-  let group key =
-    let keys = Array.init n key in
+  let group rows offs =
     let order = Array.init n Fun.id in
-    Array.stable_sort (fun a b -> compare keys.(a) keys.(b)) order;
+    let cmp u v =
+      compare_slices rows offs.(u) offs.(u + 1) rows offs.(v) offs.(v + 1)
+    in
+    Array.stable_sort cmp order;
     for i = 1 to n - 1 do
-      if keys.(order.(i - 1)) = keys.(order.(i)) then
+      if cmp order.(i - 1) order.(i) = 0 then
         rep.(order.(i)) <- rep.(order.(i - 1))
     done
   in
-  let open_nbrs v = Array.to_list (Graph.neighbors g v) in
-  group open_nbrs;
-  group (fun v -> List.merge compare [ v ] (open_nbrs v));
+  group adj off;
+  (* Closed rows: v merged into its own sorted row. *)
+  let coff = Array.init (n + 1) (fun v -> off.(v) + v) in
+  let cadj = Array.make coff.(n) 0 in
+  for v = 0 to n - 1 do
+    let k = ref coff.(v) in
+    let put w =
+      cadj.(!k) <- w;
+      incr k
+    in
+    for i = off.(v) to off.(v + 1) - 1 do
+      if adj.(i) > v && (i = off.(v) || adj.(i - 1) < v) then put v;
+      put adj.(i)
+    done;
+    if !k < coff.(v + 1) then put v
+  done;
+  group cadj coff;
   rep
-
-let encode_auto g = if Graph.n g <= 4096 then encode g else encode_sparse6 g
 
 (* Largest order given a search budget; above it only the first leaf is
    labeled. *)
 let exact_bound = 64
 
+(* Union-find over vertices, the orbits of a search node's stabilizer;
+   [||] until a generator reaches the node. *)
+let rec find uf v =
+  let p = uf.(v) in
+  if p = v then v
+  else begin
+    let r = find uf p in
+    uf.(v) <- r;
+    r
+  end
+
 (* Individualization-refinement search: branch on the members of the
-   first non-singleton cell, one per twin class, refine, recurse; the
-   canonical form is the lexicographically least leaf encoding.  Trying
-   the whole cell is what restores the invariance the member order
-   lacks.  The first descent always completes; after it, the budget
-   bounds pathological instances (refinement-resistant regular graphs)
+   first non-singleton cell, refine, recurse; the canonical form is the
+   lexicographically least leaf encoding.  Trying the whole cell is what
+   restores the invariance the member order lacks.  Two prunings skip a
+   member whose subtree is the image of an explored sibling's under an
+   automorphism fixing every vertex individualized on the path, so its
+   leaves have the same encodings and the least leaf does not move:
+   - twins: one member per twin class;
+   - orbits (McKay–Piperno): a leaf whose encoding equals the first or
+     the best leaf's gives the automorphism gamma(v) = lab'^-1(lab(v)).
+     Each node on the path keeps the orbits (a union-find) of the
+     generators fixing its individualized vertices, updated as they
+     arrive, and skips a member in an explored child's orbit.
+   Pruned branches are never paid for, so wherever the search finishes
+   its key is the one the unpruned search finds.  The first descent
+   always completes; after it, the budget bounds pathological instances
    and on exhaustion the least leaf seen so far is still a faithful
-   encoding of an isomorphic graph — a cache key that may merely miss. *)
+   encoding of an isomorphic graph — a cache key that may merely
+   miss. *)
 let canonical g =
-  let n = Graph.n g in
-  let twins = lazy (twin_reps g) in
+  let fl = flatten g in
+  let n = fl.n in
+  let twins = lazy (twin_reps fl) in
   let budget = ref (if n <= exact_bound then 50_000 else 0) in
-  let best = ref None in
-  let rec search colors =
+  (* (encoding, inverse labeling) of the first and of the least leaf *)
+  let first = ref None and best = ref None in
+  let generators = ref [] in
+  (* path.(d) is the vertex individualized below the node at depth d;
+     orbits.(d) that node's union-find. *)
+  let path = Array.make (n + 1) (-1) and orbits = Array.make (n + 1) [||] in
+  let merge d gamma =
+    if Array.length orbits.(d) = 0 then orbits.(d) <- Array.init n Fun.id;
+    let uf = orbits.(d) in
+    Array.iteri
+      (fun v w ->
+        let a = find uf v and b = find uf w in
+        if a <> b then uf.(max a b) <- min a b)
+      gamma
+  in
+  let rec fixes_path gamma depth =
+    depth = 0
+    || gamma.(path.(depth - 1)) = path.(depth - 1)
+       && fixes_path gamma (depth - 1)
+  in
+  (* A new generator reaches every node of the path whose individualized
+     vertices it fixes. *)
+  let add_generator gamma depth =
+    generators := gamma :: !generators;
+    for d = 0 to depth - 1 do
+      if fixes_path gamma d then merge d gamma
+    done
+  in
+  let leaf lab depth =
+    let inv = Array.make n 0 in
+    Array.iteri (fun v p -> inv.(p) <- v) lab;
+    let candidate = encode_leaf fl lab inv in
+    let automorphism inv' =
+      add_generator (Array.map (fun p -> inv'.(p)) lab) depth
+    in
+    match (!first, !best) with
+    | Some (f, inv'), _ when String.equal f candidate -> automorphism inv'
+    | _, Some (b, inv') when String.compare b candidate <= 0 ->
+        if String.equal b candidate then automorphism inv'
+    | _ ->
+        if Option.is_none !first then first := Some (candidate, inv);
+        best := Some (candidate, inv)
+  in
+  let rec search colors depth =
     match first_non_singleton n colors with
-    | None -> (
-        let candidate = encode_auto (apply_relabeling g colors) in
-        match !best with
-        | Some b when b <= candidate -> ()
-        | _ -> best := Some candidate)
+    | None -> leaf colors depth
     | Some members ->
         let rep = Lazy.force twins in
-        let branch seen v =
-          if List.mem rep.(v) seen then seen
+        orbits.(depth) <- [||];
+        List.iter
+          (fun gamma -> if fixes_path gamma depth then merge depth gamma)
+          !generators;
+        let in_explored_orbit explored v =
+          let uf = orbits.(depth) in
+          Array.length uf > 0
+          &&
+          let r = find uf v in
+          List.exists (fun x -> find uf x = r) explored
+        in
+        let branch ((seen, explored) as acc) v =
+          if
+            List.exists (Int.equal rep.(v)) seen
+            || in_explored_orbit explored v
+          then acc
           else begin
             if Option.is_some !best then decr budget;
             if !budget < 0 then raise Exit;
@@ -348,11 +535,12 @@ let canonical g =
                value is washed out by the renumbering pass in [refine]. *)
             let colors' = Array.copy colors in
             colors'.(v) <- n;
-            search (refine g colors');
-            rep.(v) :: seen
+            path.(depth) <- v;
+            search (refine fl colors') (depth + 1);
+            (rep.(v) :: seen, v :: explored)
           end
         in
-        ignore (List.fold_left branch [] members)
+        ignore (Array.fold_left branch ([], []) members)
   in
-  (try search (refine g (Array.make n 0)) with Exit -> ());
-  Option.get !best
+  (try search (refine fl (Array.make n 0)) 0 with Exit -> ());
+  fst (Option.get !best)

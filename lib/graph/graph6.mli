@@ -18,6 +18,13 @@ val encode : ?force_long:bool -> Graph.t -> string
     vertex-id range of the substrate are rejected rather than
     misparsed.  graph6 input must be exact: nonzero padding bits or
     bytes after the adjacency data are errors.
+
+    Edge ids are assigned in the order the line lists the edges: for
+    graph6, the column order of the upper triangle, (0,1), (0,2),
+    (1,2), (0,3), … (edges sorted by larger endpoint, then smaller),
+    skipping non-edges; sparse6 lines written by {!encode_sparse6} list
+    their edges in the same order.  This is not, in general, the
+    numbering of the graph that was encoded.
     @raise Invalid_argument on malformed input. *)
 val decode : string -> Graph.t
 
@@ -49,14 +56,19 @@ val decode_sparse6 : string -> Graph.t
     refinement) and, when refinement alone does not separate all
     vertices, one individualization-refinement search over the first
     ambiguous cell, whose result is the lexicographically least leaf
-    encoding.  The search branches on one vertex per twin class
-    (vertices with equal open or closed neighbourhoods, which an
-    automorphism swaps), so sibling leaves cost one branch.  It always
-    reaches its first leaf.  Up to 64 vertices it then searches on
-    within an internal branch budget, and the result is exactly
-    canonical whenever it finishes; past 64 vertices it stops at the
-    first leaf.  A search cut short returns the least leaf seen: still
-    a faithful encoding of an isomorphic graph — sound as a cache key,
-    at worst missing a possible hit — but two relabelings are no longer
+    encoding.  The search skips a member whose subtree an automorphism
+    fixing the path maps onto an explored sibling's: it branches on one
+    vertex per twin class (vertices with equal open or closed
+    neighbourhoods), and on none in the orbit of an explored member
+    under the automorphisms found at leaves whose encodings equal the
+    first or the least leaf's (McKay–Piperno orbit pruning).  Skipped
+    subtrees hold only encodings already seen, so the pruning leaves
+    every key unchanged.  The search always reaches its first leaf.  Up
+    to 64 vertices it then searches on within an internal branch budget
+    (pruned branches are free), and the result is exactly canonical
+    whenever it finishes; past 64 vertices it stops at the first leaf.
+    A search cut short returns the least leaf seen: still a faithful
+    encoding of an isomorphic graph — sound as a cache key, at worst
+    missing a possible hit — but two relabelings are no longer
     guaranteed to agree. *)
 val canonical : Graph.t -> string

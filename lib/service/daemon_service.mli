@@ -30,6 +30,13 @@
       "mode":"certificate"|"exhaustive"|"oracle"}] — re-verify a
       profile: [{"confirmed":bool, "verdict":string}].
 
+    A [profit] or [equilibrium-check] profile names edges by the ids
+    {!Netgraph.Graph6.decode} gives the decoded graph, not by the
+    client's own numbering: edges are numbered in graph6 column order
+    of the upper triangle, (0,1), (0,2), (1,2), (0,3), …, skipping
+    non-edges.  A client holding a differently numbered graph should
+    build its profile on [Graph6.decode (Graph6.encode g)].
+
     {b Caching.}  Only [solve] is cached, keyed on
     [Graph6.canonical g ^ "|game=…|p=…|nu=…"] — so relabelings of one
     instance share a cache entry, which is sound precisely because the

@@ -36,8 +36,9 @@ let tier1_instances () =
   ]
 
 (* Larger instances with big automorphism groups: trees whose leaf
-   cells hold many twins, and a vertex-transitive cube.  Each labeling
-   costs milliseconds, so these get fewer relabelings. *)
+   cells hold many twins, vertex-transitive cubes and cycles, and a
+   complete bipartite graph.  Each labeling costs up to a millisecond,
+   so these get fewer relabelings. *)
 let symmetric_instances () =
   [
     ("star 30", Gen.star 30);
@@ -45,6 +46,8 @@ let symmetric_instances () =
     ( "PA c=1 n=40",
       Gen.preferential_attachment (Prng.Rng.create 40) ~n:40 ~c:1 );
     ("hypercube 4", Gen.hypercube 4);
+    ("K8,8", Gen.complete_bipartite 8 8);
+    ("cycle 32", Gen.cycle 32);
   ]
 
 let check_invariance ~trials instances =
@@ -66,6 +69,13 @@ let test_relabeling_invariance () =
 
 let test_symmetric_invariance () =
   check_invariance ~trials:100 (symmetric_instances ())
+
+(* The cubes at the exact search's size limit: without orbit pruning
+   the search on Q6 (n = 64) ran out of its branch budget after seconds
+   per call, and agreement between relabelings was not guaranteed. *)
+let test_hypercube_invariance () =
+  check_invariance ~trials:5 [ ("hypercube 5", Gen.hypercube 5) ];
+  check_invariance ~trials:3 [ ("hypercube 6", Gen.hypercube 6) ]
 
 (* --- exactness at small n: canonical equality ⟺ isomorphism --- *)
 
@@ -200,6 +210,50 @@ let test_pinned_sweep () =
     "sweep digest" "cba4e6f54d0a4ad7ca5bd3f51cedc952"
     (Digest.to_hex (Digest.string (String.concat "\n" (sweep_keys ()))))
 
+(* A second pinned digest, over relabelings of high-symmetry graphs.
+   The sweep above is mostly graphs with a trivial automorphism group,
+   which orbit pruning never touches; these are the graphs it prunes.
+   Each was labeled to completion by the search before orbit pruning
+   (its relabelings already agreed), so the digest, computed then,
+   pins that pruning skips only subtrees whose least leaf was already
+   seen. *)
+let symmetric_sweep_instances () =
+  [
+    ("hypercube 3", Gen.hypercube 3);
+    ("hypercube 4", Gen.hypercube 4);
+    ("hypercube 5", Gen.hypercube 5);
+    ("K4,4", Gen.complete_bipartite 4 4);
+    ("K3,3,3", Gen.complete_multipartite [ 3; 3; 3 ]);
+    ("K8", Gen.complete 8);
+    ("petersen", Gen.petersen ());
+    ("cycle 16", Gen.cycle 16);
+    ("cycle 32", Gen.cycle 32);
+    ("cycle 48", Gen.cycle 48);
+    ("K2,2,2", Gen.complete_multipartite [ 2; 2; 2 ]);
+    ("wheel 6", Gen.wheel 6);
+  ]
+
+let test_pinned_symmetric_sweep () =
+  let rng = Prng.Rng.create 0x5e77a5 in
+  let keys =
+    List.concat_map
+      (fun (name, g) ->
+        let keys =
+          List.init 3 (fun _ ->
+              G6.canonical (relabel g (shuffle ~rng (G.n g))))
+        in
+        List.iter
+          (fun k ->
+            if k <> List.hd keys then
+              Alcotest.failf "%s: relabelings disagree" name)
+          keys;
+        List.map (fun k -> name ^ " " ^ k) keys)
+      (symmetric_sweep_instances ())
+  in
+  Alcotest.(check string)
+    "symmetric sweep digest" "cb6cb566e48f045a21cb4e77fc170679"
+    (Digest.to_hex (Digest.string (String.concat "\n" keys)))
+
 let () =
   Alcotest.run "canonical"
     [
@@ -217,5 +271,9 @@ let () =
             test_pinned_sweep;
           Alcotest.test_case "100 relabelings per symmetric instance" `Quick
             test_symmetric_invariance;
+          Alcotest.test_case "pinned keys of symmetric graphs"
+            `Quick test_pinned_symmetric_sweep;
+          Alcotest.test_case "relabelings of Q5 and Q6" `Quick
+            test_hypercube_invariance;
         ] );
     ]

@@ -450,6 +450,28 @@ let contains haystack needle =
   let rec scan i = i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1)) in
   scan 0
 
+(* Graph6.decode numbers edges in graph6 column order of the upper
+   triangle, not in the encoded graph's order: clients of the daemon's
+   profit and equilibrium-check ops name edges by these ids. *)
+let test_graph6_edge_ids () =
+  let g = Graph.make ~n:4 [ (2, 3); (0, 3); (1, 2); (0, 1); (0, 2) ] in
+  let ids g =
+    Graph.fold_edges g ~init:[] ~f:(fun acc id (e : Graph.edge) ->
+        (id, e.u, e.v) :: acc)
+    |> List.rev
+  in
+  let column_order =
+    [ (0, 0, 1); (1, 0, 2); (2, 1, 2); (3, 0, 3); (4, 2, 3) ]
+  in
+  Alcotest.(check (list (triple int int int)))
+    "graph6 column order" column_order
+    (ids (Graph6.decode (Graph6.encode g)));
+  Alcotest.(check (list (triple int int int)))
+    "sparse6 in the same order" column_order
+    (ids (Graph6.decode (Graph6.encode_sparse6 g)));
+  Alcotest.(check bool) "not the encoded graph's numbering" true
+    (ids g <> column_order)
+
 let test_dot_output () =
   let g = Gen.path 3 in
   let dot = Dot.to_string ~highlight_vertices:[ 1 ] ~highlight_edges:[ 0 ] g in
@@ -597,6 +619,7 @@ let () =
           Alcotest.test_case "edge list roundtrip" `Quick test_edge_list_roundtrip;
           Alcotest.test_case "edge list parsing" `Quick test_edge_list_parsing;
           Alcotest.test_case "dot output" `Quick test_dot_output;
+          Alcotest.test_case "graph6 edge ids" `Quick test_graph6_edge_ids;
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~verbose:false) props);
     ]
