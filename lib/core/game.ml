@@ -28,7 +28,6 @@ module type S = sig
   val covered : instance -> Strategy.t -> Graph.vertex list
   val covers : instance -> Strategy.t -> Graph.vertex -> bool
   val fold_strategies : instance -> init:'a -> f:('a -> Strategy.t -> 'a) -> 'a
-  val space_size : instance -> Q.t
   val space_size_within : instance -> limit:int -> int option
 
   val value_upper_bound :

@@ -72,10 +72,6 @@ module type S = sig
       once, in a deterministic order. *)
   val fold_strategies : instance -> init:'a -> f:('a -> Strategy.t -> 'a) -> 'a
 
-  (** Exact cardinality of the pure-strategy space (C(m,k) for tuples),
-      at any magnitude. *)
-  val space_size : instance -> Exact.Q.t
-
   (** [Some c] when the space has [c <= limit] strategies, else [None]:
       the guard every enumeration-based path checks before walking the
       space.  Must be exact — never a wrap-detecting heuristic. *)
@@ -119,7 +115,8 @@ module type S = sig
   (** The workload greedy policy's response to raw per-vertex attack
       counts (for tuples: the k edges with the hottest endpoint sums,
       chosen globally rather than by marginal gain — a deliberately
-      different heuristic from {!greedy_response}). *)
+      different heuristic from {!greedy_response}; for subgraphs:
+      {!greedy_response} on the counts). *)
   val greedy_by_counts : instance -> counts:int array -> Strategy.t
 
   (** A uniformly random pure strategy (workload baseline policy). *)

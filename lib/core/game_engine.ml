@@ -257,7 +257,6 @@ module Make (G : Game.S) = struct
         0 profile.Profile.vp_choices
 
     let vp_payoff_of_vertex m v = Q.sub Q.one (Profile.hit_prob m v)
-    let tp_payoff_of_strategy = Profile.expected_load_strategy
 
     let expected_vp m i =
       Finite.expect (Profile.vp_strategy m i) ~f:(vp_payoff_of_vertex m)

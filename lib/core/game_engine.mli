@@ -177,11 +177,6 @@ module Make (G : Game.S) : sig
     (** Payoff of playing pure vertex [v] against the profile's defender:
         [1 − Hit(v)].  The best-response value for a vertex player. *)
     val vp_payoff_of_vertex : Profile.mixed -> Graph.vertex -> Q.t
-
-    (** Payoff of playing pure strategy [d] against the profile's
-        attackers: [m_s(d)].  The best-response value for the defender. *)
-    val tp_payoff_of_strategy :
-      Profile.mixed -> G.Strategy.t -> Q.t
   end
 
   (** Best-response values against a mixed configuration.

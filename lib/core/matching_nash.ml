@@ -81,13 +81,6 @@ let all_partitions g =
   |> List.filter (partition_admits g)
   |> List.sort (fun a b -> compare (List.length a.is) (List.length b.is))
 
-let extremal_partitions g =
-  match all_partitions g with
-  | [] -> None
-  | first :: _ as all ->
-      let last = List.nth all (List.length all - 1) in
-      Some (first, last)
-
 let support_edges g { is; vc } =
   if not (Matching.Checks.is_independent_set g is) then
     invalid_arg "Matching_nash.support_edges: IS not independent";

@@ -45,11 +45,6 @@ val find_partition : Graph.t -> partition option
     Exponential; @raise Invalid_argument if [n > 20]. *)
 val all_partitions : Graph.t -> partition list
 
-(** The admissible partitions of minimum and maximum |is|; by the
-    invariant above the two sizes coincide.  [None] if none exists.
-    @raise Invalid_argument if [n > 20]. *)
-val extremal_partitions : Graph.t -> (partition * partition) option
-
 (** Algorithm [A]: a matching NE of Π₁(G) from a valid partition.
     Returns [Error] (with the Hall violator) when G is not a
     [vc]-expander. @raise Invalid_argument if the model has [k <> 1] or

@@ -21,15 +21,13 @@ let k t = t.k
 
 module Q = Exact.Q
 
-(* The true C(m, k) over the bignum tower — exact at any size.  The
-   native-int projection below keeps the historical option interface for
-   enumeration guards; the old wrap-detecting product could report None
-   (and so refuse enumeration) for counts that actually fit, because an
-   intermediate product overflowed before its exact division. *)
-let tuple_space_size_exact t = Q.binomial (Graph.m t.graph) t.k
-
+(* The true C(m, k) over the bignum tower, projected to a native int
+   for the enumeration guards; the old wrap-detecting product could
+   report None (and so refuse enumeration) for counts that actually
+   fit, because an intermediate product overflowed before its exact
+   division. *)
 let tuple_space_size t =
-  match Q.to_int_exn (tuple_space_size_exact t) with
+  match Q.to_int_exn (Q.binomial (Graph.m t.graph) t.k) with
   | c -> Some c
   | exception Q.Overflow -> None
 

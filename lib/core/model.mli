@@ -25,13 +25,10 @@ val graph : t -> Graph.t
 val nu : t -> int
 val k : t -> int
 
-(** Number of pure defender strategies C(m, k), exactly, over the
-    {!Exact.Q} bignum tower — no overflow at any [m], [k]. *)
-val tuple_space_size_exact : t -> Exact.Q.t
-
-(** The same count projected to a native [int]; [None] when it does not
-    fit (the enumeration guards' interface).  Unlike the historical
-    wrap-detecting product, the count itself is always exact. *)
+(** Number of pure defender strategies C(m, k) as a native [int];
+    [None] when it does not fit (the enumeration guards' interface).
+    The count is taken exactly over the {!Exact.Q} bignum tower, so
+    unlike the historical wrap-detecting product it is never wrong. *)
 val tuple_space_size : t -> int option
 
 val pp : Format.formatter -> t -> unit

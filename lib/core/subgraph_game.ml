@@ -91,11 +91,6 @@ let fold_strategies inst ~init ~f =
   Induced.fold_connected_subsets inst.graph ~size:inst.lambda ~init
     ~f:(fun acc vs -> f acc (Array.of_list vs))
 
-(* No closed form for the number of connected induced subgraphs; count
-   by enumeration (exact at any magnitude, priced accordingly). *)
-let space_size inst =
-  fold_strategies inst ~init:Q.zero ~f:(fun acc _ -> Q.add acc Q.one)
-
 let space_size_within inst ~limit =
   Induced.count_connected_subsets inst.graph ~size:inst.lambda ~limit
 
@@ -182,9 +177,7 @@ let greedy_response inst ~load =
    tie-break adds nothing here. *)
 let greedy_coverage_response = greedy_response
 
-let greedy_by_counts inst ~counts =
-  let score v = counts.(v) in
-  grow inst ~score ~start:(argmax_vertex (Graph.n inst.graph) score)
+let greedy_by_counts inst ~counts = greedy_response inst ~load:counts
 
 let random_strategy inst rng =
   let g = inst.graph in

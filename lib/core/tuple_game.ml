@@ -40,8 +40,6 @@ let covers inst t v = Tuple.covers (Model.graph inst) t v
 let fold_strategies inst ~init ~f =
   Tuple.fold_enumerate (Model.graph inst) ~k:(Model.k inst) ~init ~f
 
-let space_size inst = Model.tuple_space_size_exact inst
-
 let space_size_within inst ~limit =
   match Model.tuple_space_size inst with
   | Some c when c <= limit -> Some c
@@ -164,14 +162,15 @@ let best_response_weighted inst ~weight =
 
 (* Greedy max-coverage response to integer vertex loads: k passes
    picking the edge with the best marginal covered load; shared by the
-   sim loops (Fictitious keeps its historical error prefix via [err]).
-   [coverage_tie_break] additionally prefers edges covering more fresh
-   vertices on equal gain — the tie-break best-response dynamics need. *)
-let greedy_edges ?(err = "Tuple_game.greedy_response")
-    ?(coverage_tie_break = false) g k (load : int array) =
+   sim loops.  [coverage_tie_break] additionally prefers edges covering
+   more fresh vertices on equal gain — the tie-break best-response
+   dynamics need. *)
+let greedy_edges ?(coverage_tie_break = false) g k (load : int array) =
   let m = Graph.m g in
   if k < 1 || k > m then
-    invalid_arg (Printf.sprintf "%s: k = %d outside [1, m = %d]" err k m);
+    invalid_arg
+      (Printf.sprintf "Tuple_game.greedy_response: k = %d outside [1, m = %d]"
+         k m);
   let chosen = Array.make m false in
   let covered = Array.make (Graph.n g) false in
   let picks = ref [] in

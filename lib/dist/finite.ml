@@ -62,11 +62,6 @@ let fold t ~init ~f =
 
 let iter t ~f = Array.iter (fun (x, p) -> f x p) t.pairs
 
-let prob_of t ~f =
-  Array.fold_left
-    (fun acc (x, p) -> if f x then Q.add acc p else acc)
-    Q.zero t.pairs
-
 let tv_distance a b =
   let outcomes = List.sort_uniq compare (support a @ support b) in
   let sum =

@@ -43,9 +43,6 @@ val fold : t -> init:'a -> f:('a -> int -> Exact.Q.t -> 'a) -> 'a
 (** Iterate over the [(outcome, probability)] pairs, in outcome order. *)
 val iter : t -> f:(int -> Exact.Q.t -> unit) -> unit
 
-(** Probability of a predicate. *)
-val prob_of : t -> f:(int -> bool) -> Exact.Q.t
-
 (** Total-variation distance. *)
 val tv_distance : t -> t -> Exact.Q.t
 

@@ -1,4 +1,4 @@
-(* Monomorphic introsort on flat int arrays, with an optional co-sorted
+(* Monomorphic introsort on a flat int key array and its co-sorted
    payload array.  Median-of-three quicksort with Hoare-style scans and
    sentinels, insertion sort below a small cutoff, heapsort once the
    recursion depth budget is spent. *)
@@ -100,7 +100,3 @@ let sort_pairs keys pay =
     intro keys pay 0 (n - 1) (depth_budget n);
     insertion keys pay 0 (n - 1)
   end
-
-let sort a =
-  let n = Array.length a in
-  if n > 1 then sort_pairs a (Array.make n 0)

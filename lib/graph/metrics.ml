@@ -80,5 +80,3 @@ let articulation_points g =
 
 let bridges g = snd (cut_structure g)
 
-let is_biconnected g =
-  Graph.n g >= 3 && Traverse.is_connected g && articulation_points g = []

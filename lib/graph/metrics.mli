@@ -27,5 +27,3 @@ val articulation_points : Graph.t -> Graph.vertex list
     edge id. *)
 val bridges : Graph.t -> Graph.edge_id list
 
-(** [true] iff connected with no articulation point ([n >= 3]). *)
-val is_biconnected : Graph.t -> bool

@@ -36,11 +36,6 @@ let summary g =
 let is_valid_instance g =
   Graph.n g >= 2 && (not (Graph.has_isolated_vertex g)) && Traverse.is_connected g
 
-let density g =
-  let n = Graph.n g in
-  if n < 2 then 0.0
-  else 2.0 *. float_of_int (Graph.m g) /. (float_of_int n *. float_of_int (n - 1))
-
 let pp_summary fmt s =
   Format.fprintf fmt
     "n=%d m=%d deg=[%d..%d] mean=%.2f %s %s components=%d isolated=%d" s.n s.m

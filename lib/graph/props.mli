@@ -17,9 +17,6 @@ val summary : Graph.t -> summary
 (** Valid Tuple-model instance: connected, no isolated vertices, [n >= 2]. *)
 val is_valid_instance : Graph.t -> bool
 
-(** Density [2m / (n (n-1))]; 0 for [n < 2]. *)
-val density : Graph.t -> float
-
 (** Sorted degree sequence (descending). *)
 val degree_sequence : Graph.t -> int list
 

@@ -94,20 +94,3 @@ let components g =
 
 let is_connected g =
   match components g with [] | [ _ ] -> true | _ -> false
-
-let shortest_path g u v =
-  let dist = distances g u in
-  if dist.(v) < 0 then None
-  else begin
-    (* Walk back from [v] along strictly decreasing distances. *)
-    let rec back w acc =
-      if w = u then w :: acc
-      else begin
-        let pred = ref (-1) in
-        Graph.iter_neighbors g w ~f:(fun x ->
-            if !pred < 0 && dist.(x) = dist.(w) - 1 then pred := x);
-        back !pred (w :: acc)
-      end
-    in
-    Some (back v [])
-  end

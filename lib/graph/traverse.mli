@@ -16,6 +16,3 @@ val components : Graph.t -> Graph.vertex list list
 
 val is_connected : Graph.t -> bool
 
-(** [shortest_path g u v] is a vertex path from [u] to [v] (inclusive),
-    or [None] when disconnected. *)
-val shortest_path : Graph.t -> Graph.vertex -> Graph.vertex -> Graph.vertex list option

@@ -24,9 +24,6 @@ let select ~only =
          (fun (e : Experiment.t) -> List.mem e.id only)
          (all ()))
 
-let filter_tag tag =
-  List.filter (fun (e : Experiment.t) -> e.tag = tag) (all ())
-
 type summary = {
   total : int;
   pass : int;

@@ -23,8 +23,6 @@ val select : only:string list -> (Experiment.t list, string) result
 (** The registered experiments whose id is in [only], in registration
     order; [Error] names the unknown ids if any. *)
 
-val filter_tag : Experiment.tag -> Experiment.t list
-
 type summary = {
   total : int;
   pass : int;

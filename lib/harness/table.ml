@@ -49,17 +49,6 @@ let to_string t =
   List.iter render_row rows;
   Buffer.contents buf
 
-let to_csv t =
-  let escape cell =
-    if String.exists (fun c -> c = ',' || c = '"' || c = '\n') cell then
-      "\"" ^ String.concat "\"\"" (String.split_on_char '"' cell) ^ "\""
-    else cell
-  in
-  let render row =
-    String.concat "," (List.map escape (Array.to_list row)) ^ "\n"
-  in
-  String.concat "" (render t.columns :: List.rev_map render t.rows)
-
 let print t = print_string (to_string t)
 
 let chart ~height ~width named_points =

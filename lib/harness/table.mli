@@ -16,11 +16,6 @@ val add_row : t -> string list -> unit
 (** Render with a title rule and aligned columns. *)
 val to_string : t -> string
 
-(** Render as RFC-4180-ish CSV (quotes around cells containing commas,
-    quotes or newlines; header row first).  For piping experiment output
-    into external plotting tools. *)
-val to_csv : t -> string
-
 val print : t -> unit
 
 (** [series ~title ~x_label ~y_label points] renders an ASCII chart of the

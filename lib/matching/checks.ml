@@ -24,10 +24,6 @@ let is_edge_cover g ids =
   let mark = covered_mark g ids in
   Array.for_all Fun.id mark
 
-let covers_vertices g ids vs =
-  let mark = covered_mark g ids in
-  List.for_all (fun v -> mark.(v)) vs
-
 let is_vertex_cover g vs =
   let mark = Array.make (Graph.n g) false in
   List.iter (fun v -> mark.(v) <- true) vs;
@@ -39,16 +35,6 @@ let is_independent_set g vs =
   List.iter (fun v -> mark.(v) <- true) vs;
   Graph.fold_edges g ~init:true ~f:(fun acc _ e ->
       acc && not (mark.(e.Graph.u) && mark.(e.Graph.v)))
-
-let saturates g ids vs = covers_vertices g ids vs
-
-let covered_vertices g ids =
-  let mark = covered_mark g ids in
-  let out = ref [] in
-  for v = Graph.n g - 1 downto 0 do
-    if mark.(v) then out := v :: !out
-  done;
-  !out
 
 let uncovered_vertices g ids =
   let mark = covered_mark g ids in

@@ -9,20 +9,11 @@ val is_matching : Graph.t -> Graph.edge_id list -> bool
 (** Every vertex of [g] is an endpoint of some listed edge. *)
 val is_edge_cover : Graph.t -> Graph.edge_id list -> bool
 
-(** Every listed vertex is covered (touched) by some listed edge. *)
-val covers_vertices : Graph.t -> Graph.edge_id list -> Graph.vertex list -> bool
-
 (** Every edge of [g] has an endpoint in the set. *)
 val is_vertex_cover : Graph.t -> Graph.vertex list -> bool
 
 (** No edge of [g] joins two vertices of the set. *)
 val is_independent_set : Graph.t -> Graph.vertex list -> bool
-
-(** [saturates g matching vs]: every vertex of [vs] is matched. *)
-val saturates : Graph.t -> Graph.edge_id list -> Graph.vertex list -> bool
-
-(** Vertices covered by the listed edges, sorted and deduplicated. *)
-val covered_vertices : Graph.t -> Graph.edge_id list -> Graph.vertex list
 
 (** Vertices NOT covered by the listed edges, sorted. *)
 val uncovered_vertices : Graph.t -> Graph.edge_id list -> Graph.vertex list

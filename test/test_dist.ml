@@ -45,7 +45,7 @@ let test_point () =
 let test_expect () =
   let d = F.uniform [ 1; 2; 3 ] in
   Alcotest.check q "mean" (Q.of_int 2) (F.expect d ~f:Q.of_int);
-  Alcotest.check q "indicator = prob_of" (F.prob_of d ~f:(fun x -> x >= 2))
+  Alcotest.check q "indicator" (Q.make 2 3)
     (F.expect d ~f:(fun x -> if x >= 2 then Q.one else Q.zero))
 
 let test_tv_distance () =

@@ -471,13 +471,6 @@ let test_strip_timings () =
       | _ -> Alcotest.fail "measures not an object")
   | _ -> Alcotest.fail "unexpected stripped shape"
 
-let test_registry_filter_tag () =
-  with_clean_registry (fun () ->
-      R.register { (descr ~id:"M1" (fun _ -> ())) with E.tag = E.Micro };
-      R.register { (descr ~id:"M2" (fun _ -> ())) with E.tag = E.Figure };
-      Alcotest.(check int) "one micro" 1 (List.length (R.filter_tag E.Micro));
-      Alcotest.(check int) "no table" 0 (List.length (R.filter_tag E.Table)))
-
 (* --- Timer.time_stats --- *)
 
 let test_time_stats () =
@@ -531,7 +524,6 @@ let () =
           Alcotest.test_case "register/find" `Quick test_registry_register_find;
           Alcotest.test_case "select" `Quick test_registry_select;
           Alcotest.test_case "run + summary" `Quick test_registry_run_and_summary;
-          Alcotest.test_case "filter tag" `Quick test_registry_filter_tag;
         ] );
       ( "parallel",
         [

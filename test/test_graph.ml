@@ -129,42 +129,53 @@ let test_iterators_match_copies () =
       Alcotest.(check int) "edge_u" e.Graph.u (Graph.edge_u g id);
       Alcotest.(check int) "edge_v" e.Graph.v (Graph.edge_v g id))
 
-(* Int_sort backs the CSR build; gate it against the stdlib sort. *)
+(* Int_sort backs the CSR build; gate it against the stdlib sort.  The
+   payload holds each key's original index, so it must still name the
+   key it rides with. *)
+let check_sort_pairs name a =
+  let orig = Array.copy a and expect = Array.copy a in
+  Array.sort Int.compare expect;
+  let payload = Array.init (Array.length a) Fun.id in
+  Int_sort.sort_pairs a payload;
+  Alcotest.(check (array int)) name expect a;
+  Alcotest.(check (array int)) (name ^ " payload") a
+    (Array.map (fun i -> orig.(i)) payload)
+
 let test_int_sort () =
   let r = rng () in
   List.iter
     (fun n ->
-      let a = Array.init n (fun _ -> Prng.Rng.int r 50) in
-      let expect = Array.copy a in
-      Array.sort Int.compare expect;
-      Int_sort.sort a;
-      Alcotest.(check (array int)) (Printf.sprintf "sort n=%d" n) expect a)
+      check_sort_pairs (Printf.sprintf "sort n=%d" n)
+        (Array.init n (fun _ -> Prng.Rng.int r 50)))
     [ 0; 1; 2; 3; 15; 16; 17; 100; 1000; 5000 ];
   (* adversarial shapes for the introsort's quicksort phase *)
   List.iter
-    (fun (name, a) ->
-      let expect = Array.copy a in
-      Array.sort Int.compare expect;
-      Int_sort.sort a;
-      Alcotest.(check (array int)) name expect a)
+    (fun (name, a) -> check_sort_pairs name a)
     [
       ("sorted", Array.init 1000 Fun.id);
       ("reversed", Array.init 1000 (fun i -> 999 - i));
       ("constant", Array.make 1000 7);
       ("organ pipe", Array.init 1000 (fun i -> min i (999 - i)));
+      ("wide keys", Array.init 2000 (fun _ -> Prng.Rng.int r 10_000_000));
     ];
-  (* sort_pairs: payload follows its key *)
-  let keys = Array.init 2000 (fun _ -> Prng.Rng.int r 10_000_000) in
-  let payload = Array.mapi (fun i k -> (k lsl 11) lor i) keys in
-  Int_sort.sort_pairs keys payload;
-  Alcotest.(check bool) "keys sorted" true
-    (Array.for_all Fun.id (Array.init 1999 (fun i -> keys.(i) <= keys.(i + 1))));
-  Alcotest.(check bool) "payload rides its key" true
-    (Array.for_all Fun.id
-       (Array.init 2000 (fun i -> payload.(i) lsr 11 = keys.(i))));
   Alcotest.check_raises "length mismatch"
     (Invalid_argument "Int_sort.sort_pairs: length mismatch") (fun () ->
       Int_sort.sort_pairs (Array.make 2 0) (Array.make 3 0))
+
+(* int_sort.mli promises no allocation: sorting 10^5 keys with their
+   payload may allocate at most a few words of measurement noise.  The
+   count is over both heaps: a scratch array of 10^5 words would go
+   straight to the major heap, where [Gc.minor_words] does not see it. *)
+let test_int_sort_no_alloc () =
+  let r = rng () in
+  let keys = Array.init 100_000 (fun _ -> Prng.Rng.int r 1_000_000_000) in
+  let payload = Array.init 100_000 Fun.id in
+  let before = Gc.allocated_bytes () in
+  Int_sort.sort_pairs keys payload;
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f bytes allocated" bytes)
+    true (bytes < 512.)
 
 (* Generators *)
 
@@ -326,17 +337,6 @@ let test_dfs_deep_path () =
   Alcotest.(check (list int)) "preorder prefix" [ 0; 1; 2; 3 ]
     (List.filteri (fun i _ -> i < 4) order)
 
-let test_shortest_path () =
-  let g = Gen.cycle 6 in
-  (match Traverse.shortest_path g 0 3 with
-  | Some p ->
-      Alcotest.(check int) "path length" 4 (List.length p);
-      Alcotest.(check int) "starts" 0 (List.hd p);
-      Alcotest.(check int) "ends" 3 (List.nth p 3)
-  | None -> Alcotest.fail "expected path");
-  let disconnected = Graph.make ~n:4 [ (0, 1); (2, 3) ] in
-  Alcotest.(check bool) "no path" true (Traverse.shortest_path disconnected 0 3 = None)
-
 (* Bipartite *)
 
 let test_bipartite_coloring () =
@@ -383,8 +383,7 @@ let test_props () =
     (Props.degree_sequence g);
   Alcotest.(check bool) "valid instance" true (Props.is_valid_instance g);
   Alcotest.(check bool) "isolated invalid" false
-    (Props.is_valid_instance (Graph.make ~n:3 [ (0, 1) ]));
-  Alcotest.(check (float 1e-9)) "density of K4" 1.0 (Props.density (Gen.complete 4))
+    (Props.is_valid_instance (Graph.make ~n:3 [ (0, 1) ]))
 
 (* Family specs *)
 
@@ -445,11 +444,6 @@ let test_edge_list_parsing () =
     (Invalid_argument "Edge_list.of_string: bad vertex-count header") (fun () ->
       ignore (Edge_list.of_string "abc\n0 1\n"))
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec scan i = i + nl <= hl && (String.sub haystack i nl = needle || scan (i + 1)) in
-  scan 0
-
 (* Graph6.decode numbers edges in graph6 column order of the upper
    triangle, not in the encoded graph's order: clients of the daemon's
    profit and equilibrium-check ops name edges by these ids. *)
@@ -471,15 +465,6 @@ let test_graph6_edge_ids () =
     (ids (Graph6.decode (Graph6.encode_sparse6 g)));
   Alcotest.(check bool) "not the encoded graph's numbering" true
     (ids g <> column_order)
-
-let test_dot_output () =
-  let g = Gen.path 3 in
-  let dot = Dot.to_string ~highlight_vertices:[ 1 ] ~highlight_edges:[ 0 ] g in
-  Alcotest.(check bool) "mentions graph" true
-    (String.length dot > 0 && String.sub dot 0 5 = "graph");
-  Alcotest.(check bool) "highlights vertex" true (contains dot "indianred");
-  Alcotest.(check bool) "highlights edge" true (contains dot "penwidth");
-  Alcotest.(check bool) "lists edges" true (contains dot "0 -- 1")
 
 (* Property tests *)
 
@@ -578,6 +563,8 @@ let () =
           Alcotest.test_case "builder" `Quick test_builder;
           Alcotest.test_case "iterators vs copies" `Quick test_iterators_match_copies;
           Alcotest.test_case "int sort" `Quick test_int_sort;
+          Alcotest.test_case "int sort allocates nothing" `Quick
+            test_int_sort_no_alloc;
         ] );
       ( "generators",
         [
@@ -600,7 +587,6 @@ let () =
           Alcotest.test_case "distances" `Quick test_distances;
           Alcotest.test_case "deep path dfs" `Quick test_dfs_deep_path;
           Alcotest.test_case "components" `Quick test_components;
-          Alcotest.test_case "shortest path" `Quick test_shortest_path;
         ] );
       ( "bipartite",
         [
@@ -618,7 +604,6 @@ let () =
         [
           Alcotest.test_case "edge list roundtrip" `Quick test_edge_list_roundtrip;
           Alcotest.test_case "edge list parsing" `Quick test_edge_list_parsing;
-          Alcotest.test_case "dot output" `Quick test_dot_output;
           Alcotest.test_case "graph6 edge ids" `Quick test_graph6_edge_ids;
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~verbose:false) props);

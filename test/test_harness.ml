@@ -29,17 +29,6 @@ let test_table_row_padding () =
     (Invalid_argument "Table.add_row: 4 cells for 3 columns in table \"pad\"")
     (fun () -> Harness.Table.add_row t [ "x"; "y"; "z"; "overflow" ])
 
-let test_table_csv () =
-  let t = Harness.Table.create ~title:"csv" ~columns:[ "a"; "b" ] in
-  Harness.Table.add_row t [ "plain"; "1,5" ];
-  Harness.Table.add_row t [ "quote\"inside"; "x" ];
-  let csv = Harness.Table.to_csv t in
-  let lines = String.split_on_char '\n' csv |> List.filter (fun l -> l <> "") in
-  Alcotest.(check int) "header + 2 rows" 3 (List.length lines);
-  Alcotest.(check string) "header" "a,b" (List.hd lines);
-  Alcotest.(check bool) "comma cell quoted" true (contains csv "\"1,5\"");
-  Alcotest.(check bool) "quote escaped" true (contains csv "\"quote\"\"inside\"")
-
 let test_series_rendering () =
   let s =
     Harness.Table.series ~title:"fig" ~x_label:"k" ~y_label:"gain"
@@ -207,7 +196,6 @@ let () =
         [
           Alcotest.test_case "rendering" `Quick test_table_rendering;
           Alcotest.test_case "row padding" `Quick test_table_row_padding;
-          Alcotest.test_case "csv export" `Quick test_table_csv;
           Alcotest.test_case "series" `Quick test_series_rendering;
           Alcotest.test_case "multi series" `Quick test_multi_series;
           Alcotest.test_case "empty series" `Quick test_series_empty;

@@ -284,16 +284,14 @@ let test_fictitious_naive_identical () =
 (* --- greedy_response guard regressions --- *)
 
 let test_greedy_response_guards () =
-  let greedy_response =
-    Defender.Tuple_game.greedy_edges ~err:"Fictitious.greedy_response"
-  in
+  let greedy_response = Defender.Tuple_game.greedy_edges in
   let g = Gen.path 3 in
   (* m = 2 edges.  k out of range raises instead of looping/crashing. *)
   Alcotest.check_raises "k = 0"
-    (Invalid_argument "Fictitious.greedy_response: k = 0 outside [1, m = 2]")
+    (Invalid_argument "Tuple_game.greedy_response: k = 0 outside [1, m = 2]")
     (fun () -> ignore (greedy_response g 0 [| 0; 0; 0 |]));
   Alcotest.check_raises "k > m"
-    (Invalid_argument "Fictitious.greedy_response: k = 3 outside [1, m = 2]")
+    (Invalid_argument "Tuple_game.greedy_response: k = 3 outside [1, m = 2]")
     (fun () -> ignore (greedy_response g 3 [| 0; 0; 0 |]));
   (* All-zero loads: every pick ties at gain 0, still a valid k-tuple. *)
   let t = greedy_response g 2 [| 0; 0; 0 |] in

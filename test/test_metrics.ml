@@ -41,13 +41,7 @@ let test_articulation_points () =
   Alcotest.(check (list int)) "star centre" [ 0 ]
     (Metrics.articulation_points (Gen.star 5));
   Alcotest.(check (list int)) "lollipop joint" [ 3; 4; 5 ]
-    (Metrics.articulation_points (Gen.lollipop 4 ~tail:3));
-  Alcotest.(check bool) "complete biconnected" true
-    (Metrics.is_biconnected (Gen.complete 5));
-  Alcotest.(check bool) "path not biconnected" false
-    (Metrics.is_biconnected (Gen.path 5));
-  Alcotest.(check bool) "petersen biconnected" true
-    (Metrics.is_biconnected (Gen.petersen ()))
+    (Metrics.articulation_points (Gen.lollipop 4 ~tail:3))
 
 let test_bridges () =
   Alcotest.(check (list int)) "all path edges" [ 0; 1; 2 ]

@@ -68,11 +68,11 @@ let test_tuple_space_size_large () =
     (Defender.Model.tuple_space_size (star_model 66 33));
   Alcotest.(check string)
     "C(66,33) exact" "7219428434016265740"
-    (Q.to_string (Defender.Model.tuple_space_size_exact (star_model 66 33)));
+    (Q.to_string (Q.binomial 66 33));
   Alcotest.(check string)
     "C(300,150) exact"
     "93759702772827452793193754439064084879232655700081358920472352712975170021839591675861424"
-    (Q.to_string (Defender.Model.tuple_space_size_exact (star_model 300 150)))
+    (Q.to_string (Q.binomial 300 150))
 
 (* --- Tuple --- *)
 
@@ -293,7 +293,7 @@ let test_expected_profit_equation2 () =
      IP_tp = 1/2*2 + 1/2*2 = 2 *)
   Alcotest.check q "equation (2)" (Q.of_int 2) (Engine.Profit.expected_tp prof);
   Alcotest.check q "payoff of tuple" (Q.of_int 2)
-    (Engine.Profit.tp_payoff_of_strategy prof (Defender.Tuple.of_list g [ 1 ]))
+    (Engine.Profile.expected_load_strategy prof (Defender.Tuple.of_list g [ 1 ]))
 
 (* --- Profile serialization --- *)
 

@@ -86,12 +86,13 @@ let test_all_partitions_invariant () =
     (Gen.atlas_small ())
 
 let test_extremal_partitions () =
-  match MN.extremal_partitions (Gen.path 4) with
-  | None -> Alcotest.fail "P4 admits partitions"
-  | Some (best, worst) ->
-      Alcotest.(check int) "sizes equal" (List.length best.MN.is)
-        (List.length worst.MN.is);
-      Alcotest.(check bool) "C5 has none" true (MN.extremal_partitions (Gen.cycle 5) = None)
+  match MN.all_partitions (Gen.path 4) with
+  | [] -> Alcotest.fail "P4 admits partitions"
+  | first :: _ as all ->
+      let last = List.nth all (List.length all - 1) in
+      Alcotest.(check int) "sizes equal" (List.length first.MN.is)
+        (List.length last.MN.is);
+      Alcotest.(check bool) "C5 has none" true (MN.all_partitions (Gen.cycle 5) = [])
 
 let test_support_edges_structure () =
   let g = Gen.path 6 in
