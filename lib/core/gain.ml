@@ -7,10 +7,6 @@ let predicted_gain model ~is_size =
   if is_size < 1 then invalid_arg "Gain.predicted_gain: empty support";
   Q.make (Model.k model * Model.nu model) is_size
 
-let predicted_escape_probability model ~is_size =
-  if is_size < 1 then invalid_arg "Gain.predicted_escape_probability: empty support";
-  Q.sub Q.one (Q.make (Model.k model) is_size)
-
 let escape_probability m i = E.Profit.expected_vp m i
 
 let gain_ratio high low = Q.div (defender_gain high) (defender_gain low)

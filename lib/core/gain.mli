@@ -15,9 +15,6 @@ val defender_gain : Engine.Profile.mixed -> Q.t
     attacker support of the given size. *)
 val predicted_gain : Model.t -> is_size:int -> Q.t
 
-(** Per-attacker escape probability in a k-matching NE: 1 − k/|IS|. *)
-val predicted_escape_probability : Model.t -> is_size:int -> Q.t
-
 (** Expected escape probability of attacker [i] from the profile. *)
 val escape_probability : Engine.Profile.mixed -> int -> Q.t
 

@@ -136,11 +136,6 @@ module Make (G : Game.S) = struct
       let vp = Array.of_list vp in
       { instance = inst; vp; tp; kernel = Some (Kernel.make inst ~vp ~tp) }
 
-    let of_pure inst { vp_choices; tp_choice } =
-      make_mixed inst
-        ~vp:(Array.to_list (Array.map Finite.point vp_choices))
-        ~tp:[ (tp_choice, Q.one) ]
-
     let uniform inst ~vp_support ~tp_support =
       let vp_dist = Finite.uniform vp_support in
       let count = List.length tp_support in
@@ -164,7 +159,7 @@ module Make (G : Game.S) = struct
 
     let vp_support_union m =
       Array.to_list m.vp |> List.concat_map Finite.support
-      |> List.sort_uniq compare
+      |> List.sort_uniq Int.compare
 
     let tp_support m = List.map fst m.tp
 
@@ -241,21 +236,6 @@ module Make (G : Game.S) = struct
   end
 
   module Profit = struct
-    let pure_vp inst (profile : Profile.pure) i =
-      if i < 0 || i >= Array.length profile.Profile.vp_choices then
-        invalid_arg "Profit.pure_vp: player index out of range";
-      if
-        G.covers inst profile.Profile.tp_choice
-          profile.Profile.vp_choices.(i)
-      then 0
-      else 1
-
-    let pure_tp inst (profile : Profile.pure) =
-      Array.fold_left
-        (fun acc v ->
-          if G.covers inst profile.Profile.tp_choice v then acc + 1 else acc)
-        0 profile.Profile.vp_choices
-
     let vp_payoff_of_vertex m v = Q.sub Q.one (Profile.hit_prob m v)
 
     let expected_vp m i =

@@ -44,7 +44,7 @@ module Make (G : Game.S) : sig
       {!expected_load_strategy} — and a mixed profile answers them from
       an incremental exact-payoff kernel: three exact tables (hit
       probability and expected load per vertex, expected load per edge)
-      built by {!make_mixed}, {!of_pure} and {!uniform}, so the first
+      built by {!make_mixed} and {!uniform}, so the first
       three queries are O(1).  One-player deviations ({!replace_vp},
       {!replace_tp}) patch the tables copy-on-write instead of
       rebuilding them: a vertex-player move touches only the two
@@ -86,9 +86,6 @@ module Make (G : Game.S) : sig
     val make_mixed :
       G.instance -> vp:Dist.Finite.t list -> tp:(G.Strategy.t * Q.t) list -> mixed
 
-    (** Embed a pure configuration as point masses. *)
-    val of_pure : G.instance -> pure -> mixed
-
     (** Uniform-support shorthand used by all structured equilibria:
         every vertex player uniform on [vp_support], the defender uniform
         on [tp_support]. @raise Invalid_argument on empty supports or
@@ -124,9 +121,6 @@ module Make (G : Game.S) : sig
     (** D_s(tp): the defender's support strategies. *)
     val tp_support : mixed -> G.Strategy.t list
 
-    (** Tuples_s(v): support strategies covering vertex [v]. *)
-    val tuples_hitting : mixed -> Graph.vertex -> (G.Strategy.t * Q.t) list
-
     (** P_s(Hit(v)). *)
     val hit_prob : mixed -> Graph.vertex -> Q.t
 
@@ -156,27 +150,14 @@ module Make (G : Game.S) : sig
     val pp : Format.formatter -> mixed -> unit
   end
 
-  (** Individual profits (Definition 2.1) and expected individual
-      profits (equations (1) and (2) of the paper), computed exactly.
-      The mixed-profile quantities go through {!Profile}'s leaf
-      queries. *)
+  (** Expected individual profits (equations (1) and (2) of the paper),
+      computed exactly through {!Profile}'s leaf queries. *)
   module Profit : sig
-    (** IP_i: 1 if vertex player [i] escapes the defender, 0 otherwise.
-        @raise Invalid_argument if [i] is out of range. *)
-    val pure_vp : G.instance -> Profile.pure -> int -> int
-
-    (** IP_tp: number of vertex players caught. *)
-    val pure_tp : G.instance -> Profile.pure -> int
-
     (** Expected IP_i per equation (1): Σ_v P(vp_i = v) (1 − P(Hit(v))). *)
     val expected_vp : Profile.mixed -> int -> Q.t
 
     (** Expected IP_tp per equation (2): Σ_d P(tp = d) m_s(d). *)
     val expected_tp : Profile.mixed -> Q.t
-
-    (** Payoff of playing pure vertex [v] against the profile's defender:
-        [1 − Hit(v)].  The best-response value for a vertex player. *)
-    val vp_payoff_of_vertex : Profile.mixed -> Graph.vertex -> Q.t
   end
 
   (** Best-response values against a mixed configuration.
@@ -184,33 +165,19 @@ module Make (G : Game.S) : sig
       The vertex players' best response is polynomial (scan vertices for
       the minimum hit probability).  The defender's best response
       maximizes m_s(d) over the whole strategy space; this module offers
-      the exhaustive computation (guarded) and a cheap upper bound used
-      as an optimality certificate ({!Verify.Oracle} uses the game's
-      exact weighted oracle instead). *)
+      the exhaustive computation (guarded); {!Verify.Certificate} uses
+      the game's cheap upper bound and {!Verify.Oracle} its exact
+      weighted oracle instead. *)
   module Best_response : sig
     (** Max over vertices of [1 − Hit(v)]: the best payoff available to
         any vertex player.  Counts one [br.vp_sweeps]. *)
     val vp_best_value : Profile.mixed -> Q.t
-
-    (** A vertex attaining {!vp_best_value} (minimum hit probability,
-        lowest id on ties). *)
-    val vp_best_vertex : Profile.mixed -> Graph.vertex
 
     (** Max of m_s(d) over the whole strategy space, by enumeration.
         @raise Invalid_argument ["Best_response: tuple space too large
         for enumeration"] when the space exceeds {!enumeration_limit}
         strategies. *)
     val tp_best_value_exhaustive : Profile.mixed -> Q.t
-
-    (** A maximizing strategy (same enumeration and guard; the first
-        maximum in {!Game.S.fold_strategies} order). *)
-    val tp_best_exhaustive : Profile.mixed -> G.Strategy.t
-
-    (** The game's certificate bound on the defender's best-response
-        value ({!Game.S.value_upper_bound}; for tuples the sum of the k
-        largest edge loads m_s(e), tight in every k-matching
-        equilibrium). *)
-    val tp_upper_bound : Profile.mixed -> Q.t
   end
 
   (** Pure Nash equilibria by definition. *)
@@ -246,8 +213,11 @@ module Make (G : Game.S) : sig
               ({!Best_response.tp_best_value_exhaustive}: raises
               [Invalid_argument] past {!enumeration_limit}) *)
       | Certificate
-          (** compare against {!Best_response.tp_upper_bound}; sound but
-              incomplete (can answer [Unknown]) *)
+          (** compare against the game's certificate bound
+              ({!Game.S.value_upper_bound}; for tuples the sum of the k
+              largest edge loads m_s(e), tight in every k-matching
+              equilibrium); sound but incomplete (can answer
+              [Unknown]) *)
       | Oracle
           (** compare against the game's exact weighted best-response
               oracle ({!Game.S.best_response_weighted}, weighted by the

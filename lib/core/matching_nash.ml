@@ -32,7 +32,7 @@ let lemma21_cover_conditions m =
 type partition = { is : Graph.vertex list; vc : Graph.vertex list }
 
 let partition_of_is g is =
-  let is = List.sort_uniq compare is in
+  let is = List.sort_uniq Int.compare is in
   if not (Matching.Checks.is_independent_set g is) then
     invalid_arg "Matching_nash.partition_of_is: set is not independent";
   List.iter
@@ -79,7 +79,7 @@ let all_partitions g =
   Matching.Independent.all_maximal g
   |> List.map (partition_of_is g)
   |> List.filter (partition_admits g)
-  |> List.sort (fun a b -> compare (List.length a.is) (List.length b.is))
+  |> List.sort (fun a b -> Int.compare (List.length a.is) (List.length b.is))
 
 let support_edges g { is; vc } =
   if not (Matching.Checks.is_independent_set g is) then

@@ -23,10 +23,6 @@ type partition = { is : Graph.vertex list; vc : Graph.vertex list }
     range. *)
 val partition_of_is : Graph.t -> Graph.vertex list -> partition
 
-(** Theorem 2.2 test for a specific partition: [is] independent (checked)
-    and G a [vc]-expander (Hall, polynomial). *)
-val partition_admits : Graph.t -> partition -> bool
-
 (** Search for a partition satisfying Theorem 2.2.  Fast path: bipartite
     graphs via König (Theorem 5.1's route).  General graphs fall back to
     enumerating maximal independent sets, exponential and guarded to

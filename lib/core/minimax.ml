@@ -37,18 +37,15 @@ let solve g =
         packing;
       }
 
-(* The "Payoff_kernel." error prefix is kept verbatim: tests pin it. *)
+(* Per-vertex sums of per-edge weights: the hit probabilities of a
+   fractional edge schedule.  [certified] hands it arrays its caller
+   built, so their length is checked. *)
 let vertex_incidence_sums g weights =
   if Array.length weights <> Graph.m g then
-    invalid_arg "Payoff_kernel.vertex_incidence_sums: need one weight per edge";
+    invalid_arg "Minimax.certified: need one weight per edge";
   Array.init (Graph.n g) (fun v ->
       Graph.fold_incident g v ~init:Q.zero ~f:(fun acc _ id ->
           Q.add acc weights.(id)))
-
-let hit_floor g marginals =
-  (* The hit probability of a fractional edge schedule is the per-vertex
-     incidence sum of the marginals. *)
-  Q.min_list (Array.to_list (vertex_incidence_sums g marginals))
 
 let certified g d =
   let m = Graph.m g in
@@ -74,5 +71,7 @@ let certified g d =
   cover_ok && packing_ok
   && Q.equal cover_total d.rho_star
   && Q.equal packing_total d.rho_star
-  && Q.equal (hit_floor g d.marginals) d.value
+  && Q.equal
+       (Q.min_list (Array.to_list (vertex_incidence_sums g d.marginals)))
+       d.value
   && Q.equal d.value (Q.inv d.rho_star)

@@ -33,15 +33,6 @@ type defense = {
 (** @raise Invalid_argument on a graph with an isolated vertex. *)
 val solve : Graph.t -> defense
 
-(** [vertex_incidence_sums g w]: per-vertex sums Σ_{e ∋ v} w(e) of
-    arbitrary per-edge weights — the hit probabilities of a fractional
-    edge schedule.
-    @raise Invalid_argument unless [w] has one weight per edge. *)
-val vertex_incidence_sums : Graph.t -> Q.t array -> Q.t array
-
-(** min_v Σ_{e∋v} marginals(e): the achieved hit floor (= [value]). *)
-val hit_floor : Graph.t -> Q.t array -> Q.t
-
 (** Sanity of a [defense]: cover feasibility, packing feasibility, zero
     duality gap, floor attained.  Used by tests; true for {!solve}. *)
 val certified : Graph.t -> defense -> bool

@@ -1,5 +1,4 @@
 module Q = Exact.Q
-module Finite = Dist.Finite
 module E = Tuple_instance.Engine
 
 type regret = { attacker : Q.t; defender : Q.t }
@@ -19,26 +18,9 @@ let regret m =
 
 let max_regret r = Q.max r.attacker r.defender
 
-let is_epsilon_ne m ~epsilon = Q.( <= ) (max_regret (regret m)) epsilon
-
 let check_epsilon epsilon =
   if Q.( < ) epsilon Q.zero || Q.( > ) epsilon Q.one then
     invalid_arg "Robustness: epsilon outside [0, 1]"
-
-let tilt_vp m i ~epsilon ~towards =
-  check_epsilon epsilon;
-  let current = E.Profile.vp_strategy m i in
-  let keep = Q.sub Q.one epsilon in
-  let outcomes = List.sort_uniq compare (towards :: Finite.support current) in
-  let mixed =
-    List.map
-      (fun v ->
-        let base = Q.mul keep (Finite.prob current v) in
-        let bonus = if v = towards then epsilon else Q.zero in
-        (v, Q.add base bonus))
-      outcomes
-  in
-  E.Profile.replace_vp m i (Finite.make mixed)
 
 let tilt_tp m ~epsilon ~towards =
   check_epsilon epsilon;

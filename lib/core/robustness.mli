@@ -24,21 +24,8 @@ val regret : Engine.Profile.mixed -> regret
 
 val max_regret : regret -> Q.t
 
-(** [is_epsilon_ne profile ~epsilon]: every unilateral deviation
-    improves by at most [epsilon]. *)
-val is_epsilon_ne : Engine.Profile.mixed -> epsilon:Q.t -> bool
-
-(** [tilt_vp profile i ~epsilon ~towards] replaces player [i]'s strategy
+(** [tilt_tp profile ~epsilon ~towards] replaces the defender's strategy
     by [(1-epsilon)·current + epsilon·point towards].
-    @raise Invalid_argument unless [0 <= epsilon <= 1]. *)
-val tilt_vp :
-  Engine.Profile.mixed ->
-  int ->
-  epsilon:Q.t ->
-  towards:Netgraph.Graph.vertex ->
-  Engine.Profile.mixed
-
-(** Same for the defender, tilting toward one tuple of its support.
     @raise Invalid_argument unless [0 <= epsilon <= 1] and [towards] has
     the right size. *)
 val tilt_tp : Engine.Profile.mixed -> epsilon:Q.t -> towards:Tuple.t -> Engine.Profile.mixed

@@ -51,7 +51,7 @@ let pp_instance fmt inst =
 
 let of_list g vs =
   if vs = [] then invalid_arg "Subgraph_game: empty vertex set";
-  let sorted = List.sort_uniq compare vs in
+  let sorted = List.sort_uniq Int.compare vs in
   if List.length sorted <> List.length vs then
     invalid_arg "Subgraph_game: duplicate vertex in subgraph";
   List.iter
@@ -160,7 +160,7 @@ let grow inst ~score ~start =
     in_set.(!best) <- true;
     members := !best :: !members
   done;
-  Array.of_list (List.sort compare !members)
+  Array.of_list (List.sort Int.compare !members)
 
 let argmax_vertex n score =
   let best = ref 0 in
@@ -199,7 +199,7 @@ let random_strategy inst rng =
     in_set.(v) <- true;
     members := v :: !members
   done;
-  Array.of_list (List.sort compare !members)
+  Array.of_list (List.sort Int.compare !members)
 
 (* Deterministic rotation: anchor at [round mod n], then grow toward
    the lowest-id frontier vertices. *)

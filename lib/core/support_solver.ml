@@ -5,12 +5,6 @@ module E = Tuple_instance.Engine
 type failure =
   [ `Ambiguous | `Inconsistent | `Nonpositive | `Not_equilibrium of string ]
 
-let failure_to_string = function
-  | `Ambiguous -> "indifference system underdetermined"
-  | `Inconsistent -> "no weights equalize the payoffs"
-  | `Nonpositive -> "unique weights exist but are not all positive"
-  | `Not_equilibrium why -> "weights found but not an equilibrium: " ^ why
-
 (* Solve "pairwise equal linear forms + normalization = 1" for positive
    weights.  [forms] has one row of coefficients per equalized quantity;
    unknown count = columns. *)
@@ -33,7 +27,7 @@ let equalize_and_normalize forms =
 
 let solve model ~vp_support ~tp_support =
   let g = Model.graph model in
-  let vp_support = List.sort_uniq compare vp_support in
+  let vp_support = List.sort_uniq Int.compare vp_support in
   if vp_support = [] then invalid_arg "Support_solver.solve: empty attacker support";
   List.iter
     (fun v ->

@@ -31,8 +31,6 @@ type failure =
   | `Nonpositive  (** unique weights exist but are not all > 0 *)
   | `Not_equilibrium of string  (** weights found but a deviation beats them *) ]
 
-val failure_to_string : failure -> string
-
 (** [solve model ~vp_support ~tp_support] attempts the construction.
     The defender side of the best-response check enumerates C(m,k)
     tuples ([Verify.Exhaustive], guarded by

@@ -4,7 +4,7 @@ type t = Graph.edge_id array
 
 let of_list g ids =
   if ids = [] then invalid_arg "Tuple.of_list: empty tuple";
-  let sorted = List.sort_uniq compare ids in
+  let sorted = List.sort_uniq Int.compare ids in
   if List.length sorted <> List.length ids then
     invalid_arg "Tuple.of_list: duplicate edge in tuple";
   List.iter
@@ -33,7 +33,7 @@ let vertices g t =
   |> List.concat_map (fun id ->
          let e = Graph.edge g id in
          [ e.Graph.u; e.Graph.v ])
-  |> List.sort_uniq compare
+  |> List.sort_uniq Int.compare
 
 let covers g t v =
   Array.exists
@@ -77,10 +77,10 @@ let enumerate ?(limit = Game_engine.enumeration_limit) g ~k =
   List.rev (fold_enumerate g ~k ~init:[] ~f:(fun acc t -> t :: acc))
 
 let edge_union ts =
-  List.concat_map Array.to_list ts |> List.sort_uniq compare
+  List.concat_map Array.to_list ts |> List.sort_uniq Int.compare
 
 let vertex_union g ts =
-  List.concat_map (vertices g) ts |> List.sort_uniq compare
+  List.concat_map (vertices g) ts |> List.sort_uniq Int.compare
 
 let pp fmt t =
   Format.fprintf fmt "<%s>"

@@ -82,7 +82,7 @@ let best_response_weighted inst ~weight =
   let order = Array.init m Fun.id in
   Array.sort
     (fun a b ->
-      match Q.compare ew.(b) ew.(a) with 0 -> compare a b | c -> c)
+      match Q.compare ew.(b) ew.(a) with 0 -> Int.compare a b | c -> c)
     order;
   let prefix = Array.make (m + 1) Q.zero in
   for i = 0 to m - 1 do
@@ -277,7 +277,7 @@ let greedy_by_counts inst ~counts =
     counts.(e.Graph.u) + counts.(e.Graph.v)
   in
   let ids = Array.init (Graph.m g) Fun.id in
-  Array.sort (fun a b -> compare (score b) (score a)) ids;
+  Array.sort (fun a b -> Int.compare (score b) (score a)) ids;
   Tuple.of_list g (Array.to_list (Array.sub ids 0 (Model.k inst)))
 
 let random_strategy inst rng =

@@ -2,7 +2,6 @@ open Netgraph
 module E = Tuple_instance.Engine
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-let lcm a b = a / gcd a b * b
 let delta ~e_num ~k = e_num / gcd e_num k
 let multiplicity ~e_num ~k = k / gcd e_num k
 
@@ -44,7 +43,7 @@ let is_k_matching_ne_support m =
 let cyclic_tuples g edges ~k =
   let arr = Array.of_list edges in
   let e_num = Array.length arr in
-  if List.length (List.sort_uniq compare edges) <> e_num then
+  if List.length (List.sort_uniq Int.compare edges) <> e_num then
     invalid_arg "Tuple_nash.cyclic_tuples: repeated edge id";
   if k < 1 || k > e_num then
     invalid_arg "Tuple_nash.cyclic_tuples: k outside [1, |edges|]";

@@ -8,13 +8,11 @@
 open Netgraph
 open Tuple_instance
 
-(** Definition 4.1: (1) D(VP) independent, (2) each support vertex incident
-    to exactly one edge of E(D(tp)), (3) every edge of E(D(tp)) appears in
-    the same number of support tuples. *)
-val is_k_matching_configuration : Engine.Profile.mixed -> bool
-
-(** Definition 4.2: a k-matching configuration additionally satisfying
-    condition 1 of Theorem 3.4 (supports only; probabilities are checked
+(** Definition 4.2: the supports form a k-matching configuration
+    (Definition 4.1: (1) D(VP) independent, (2) each support vertex
+    incident to exactly one edge of E(D(tp)), (3) every edge of E(D(tp))
+    appears in the same number of support tuples) and satisfy condition
+    1 of Theorem 3.4 (supports only; probabilities are checked
     separately by {!Characterization}). *)
 val is_k_matching_ne_support : Engine.Profile.mixed -> bool
 
@@ -43,4 +41,3 @@ val a_tuple : Model.t -> Matching_nash.partition -> (Engine.Profile.mixed, strin
 val a_tuple_auto : Model.t -> (Engine.Profile.mixed, string) result
 
 val gcd : int -> int -> int
-val lcm : int -> int -> int

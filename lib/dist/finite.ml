@@ -50,10 +50,6 @@ let support t = Array.to_list (Array.map fst t.pairs)
 let support_size t = Array.length t.pairs
 let is_pure t = Array.length t.pairs = 1
 
-let pure_outcome t =
-  if is_pure t then fst t.pairs.(0)
-  else invalid_arg "Finite.pure_outcome: distribution is mixed"
-
 let expect t ~f =
   Array.fold_left (fun acc (x, p) -> Q.add acc (Q.mul p (f x))) Q.zero t.pairs
 
@@ -61,15 +57,6 @@ let fold t ~init ~f =
   Array.fold_left (fun acc (x, p) -> f acc x p) init t.pairs
 
 let iter t ~f = Array.iter (fun (x, p) -> f x p) t.pairs
-
-let tv_distance a b =
-  let outcomes = List.sort_uniq compare (support a @ support b) in
-  let sum =
-    List.fold_left
-      (fun acc x -> Q.add acc (Q.abs (Q.sub (prob a x) (prob b x))))
-      Q.zero outcomes
-  in
-  Q.div_int sum 2
 
 let map t ~f =
   let remapped = Array.to_list (Array.map (fun (x, p) -> (f x, p)) t.pairs) in

@@ -31,9 +31,6 @@ val support_size : t -> int
 (** [true] iff the distribution is a point mass. *)
 val is_pure : t -> bool
 
-(** The outcome of a point mass. @raise Invalid_argument otherwise. *)
-val pure_outcome : t -> int
-
 (** Expectation of a rational-valued function over the support. *)
 val expect : t -> f:(int -> Exact.Q.t) -> Exact.Q.t
 
@@ -42,9 +39,6 @@ val fold : t -> init:'a -> f:('a -> int -> Exact.Q.t -> 'a) -> 'a
 
 (** Iterate over the [(outcome, probability)] pairs, in outcome order. *)
 val iter : t -> f:(int -> Exact.Q.t -> unit) -> unit
-
-(** Total-variation distance. *)
-val tv_distance : t -> t -> Exact.Q.t
 
 (** Map outcomes (merging collisions). *)
 val map : t -> f:(int -> int) -> t

@@ -4,12 +4,12 @@ type coloring = {
   color : int array;
 }
 
-(* BFS 2-colouring; also retains parents so a failure yields an odd cycle. *)
+(* BFS 2-colouring; [conflict] is set when an edge joins two vertices of
+   one colour. *)
 let attempt g =
   let n = Graph.n g in
   let color = Array.make n (-1) in
-  let parent = Array.make n (-1) in
-  let conflict = ref None in
+  let conflict = ref false in
   let queue = Queue.create () in
   (try
      for root = 0 to n - 1 do
@@ -21,51 +21,26 @@ let attempt g =
            Graph.iter_neighbors g v ~f:(fun w ->
                if color.(w) < 0 then begin
                  color.(w) <- 1 - color.(v);
-                 parent.(w) <- v;
                  Queue.add w queue
                end
                else if color.(w) = color.(v) then begin
-                 conflict := Some (v, w);
+                 conflict := true;
                  raise Exit
                end)
          done
        end
      done
    with Exit -> ());
-  (color, parent, !conflict)
+  (color, !conflict)
 
 let coloring g =
-  let color, _, conflict = attempt g in
-  match conflict with
-  | Some _ -> None
-  | None ->
-      let side_a = ref [] and side_b = ref [] in
-      for v = Graph.n g - 1 downto 0 do
-        if color.(v) = 0 then side_a := v :: !side_a else side_b := v :: !side_b
-      done;
-      Some { side_a = !side_a; side_b = !side_b; color }
+  let color, conflict = attempt g in
+  if conflict then None
+  else
+    let side_a = ref [] and side_b = ref [] in
+    for v = Graph.n g - 1 downto 0 do
+      if color.(v) = 0 then side_a := v :: !side_a else side_b := v :: !side_b
+    done;
+    Some { side_a = !side_a; side_b = !side_b; color }
 
-let is_bipartite g = Option.is_some (coloring g)
-
-let odd_cycle g =
-  let _, parent, conflict = attempt g in
-  match conflict with
-  | None -> None
-  | Some (v, w) ->
-      (* Climb to the lowest common ancestor in the BFS forest. *)
-      let ancestors u =
-        let rec up u acc = if u < 0 then acc else up parent.(u) (u :: acc) in
-        up u []
-      in
-      let pa = ancestors v and pb = ancestors w in
-      let rec common a b last =
-        match (a, b) with
-        | x :: a', y :: b' when x = y -> common a' b' (Some x)
-        | _ -> (last, a, b)
-      in
-      (match common pa pb None with
-      | Some lca, rest_a, rest_b ->
-          let cycle = (lca :: rest_a) @ List.rev (lca :: rest_b) in
-          (* cycle runs lca .. v, w .. lca; the v-w edge closes it. *)
-          Some cycle
-      | None, _, _ -> assert false)
+let is_bipartite g = not (snd (attempt g))

@@ -11,7 +11,3 @@ type coloring = {
 val coloring : Graph.t -> coloring option
 
 val is_bipartite : Graph.t -> bool
-
-(** An odd cycle (as a vertex list, first = last) witnessing
-    non-bipartiteness, or [None] for bipartite graphs. *)
-val odd_cycle : Graph.t -> Graph.vertex list option

@@ -87,9 +87,6 @@ module Builder = struct
     let cap = max edges_hint 1 in
     { bn = n; beu = Array.make cap 0; bev = Array.make cap 0; bm = 0 }
 
-  let vertex_count b = b.bn
-  let edge_count b = b.bm
-
   let add_edge b u v =
     if u < 0 || u >= b.bn || v < 0 || v >= b.bn then
       invalid_arg
@@ -134,12 +131,6 @@ let edge g id =
 
 let edges g = Array.init g.m (fun id -> { u = g.eu.(id); v = g.ev.(id) })
 
-let endpoints g id =
-  check_id g id;
-  (g.eu.(id), g.ev.(id))
-
-let edge_u g id = g.eu.(id)
-let edge_v g id = g.ev.(id)
 let degree g v = g.off.(v + 1) - g.off.(v)
 
 let find_edge g u v =
@@ -160,8 +151,6 @@ let find_edge g u v =
   end
 
 let is_adjacent g u v = Option.is_some (find_edge g u v)
-let neighbors g v = Array.sub g.nbr g.off.(v) (degree g v)
-let incident_edges g v = Array.sub g.eid g.off.(v) (degree g v)
 
 let iter_neighbors g v ~f =
   for i = g.off.(v) to g.off.(v + 1) - 1 do
@@ -187,25 +176,12 @@ let fold_incident g v ~init ~f =
   done;
   !acc
 
-let opposite g id v =
-  check_id g id;
-  if g.eu.(id) = v then g.ev.(id)
-  else if g.ev.(id) = v then g.eu.(id)
-  else
-    invalid_arg
-      (Printf.sprintf "Graph.opposite: %d not an endpoint of edge %d" v id)
-
 let fold_vertices g ~init ~f =
   let acc = ref init in
   for v = 0 to g.n - 1 do
     acc := f !acc v
   done;
   !acc
-
-let iter_vertices g ~f =
-  for v = 0 to g.n - 1 do
-    f v
-  done
 
 let fold_edges g ~init ~f =
   let acc = ref init in

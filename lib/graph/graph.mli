@@ -47,11 +47,6 @@ module Builder : sig
       @raise Invalid_argument on a negative [n] or [n > 2^31 - 1]. *)
   val create : ?edges_hint:int -> n:int -> unit -> t
 
-  val vertex_count : t -> int
-
-  (** Edges added so far; the next edge gets this id. *)
-  val edge_count : t -> int
-
   (** [add_edge b u v] appends the undirected edge [{u, v}]; ids are
       assigned in insertion order, as in {!make}.
       @raise Invalid_argument on an endpoint out of range or a
@@ -75,25 +70,15 @@ val edge : t -> edge_id -> edge
 (** All edges, indexed by edge id. *)
 val edges : t -> edge array
 
-(** [endpoints g e] is [(u, v)] with [u < v]. *)
-val endpoints : t -> edge_id -> vertex * vertex
-
 (** The edge id joining two vertices, if present (orientation-insensitive). *)
 val find_edge : t -> vertex -> vertex -> edge_id option
 
 val is_adjacent : t -> vertex -> vertex -> bool
 
-(** Sorted array of neighbours of [v]. *)
-val neighbors : t -> vertex -> vertex array
-
-(** Ids of edges incident to [v], sorted by the opposite endpoint. *)
-val incident_edges : t -> vertex -> edge_id array
-
 val degree : t -> vertex -> int
 
 (** [iter_neighbors g v ~f] applies [f] to each neighbor of [v] in
-    increasing order, without allocating.  The non-allocating
-    counterpart of {!neighbors}. *)
+    increasing order, without allocating. *)
 val iter_neighbors : t -> vertex -> f:(vertex -> unit) -> unit
 
 (** Left fold over the neighbors of [v] in increasing order, without
@@ -102,8 +87,7 @@ val fold_neighbors : t -> vertex -> init:'a -> f:('a -> vertex -> 'a) -> 'a
 
 (** [iter_incident g v ~f] applies [f w id] to each incident edge of
     [v], where [w] is the opposite endpoint and [id] the edge id, in
-    increasing order of [w], without allocating.  Replaces the
-    [incident_edges]-then-[opposite] idiom in inner loops. *)
+    increasing order of [w], without allocating. *)
 val iter_incident : t -> vertex -> f:(vertex -> edge_id -> unit) -> unit
 
 (** Left fold over incident edges of [v] as [(opposite, id)] pairs in
@@ -111,21 +95,7 @@ val iter_incident : t -> vertex -> f:(vertex -> edge_id -> unit) -> unit
 val fold_incident :
   t -> vertex -> init:'a -> f:('a -> vertex -> edge_id -> 'a) -> 'a
 
-(** [edge_u g id] ([edge_v g id]) is the smaller (larger) endpoint of
-    edge [id] — the unboxed fields of {!edge}, for inner loops that
-    must not allocate the record.
-    @raise Invalid_argument if the id is out of range (via the array
-    bound check). *)
-val edge_u : t -> edge_id -> vertex
-
-val edge_v : t -> edge_id -> vertex
-
-(** The endpoint of edge [e] that is not [v].
-    @raise Invalid_argument if [v] is not an endpoint of [e]. *)
-val opposite : t -> edge_id -> vertex -> vertex
-
 val fold_vertices : t -> init:'a -> f:('a -> vertex -> 'a) -> 'a
-val iter_vertices : t -> f:(vertex -> unit) -> unit
 val fold_edges : t -> init:'a -> f:('a -> edge_id -> edge -> 'a) -> 'a
 val iter_edges : t -> f:(edge_id -> edge -> unit) -> unit
 

@@ -134,12 +134,9 @@ let index_bits n =
   done;
   !k
 
+(* [line] is newline-stripped and starts with ':'. *)
 let decode_sparse6 line =
-  let line = strip_newline line in
   let len = String.length line in
-  if len = 0 then invalid_arg "Graph6.decode: empty input";
-  if line.[0] <> ':' then
-    invalid_arg "Graph6.decode: sparse6 input must start with ':'";
   let n, start = parse_size line len 1 in
   if n > max_n then invalid_arg "Graph6.decode: graph too large";
   let byte = byte line len in

@@ -13,11 +13,12 @@
 val encode : ?force_long:bool -> Graph.t -> string
 
 (** Decode one graph6 or sparse6 line (optional trailing newline
-    tolerated); a leading [':'] dispatches to {!decode_sparse6}.  All
-    three size headers are understood; sizes beyond the [2^31 - 1]
-    vertex-id range of the substrate are rejected rather than
-    misparsed.  graph6 input must be exact: nonzero padding bits or
-    bytes after the adjacency data are errors.
+    tolerated); a leading [':'] marks sparse6.  All three size headers
+    are understood; sizes beyond the [2^31 - 1] vertex-id range of the
+    substrate are rejected rather than misparsed.  graph6 input must be
+    exact: nonzero padding bits or bytes after the adjacency data are
+    errors.  sparse6 input that encodes a self-loop or a repeated edge
+    is rejected: the substrate holds simple graphs only.
 
     Edge ids are assigned in the order the line lists the edges: for
     graph6, the column order of the upper triangle, (0,1), (0,2),
@@ -38,12 +39,6 @@ val order : string -> int
     than [n^2]), including nauty's padding rule for power-of-two vertex
     counts. *)
 val encode_sparse6 : Graph.t -> string
-
-(** Decode one sparse6 line (leading [':'] required, optional trailing
-    newline tolerated).  Inputs that encode a self-loop or a repeated
-    edge are rejected: the substrate holds simple graphs only.
-    @raise Invalid_argument on malformed input. *)
-val decode_sparse6 : string -> Graph.t
 
 (** [canonical g] is a canonical form of [g]: a graph6 (or, beyond 4096
     vertices, sparse6) encoding of an isomorphic relabeling of [g],

@@ -4,15 +4,12 @@
     topology's structure to its defendability (e.g. girth determines
     whether matching equilibria can exist on cycles). *)
 
-(** Eccentricity of a vertex: max hop distance to any vertex.
-    @raise Invalid_argument if the graph is disconnected. *)
-val eccentricity : Graph.t -> Graph.vertex -> int
-
-(** Max over vertices of eccentricity.
+(** Max over vertices of the eccentricity (max hop distance to any
+    vertex).
     @raise Invalid_argument if the graph is disconnected or empty. *)
 val diameter : Graph.t -> int
 
-(** Min over vertices of eccentricity.
+(** Min over vertices of the eccentricity.
     @raise Invalid_argument if the graph is disconnected or empty. *)
 val radius : Graph.t -> int
 

@@ -17,7 +17,4 @@ val summary : Graph.t -> summary
 (** Valid Tuple-model instance: connected, no isolated vertices, [n >= 2]. *)
 val is_valid_instance : Graph.t -> bool
 
-(** Sorted degree sequence (descending). *)
-val degree_sequence : Graph.t -> int list
-
 val pp_summary : Format.formatter -> summary -> unit

@@ -1,9 +1,9 @@
 (* Traversals over the CSR substrate.  Everything here runs at the
    10^5-10^6 vertex scale of the BigGraph tier: flat int-array queues
-   and stacks instead of Queue.t cells, non-allocating row iteration
-   instead of [Graph.neighbors] copies, and no recursion deeper than
-   O(log) anywhere (a path-shaped graph overflows the OCaml stack well
-   before 10^5 vertices otherwise). *)
+   instead of Queue.t cells, non-allocating row iteration instead of
+   copied rows, and no recursion deeper than O(log) anywhere (a
+   path-shaped graph overflows the OCaml stack well before 10^5
+   vertices otherwise). *)
 
 let bfs_order g root =
   let n = Graph.n g in
@@ -23,41 +23,6 @@ let bfs_order g root =
   done;
   (* BFS visit order is exactly enqueue order. *)
   Array.to_list (Array.sub queue 0 !tail)
-
-let dfs_order g root =
-  let visited = Array.make (Graph.n g) false in
-  (* Each endpoint of each edge is pushed at most once, plus the root:
-     the stack never holds more than 2m + 1 entries. *)
-  let stack = Array.make ((2 * Graph.m g) + 1) 0 in
-  let top = ref 0 in
-  let push v =
-    stack.(!top) <- v;
-    incr top
-  in
-  push root;
-  let order = ref [] in
-  while !top > 0 do
-    decr top;
-    let v = stack.(!top) in
-    if not visited.(v) then begin
-      visited.(v) <- true;
-      order := v :: !order;
-      (* Push the unvisited neighbors, then reverse that stack segment
-         so the smallest neighbor pops first — the same preorder the
-         recursive formulation produced. *)
-      let start = !top in
-      Graph.iter_neighbors g v ~f:(fun w -> if not visited.(w) then push w);
-      let i = ref start and j = ref (!top - 1) in
-      while !i < !j do
-        let tmp = stack.(!i) in
-        stack.(!i) <- stack.(!j);
-        stack.(!j) <- tmp;
-        incr i;
-        decr j
-      done
-    end
-  done;
-  List.rev !order
 
 let distances g root =
   let n = Graph.n g in
@@ -92,5 +57,7 @@ let components g =
   done;
   List.rev !comps
 
+(* One BFS from vertex 0: the daemon's parent runs this on every
+   canonical-form memo miss, so it builds no component lists. *)
 let is_connected g =
-  match components g with [] | [ _ ] -> true | _ -> false
+  Graph.n g = 0 || Array.for_all (fun d -> d >= 0) (distances g 0)

@@ -1,10 +1,4 @@
-(** Graph traversal: BFS/DFS orders, distances, connectivity. *)
-
-(** [bfs_order g root] lists vertices of [root]'s component in BFS order. *)
-val bfs_order : Graph.t -> Graph.vertex -> Graph.vertex list
-
-(** [dfs_order g root] lists vertices of [root]'s component in preorder. *)
-val dfs_order : Graph.t -> Graph.vertex -> Graph.vertex list
+(** Graph traversal: distances and connectivity. *)
 
 (** [distances g root] gives hop distances from [root]; unreachable
     vertices get [-1]. *)

@@ -88,6 +88,13 @@ let to_string ?(pretty = false) t =
 
 exception Parse_error of string
 
+(* The deepest nesting of arrays and objects [of_string] accepts.  The
+   parser recurses once per level, and the daemon parses every frame in
+   its parent: without a bound a frame of a few million '[' costs seconds
+   and hundreds of megabytes before it fails.  Committed artifacts nest 7
+   levels. *)
+let max_depth = 128
+
 let of_string input =
   let n = String.length input in
   let pos = ref 0 in
@@ -238,8 +245,13 @@ let of_string input =
       | Some i -> Int i
       | None -> Float (float_of_string text)
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
+    let open_container () =
+      if depth >= max_depth then
+        error (Printf.sprintf "nesting deeper than %d" max_depth);
+      advance ()
+    in
     match peek () with
     | None -> error "unexpected end of input"
     | Some '"' -> String (parse_string ())
@@ -247,12 +259,12 @@ let of_string input =
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
     | Some '[' ->
-        advance ();
+        open_container ();
         skip_ws ();
         if peek () = Some ']' then begin advance (); List [] end
         else
           let rec items acc =
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' -> advance (); items (v :: acc)
@@ -261,7 +273,7 @@ let of_string input =
           in
           items []
     | Some '{' ->
-        advance ();
+        open_container ();
         skip_ws ();
         if peek () = Some '}' then begin advance (); Obj [] end
         else
@@ -270,7 +282,7 @@ let of_string input =
             let key = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' -> advance (); fields ((key, v) :: acc)
@@ -282,7 +294,7 @@ let of_string input =
     | Some c -> error (Printf.sprintf "unexpected character %C" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then error "trailing garbage";
     v

@@ -27,7 +27,11 @@ val to_string : ?pretty:bool -> t -> string
     rejected per the JSON grammar.  [\uXXXX] escapes are decoded to
     UTF-8; UTF-16 surrogate pairs combine into the single astral code
     point they encode, and unpaired surrogates are an error (they have
-    no UTF-8 representation). *)
+    no UTF-8 representation).  Arrays and objects may nest at most 128
+    deep ([max_depth] in json.ml; committed artifacts nest 7): a deeper
+    document is an [Error], found before the parser descends further, so
+    a hostile frame of nested brackets costs no more than its first
+    129 levels. *)
 val of_string : string -> (t, string) result
 
 (** [member key json] is the value of field [key] when [json] is an

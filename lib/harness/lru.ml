@@ -19,7 +19,6 @@ let create capacity =
   if capacity < 0 then invalid_arg "Lru.create: negative capacity";
   { capacity; tbl = Hashtbl.create (max 16 capacity); head = None; tail = None }
 
-let capacity t = t.capacity
 let length t = Hashtbl.length t.tbl
 
 let unlink t node =

@@ -12,8 +12,6 @@ type 'a t
     @raise Invalid_argument on a negative capacity. *)
 val create : int -> 'a t
 
-val capacity : 'a t -> int
-
 (** Bindings currently held. *)
 val length : 'a t -> int
 

@@ -1,5 +1,5 @@
 (* NaN or infinite samples would propagate silently through every moment
-   and fit below (a NaN mean poisons stddev, acceptance bands, R²); fail
+   and fit below (a NaN mean poisons acceptance bands and R²); fail
    loudly at the door instead. *)
 let check_finite ~who x =
   if not (Float.is_finite x) then
@@ -11,18 +11,6 @@ let mean xs =
   | _ ->
       List.iter (check_finite ~who:"Stats.mean") xs;
       List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
-let stddev xs =
-  (* Sample (n−1) estimator: the population (n) estimator understates
-     sigma on finite samples and silently tightens Monte-Carlo acceptance
-     bands built from it (T7). *)
-  match xs with
-  | [] -> invalid_arg "Stats.stddev: empty list"
-  | [ _ ] -> 0.0
-  | _ ->
-      let mu = mean xs in
-      let ss = List.fold_left (fun acc x -> acc +. ((x -. mu) ** 2.0)) 0.0 xs in
-      sqrt (ss /. float_of_int (List.length xs - 1))
 
 type fit = { slope : float; intercept : float; r_squared : float }
 

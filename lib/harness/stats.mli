@@ -7,10 +7,6 @@
     silently). *)
 val mean : float list -> float
 
-(** Sample standard deviation (the unbiased n−1 estimator); 0.0 for a
-    single observation. @raise Invalid_argument on the empty list. *)
-val stddev : float list -> float
-
 type fit = {
   slope : float;
   intercept : float;

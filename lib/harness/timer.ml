@@ -31,9 +31,6 @@ let median_of_sorted = function
       if n mod 2 = 1 then List.nth samples (n / 2)
       else ((List.nth samples ((n / 2) - 1)) +. List.nth samples (n / 2)) /. 2.0
 
-let time_median ?(repeat = 5) f =
-  median_of_sorted (sorted_samples ~who:"Timer.time_median" ~repeat f)
-
 let time_stats ?(repeat = 5) f =
   let samples = sorted_samples ~who:"Timer.time_stats" ~repeat f in
   {

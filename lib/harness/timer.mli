@@ -20,15 +20,12 @@ val time : (unit -> 'a) -> 'a * float
     @raise Invalid_argument on an empty list. *)
 val median_of_sorted : float list -> float
 
-(** Median-of-[repeat] timing in seconds (default 5), discarding
-    results.  Even [repeat] follows the {!median_of_sorted} tie-break. *)
-val time_median : ?repeat:int -> (unit -> 'a) -> float
-
 (** Repeated timing with spread, for structured timing artifacts: a
     single median point hides scheduler noise, so the JSON cells carry
     [(median, min, max, runs)].  All values in seconds. *)
 type stats = { median : float; min : float; max : float; runs : int }
 
-(** Like {!time_median} but returning the full [stats] (default 5 runs).
-    @raise Invalid_argument when [repeat < 1]. *)
+(** Time [f] [repeat] times (default 5), discarding results, and
+    summarize the durations; [median] follows the {!median_of_sorted}
+    tie-break. @raise Invalid_argument when [repeat < 1]. *)
 val time_stats : ?repeat:int -> (unit -> 'a) -> stats

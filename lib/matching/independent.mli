@@ -4,9 +4,6 @@
 
 open Netgraph
 
-(** A maximum independent set. @raise Invalid_argument if [n > 30]. *)
-val maximum : Graph.t -> Graph.vertex list
-
 (** Independence number α(G). @raise Invalid_argument if [n > 30]. *)
 val independence_number : Graph.t -> int
 

@@ -33,14 +33,6 @@ let bits64 t =
   t.s3 <- rotl t.s3 45;
   result
 
-let split t =
-  let state = ref (bits64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
-
 (* Non-negative 62-bit integer from the top bits (best-quality bits). *)
 let bits62 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 

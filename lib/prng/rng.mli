@@ -11,12 +11,6 @@ type t
     from [seed] with SplitMix64 (so nearby seeds give unrelated streams). *)
 val create : int -> t
 
-(** An independent generator split off from [t]; advances [t]. *)
-val split : t -> t
-
-(** Next raw 64-bit word. *)
-val bits64 : t -> int64
-
 (** [int t bound] is uniform on [0, bound); rejection-sampled, unbiased.
     @raise Invalid_argument if [bound <= 0]. *)
 val int : t -> int -> int

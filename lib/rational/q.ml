@@ -333,10 +333,6 @@ let to_float = function
 
 let sum qs = List.fold_left add zero qs
 
-let average = function
-  | [] -> invalid_arg "Q.average: empty list"
-  | qs -> div_int (sum qs) (List.length qs)
-
 let min_list = function
   | [] -> invalid_arg "Q.min_list: empty list"
   | q :: qs -> List.fold_left min q qs

@@ -126,9 +126,6 @@ val to_float : t -> float
 (** Sum of a list; [zero] for the empty list. *)
 val sum : t list -> t
 
-(** Arithmetic mean. @raise Invalid_argument on the empty list. *)
-val average : t list -> t
-
 (** Minimum of a non-empty list. @raise Invalid_argument on []. *)
 val min_list : t list -> t
 

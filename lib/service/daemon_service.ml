@@ -64,14 +64,22 @@ let get_method msg =
    bytes-to-canonical mapping is memoized in its own small LRU.  This is
    sound because equal graph6 strings decode to the identical graph.  A
    relabeled resend misses the memo and pays one canonicalization, then
-   lands on the same solve-cache entry. *)
+   lands on the same solve-cache entry.
+
+   A graph no solve accepts (Model.make and Subgraph_game.make both
+   demand a valid instance) gets no key: a miss checks validity, one
+   O(n + m) pass, before it canonicalizes, so a large disconnected or
+   isolated-vertex line never reaches the search in the parent. *)
 let canon_memo : string Harness.Lru.t = Harness.Lru.create 4096
 
 let canonical_of g6 =
   match Harness.Lru.find canon_memo g6 with
   | Some c -> c
   | None ->
-      let c = Netgraph.Graph6.canonical (Netgraph.Graph6.decode g6) in
+      let g = Netgraph.Graph6.decode g6 in
+      if not (Netgraph.Props.is_valid_instance g) then
+        invalid_arg "cache_key: not a valid instance";
+      let c = Netgraph.Graph6.canonical g in
       Harness.Lru.add canon_memo g6 c;
       c
 

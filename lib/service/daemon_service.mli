@@ -48,8 +48,13 @@
 
 (** The parent-side cache-key function ({!Harness.Daemon.serve}'s
     [cache_key]): [Some key] for well-formed [solve] requests, [None]
-    otherwise (including requests whose graph6 fails to decode — those
-    proceed to the worker and fail there with a proper error). *)
+    otherwise — including requests whose graph6 fails to decode, and
+    graphs that are not a valid instance
+    ({!Netgraph.Props.is_valid_instance}: connected, no isolated vertex,
+    [n >= 2]), which no solve accepts.  Those proceed to the worker and
+    fail there with a proper error.  A graph6 string not yet in the
+    canonical-form memo is checked for validity, one O(n + m) pass,
+    before it is canonicalized; a memo hit pays nothing. *)
 val cache_key : Harness.Json.t -> string option
 
 (** The worker-side handler: total — every failure, including malformed

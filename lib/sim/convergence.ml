@@ -18,7 +18,6 @@ let record t p =
 let length t = t.count
 let points t = List.rev t.rev
 let final t = match t.rev with [] -> None | p :: _ -> Some p
-let gaps t = List.map (fun p -> Q.sub p.upper p.lower) (points t)
 
 let envelope t =
   match points t with

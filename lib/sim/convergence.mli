@@ -33,9 +33,6 @@ val points : t -> point list
 
 val final : t -> point option
 
-(** Per-iteration gap [upper - lower], in iteration order. *)
-val gaps : t -> Q.t list
-
 (** Running best (smallest) certified gap after each iteration: the
     pointwise minimum of [max lower so far] subtracted from [min upper
     so far].  Non-increasing for any bound sequence. *)

@@ -153,8 +153,6 @@ module Make (G : Defender.Game.S) = struct
       caught_after : int;
     }
 
-    let is_converged = function Converged _ -> true | Cycling _ -> false
-
     let catch_count inst choices tuple =
       Array.fold_left
         (fun acc v -> if G.covers inst tuple v then acc + 1 else acc)
@@ -287,9 +285,6 @@ module Make (G : Defender.Game.S) = struct
       stddev_caught : float;
       per_player_escapes : int array;
     }
-
-    let escape_rate stats i =
-      float_of_int stats.per_player_escapes.(i) /. float_of_int stats.rounds
 
     let confidence95 stats =
       1.96 *. stats.stddev_caught /. sqrt (float_of_int stats.rounds)
@@ -428,7 +423,7 @@ module Make (G : Defender.Game.S) = struct
     let hotspot_distribution g ~targets ~concentration =
       if concentration < 0.0 || concentration > 1.0 then
         invalid_arg "Workload: concentration outside [0,1]";
-      let targets = List.sort_uniq compare targets in
+      let targets = List.sort_uniq Int.compare targets in
       if targets = [] then invalid_arg "Workload: empty hotspot target list";
       let n = Graph.n g in
       let others =

@@ -102,8 +102,6 @@ module Make (G : Defender.Game.S) : sig
       G.instance ->
       max_steps:int ->
       result
-
-    val is_converged : result -> bool
   end
 
   (** Monte-Carlo play of a mixed profile: repeated independent rounds
@@ -126,9 +124,6 @@ module Make (G : Defender.Game.S) : sig
           (** sample (n−1) estimator; 0 for one round *)
       per_player_escapes : int array;  (** rounds escaped, per attacker *)
     }
-
-    (** Empirical per-attacker escape probability. *)
-    val escape_rate : stats -> int -> float
 
     (** 95% confidence half-width for [mean_caught] (normal
         approximation). *)

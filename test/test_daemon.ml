@@ -737,6 +737,88 @@ let test_service_malformed_graph6_keeps_connection () =
       ("E", "Graph6.decode: truncated adjacency data");
     ]
 
+(* A sparse6 line of [bytes] bytes declaring [n] vertices and no edge:
+   its (b, x) groups only move the current vertex forward (b = 0, x
+   rising from 1), and a short trailing group is padding. *)
+let sparse6_isolated ~n ~bytes =
+  let k =
+    let rec bits k = if n - 1 < 1 lsl k then k else bits (k + 1) in
+    bits 1
+  in
+  let header = String.sub (Netgraph.Graph6.encode_sparse6 (Netgraph.Graph.make ~n [])) 0 5 in
+  let data_bytes = bytes - String.length header in
+  let bit i =
+    let group = i / (k + 1) and j = i mod (k + 1) in
+    if j = 0 then 0 else ((group + 1) lsr (k - j)) land 1
+  in
+  header
+  ^ String.init data_bytes (fun b ->
+        let v = ref 0 in
+        for j = 0 to 5 do
+          v := (!v lsl 1) lor bit ((6 * b) + j)
+        done;
+        Char.chr (63 + !v))
+
+(* Two hostile requests on connection A must not stall connection B:
+   a solve on 6 000 isolated vertices (no solve accepts it, so the
+   parent computes no cache key for it) and a frame of 10^6 nested '['
+   (refused at the JSON depth bound).  B pings until A's answer is
+   waiting, and every ping must come back within [bound]; canonicalizing
+   that graph in the parent took seconds, and parsing that frame most
+   of one. *)
+let test_service_hostile_requests_do_not_stall () =
+  let bound = 0.5 in
+  with_daemon ~workers:1 ~cache_key:Service.Daemon_service.cache_key
+    Service.Daemon_service.handle
+  @@ fun path ->
+  let b = D.Client.connect (D.Unix_socket path) in
+  Fun.protect ~finally:(fun () -> D.Client.close b) @@ fun () ->
+  let a = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Harness.Wire.close_quietly a) @@ fun () ->
+  Unix.connect a (Unix.ADDR_UNIX path);
+  let pings_until_answered label =
+    let rec loop count =
+      let t0 = Unix.gettimeofday () in
+      let r = request_ok b (J.Obj [ ("op", J.String "ping") ]) in
+      let took = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) (label ^ ": pong") true (field "result" r = J.String "pong");
+      if took > bound then
+        Alcotest.failf "%s: a ping took %.3f s (bound %.1f s)" label took bound;
+      match Unix.select [ a ] [] [] 0.0 with
+      | [], _, _ when count < 10_000 -> loop (count + 1)
+      | _ -> ()
+    in
+    loop 1
+  in
+  let dec = Harness.Wire.decoder () in
+  let g6 = sparse6_isolated ~n:6000 ~bytes:1000 in
+  Alcotest.(check int) "line declares 6 000 vertices" 6000 (Netgraph.Graph6.order g6);
+  Harness.Wire.write_frame a
+    (J.Obj [ ("op", J.String "solve"); ("graph6", J.String g6) ]);
+  pings_until_answered "isolated-vertex solve";
+  (match Harness.Wire.read_frame dec a with
+  | Some (Ok r) ->
+      Alcotest.(check bool) "instance refused" true (field "ok" r = J.Bool false);
+      Alcotest.(check bool) "the worker's instance error" true
+        (match field "error" r with
+        | J.String e -> contains e "isolated"
+        | _ -> false)
+  | _ -> Alcotest.fail "no answer to the isolated-vertex solve");
+  let deep = String.make 1_000_000 '[' in
+  Harness.Wire.write_all a (string_of_int (String.length deep) ^ "\n" ^ deep);
+  pings_until_answered "deep frame";
+  (match Harness.Wire.read_frame dec a with
+  | Some (Ok r) ->
+      Alcotest.(check bool) "bad frame" true
+        (match field "error" r with
+        | J.String e -> contains e "bad frame"
+        | _ -> false)
+  | _ -> Alcotest.fail "no answer to the deep frame");
+  Alcotest.(check bool) "A closed" true (Harness.Wire.read_frame dec a = None);
+  let ping = request_ok b (J.Obj [ ("op", J.String "ping") ]) in
+  Alcotest.(check bool) "the daemon keeps serving" true
+    (field "result" ping = J.String "pong")
+
 let () =
   Alcotest.run "daemon"
     [
@@ -791,5 +873,7 @@ let () =
             test_service_malformed_graph6_keeps_connection;
           Alcotest.test_case "exhaustive check over the budget" `Quick
             test_service_exhaustive_check_over_budget;
+          Alcotest.test_case "hostile requests do not stall others" `Quick
+            test_service_hostile_requests_do_not_stall;
         ] );
     ]

@@ -21,8 +21,7 @@ let test_make_merges_duplicates () =
 let test_make_drops_zeros () =
   let d = F.make [ (0, Q.zero); (1, Q.one) ] in
   Alcotest.(check (list int)) "zero dropped" [ 1 ] (F.support d);
-  Alcotest.(check bool) "pure" true (F.is_pure d);
-  Alcotest.(check int) "outcome" 1 (F.pure_outcome d)
+  Alcotest.(check bool) "pure" true (F.is_pure d)
 
 let test_uniform () =
   let d = F.uniform [ 2; 4; 6 ] in
@@ -38,21 +37,13 @@ let test_point () =
   let d = F.point 7 in
   Alcotest.check q "prob 1" Q.one (F.prob d 7);
   Alcotest.(check bool) "pure" true (F.is_pure d);
-  Alcotest.check_raises "mixed pure_outcome"
-    (Invalid_argument "Finite.pure_outcome: distribution is mixed") (fun () ->
-      ignore (F.pure_outcome (F.uniform [ 1; 2 ])))
+  Alcotest.(check bool) "mixed" false (F.is_pure (F.uniform [ 1; 2 ]))
 
 let test_expect () =
   let d = F.uniform [ 1; 2; 3 ] in
   Alcotest.check q "mean" (Q.of_int 2) (F.expect d ~f:Q.of_int);
   Alcotest.check q "indicator" (Q.make 2 3)
     (F.expect d ~f:(fun x -> if x >= 2 then Q.one else Q.zero))
-
-let test_tv_distance () =
-  let a = F.uniform [ 0; 1 ] and b = F.uniform [ 1; 2 ] in
-  Alcotest.check q "disjoint halves" (Q.make 1 2) (F.tv_distance a b);
-  Alcotest.check q "self distance" Q.zero (F.tv_distance a a);
-  Alcotest.check q "point masses" Q.one (F.tv_distance (F.point 0) (F.point 1))
 
 let test_map () =
   let d = F.uniform [ 0; 1; 2; 3 ] in
@@ -99,14 +90,6 @@ let props =
         Q.equal Q.one (Q.sum (List.map (F.prob d) (F.support d))));
     QCheck.Test.make ~name:"support probabilities positive" ~count:200 dist_gen
       (fun d -> List.for_all (fun x -> Q.sign (F.prob d x) > 0) (F.support d));
-    QCheck.Test.make ~name:"tv distance symmetric" ~count:100
-      QCheck.(pair dist_gen dist_gen)
-      (fun (a, b) -> Q.equal (F.tv_distance a b) (F.tv_distance b a));
-    QCheck.Test.make ~name:"tv distance within [0,1]" ~count:100
-      QCheck.(pair dist_gen dist_gen)
-      (fun (a, b) ->
-        let d = F.tv_distance a b in
-        Q.( >= ) d Q.zero && Q.( <= ) d Q.one);
     QCheck.Test.make ~name:"expectation linear" ~count:100 dist_gen (fun d ->
         let f x = Q.of_int (2 * x) and g x = Q.of_int (x + 1) in
         Q.equal
@@ -125,7 +108,6 @@ let () =
           Alcotest.test_case "uniform" `Quick test_uniform;
           Alcotest.test_case "point" `Quick test_point;
           Alcotest.test_case "expect" `Quick test_expect;
-          Alcotest.test_case "tv distance" `Quick test_tv_distance;
           Alcotest.test_case "map" `Quick test_map;
           Alcotest.test_case "equal" `Quick test_equal;
           Alcotest.test_case "sampling frequencies" `Quick test_sampling_frequencies;

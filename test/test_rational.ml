@@ -45,11 +45,8 @@ let test_comparisons () =
 let test_aggregates () =
   check_q "sum" Q.one (Q.sum [ Q.make 1 2; Q.make 1 3; Q.make 1 6 ]);
   check_q "sum empty" Q.zero (Q.sum []);
-  check_q "average" (Q.make 1 2) (Q.average [ Q.make 1 4; Q.make 3 4 ]);
   check_q "min_list" (Q.make 1 4) (Q.min_list [ Q.make 1 2; Q.make 1 4; Q.one ]);
-  check_q "max_list" Q.one (Q.max_list [ Q.make 1 2; Q.make 1 4; Q.one ]);
-  Alcotest.check_raises "average of []" (Invalid_argument "Q.average: empty list")
-    (fun () -> ignore (Q.average []))
+  check_q "max_list" Q.one (Q.max_list [ Q.make 1 2; Q.make 1 4; Q.one ])
 
 let test_conversions () =
   Alcotest.(check string) "to_string fraction" "5/6" (Q.to_string (Q.make 5 6));

@@ -7,6 +7,16 @@ module Q = Exact.Q
 module Engine = Defender.Tuple_instance.Engine
 module Sim_tuple = Sim.Sim_instance.Tuple
 
+(* Did the best-response dynamics reach a pure profile? *)
+let converged = function
+  | Sim_tuple.Dynamics.Converged _ -> true
+  | Sim_tuple.Dynamics.Cycling _ -> false
+
+(* Empirical escape probability of attacker [i]. *)
+let escape_rate stats i =
+  float_of_int stats.Sim_tuple.Engine.per_player_escapes.(i)
+  /. float_of_int stats.Sim_tuple.Engine.rounds
+
 let model ~g ~nu ~k = Defender.Model.make ~graph:g ~nu ~k
 
 let ok = function
@@ -43,7 +53,7 @@ let test_engine_matches_analytic () =
     (Sim_tuple.Engine.agrees_with_analytic stats prof);
   (* escape rates near 1 - k/|IS| = 1/3 *)
   for i = 0 to 3 do
-    let rate = Sim_tuple.Engine.escape_rate stats i in
+    let rate = escape_rate stats i in
     Alcotest.(check bool)
       (Printf.sprintf "player %d escape rate near 1/3" i)
       true
@@ -55,9 +65,9 @@ let test_engine_deterministic_profile () =
   let g = Gen.path 2 in
   let m = model ~g ~nu:2 ~k:1 in
   let prof =
-    Engine.Profile.of_pure m
-      (Engine.Profile.make_pure m ~vp_choices:[ 0; 1 ]
-         ~tp_choice:(Defender.Tuple.of_list g [ 0 ]))
+    Engine.Profile.make_mixed m
+      ~vp:[ Dist.Finite.point 0; Dist.Finite.point 1 ]
+      ~tp:[ (Defender.Tuple.of_list g [ 0 ], Q.one) ]
   in
   let stats = Sim_tuple.Engine.play (Rng.create 3) prof ~rounds:100 in
   Alcotest.(check int) "everyone caught always" 200 stats.Sim_tuple.Engine.total_caught;
@@ -254,7 +264,7 @@ let test_dynamics_agrees_with_theorem31_on_atlas () =
         let k = 2 in
         let m = model ~g ~nu:2 ~k in
         let converged =
-          Sim_tuple.Dynamics.is_converged
+          converged
             (Sim_tuple.Dynamics.run (Rng.create 19) m ~max_steps:4000)
         in
         Alcotest.(check bool)
@@ -293,7 +303,8 @@ let test_convergence_basic () =
   C.record t (pt 1 Q.one Q.zero Q.one);
   C.record t (pt 2 (Q.make 1 2) (Q.make 1 2) Q.one);
   Alcotest.(check int) "length" 2 (C.length t);
-  Alcotest.(check (list qt)) "gaps" [ Q.one; Q.make 1 2 ] (C.gaps t)
+  Alcotest.(check (list qt)) "gaps" [ Q.one; Q.make 1 2 ]
+    (List.map (fun p -> Q.sub p.C.upper p.C.lower) (C.points t))
 
 let test_convergence_gapless () =
   let t = C.create () in

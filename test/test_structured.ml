@@ -30,15 +30,19 @@ let test_partition_of_is () =
     (Invalid_argument "Matching_nash.partition_of_is: set is not independent")
     (fun () -> ignore (MN.partition_of_is g [ 0; 1 ]))
 
+(* Theorem 2.2's test for a partition whose [is] is independent: G is a
+   [vc]-expander. *)
+let admits g p = (Matching.Hall.check g ~vc:p.MN.vc).Matching.Hall.expander
+
 let test_partition_admits () =
   let g = Gen.path 4 in
   Alcotest.(check bool) "ends+middle admits" true
-    (MN.partition_admits g (MN.partition_of_is g [ 0; 2 ]));
+    (admits g (MN.partition_of_is g [ 0; 2 ]));
   let star = Gen.star 5 in
   Alcotest.(check bool) "star leaves admit" true
-    (MN.partition_admits star (MN.partition_of_is star [ 1; 2; 3; 4 ]));
+    (admits star (MN.partition_of_is star [ 1; 2; 3; 4 ]));
   Alcotest.(check bool) "star centre does not" false
-    (MN.partition_admits star (MN.partition_of_is star [ 0 ]))
+    (admits star (MN.partition_of_is star [ 0 ]))
 
 let test_find_partition_bipartite () =
   List.iter
@@ -46,7 +50,7 @@ let test_find_partition_bipartite () =
       match MN.find_partition g with
       | None -> Alcotest.fail "bipartite graph must admit a partition"
       | Some p ->
-          Alcotest.(check bool) "admits" true (MN.partition_admits g p))
+          Alcotest.(check bool) "admits" true (admits g p))
     [ Gen.path 6; Gen.cycle 8; Gen.star 7; Gen.complete_bipartite 3 4; Gen.grid 3 3 ]
 
 let test_find_partition_general () =
@@ -61,7 +65,7 @@ let test_find_partition_general () =
   let sun = Graph.make ~n:10 edges in
   match MN.find_partition sun with
   | None -> Alcotest.fail "sun graph admits a partition"
-  | Some p -> Alcotest.(check bool) "sun admits" true (MN.partition_admits sun p)
+  | Some p -> Alcotest.(check bool) "sun admits" true (admits sun p)
 
 let test_all_partitions_invariant () =
   (* Selection independence (DESIGN.md): every admissible partition has
@@ -178,7 +182,6 @@ let test_cyclic_tuples_guards () =
 let test_gcd_lcm () =
   Alcotest.(check int) "gcd" 3 (TN.gcd 12 9);
   Alcotest.(check int) "gcd coprime" 1 (TN.gcd 7 5);
-  Alcotest.(check int) "lcm" 36 (TN.lcm 12 9);
   Alcotest.(check int) "delta" 4 (TN.delta ~e_num:12 ~k:9);
   Alcotest.(check int) "multiplicity" 3 (TN.multiplicity ~e_num:12 ~k:9)
 
@@ -197,8 +200,6 @@ let test_a_tuple_on_families () =
     (fun (name, g, k) ->
       let m = model ~g ~nu:4 ~k in
       let prof = ok (TN.a_tuple_auto m) in
-      Alcotest.(check bool) (name ^ " k-matching config") true
-        (TN.is_k_matching_configuration prof);
       Alcotest.(check bool) (name ^ " NE support") true
         (TN.is_k_matching_ne_support prof);
       Alcotest.(check bool)
@@ -232,12 +233,25 @@ let test_k_matching_rejects_violations () =
   let t2 = Defender.Tuple.of_list g [ 0; 4 ] in
   let prof = Engine.Profile.uniform m ~vp_support:[ 1; 3; 5 ] ~tp_support:[ t1; t2 ] in
   Alcotest.(check bool) "multiplicity violated" false
-    (TN.is_k_matching_configuration prof);
-  (* Dependent attacker support. *)
-  let t3 = Defender.Tuple.of_list g [ 0; 2 ] and t4 = Defender.Tuple.of_list g [ 2; 4 ] in
-  ignore t4;
-  let prof2 = Engine.Profile.uniform m ~vp_support:[ 0; 1 ] ~tp_support:[ t3 ] in
-  Alcotest.(check bool) "dependent support" false (TN.is_k_matching_configuration prof2)
+    (TN.is_k_matching_ne_support prof);
+  (* Tuples {0,2}, {2,4}, {0,4}: each support edge is in two tuples and
+     the support edges (0,1), (2,3), (4,5) cover every vertex.  Attackers
+     on {1,3,5} meet one support edge each and cover them: an NE support.
+     Adding vertex 0 keeps conditions (2) and (3) and the covers, but 0
+     and 1 are adjacent, so only condition (1) fails. *)
+  let tuples =
+    List.map (Defender.Tuple.of_list g) [ [ 0; 2 ]; [ 2; 4 ]; [ 0; 4 ] ]
+  in
+  let independent =
+    Engine.Profile.uniform m ~vp_support:[ 1; 3; 5 ] ~tp_support:tuples
+  in
+  Alcotest.(check bool) "independent support" true
+    (TN.is_k_matching_ne_support independent);
+  let dependent =
+    Engine.Profile.uniform m ~vp_support:[ 0; 1; 3; 5 ] ~tp_support:tuples
+  in
+  Alcotest.(check bool) "dependent support" false
+    (TN.is_k_matching_ne_support dependent)
 
 (* --- Reduction (Theorem 4.5) --- *)
 
@@ -329,7 +343,8 @@ let test_escape_probability () =
   let m = model ~g ~nu:4 ~k:2 in
   let prof = ok (TN.a_tuple_auto m) in
   let is_size = List.length (Engine.Profile.vp_support_union prof) in
-  let predicted = Defender.Gain.predicted_escape_probability m ~is_size in
+  (* 1 - k/|IS| in a k-matching NE *)
+  let predicted = Q.sub Q.one (Q.make 2 is_size) in
   for i = 0 to 3 do
     Alcotest.check q
       (Printf.sprintf "escape probability of vp%d" i)
